@@ -47,7 +47,7 @@ store = precompute(params, embedder, dataset.corpus,
                    users_from_impressions(dataset.impressions), provider)
 save_store(workdir / "store.bin", store)
 store = load_store(workdir / "store.bin")
-print(f"store: {len(store.article_reps)} article reps, {len(store.users)} user entries")
+print(f"store: {len(store.article_ids)} article reps, {len(store.users)} user entries")
 
 user_id = dataset.impressions[0].user_id
 candidates = [a.article_id for a in dataset.articles[:8]]

@@ -37,7 +37,7 @@ scored = scorer.score(impression)
 
 hist_ids = impression.history
 hist = np.stack([scorer.rep(a) for a in hist_ids])
-profile = scorer.profile_embedding(impression.user_id, hist_ids)
+profile = scorer.features.profile_embedding(impression.user_id, hist_ids)
 
 
 def cosine(x, y):

@@ -16,7 +16,7 @@ from .data import (
     parse_mind_behaviors,
     parse_mind_news,
 )
-from .encode import ArticleRep, HashedTextEmbedder, PrecomputedTextEmbedder, encode_article
+from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, encode_article
 from .metrics import EvalReport, auc, evaluate_rankings, mrr, ndcg_at, uvctr
 from .model import (
     ModelConfig,

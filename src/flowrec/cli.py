@@ -27,7 +27,7 @@ from . import serve as serve_mod
 from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, build_vocabs
 from .errors import ConfigError
 from .metrics import evaluate_rankings
-from .model import ModelConfig, Scorer, init_model_params
+from .model import ModelConfig, Scorer, constant_rep, init_model_params, instant_rep
 from .summarize import (
     TEMPLATES,
     CompletionError,
@@ -352,15 +352,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
-    corpus, impressions = _load_dataset(args.data)
-    params = ckpt.load_checkpoint(args.checkpoint)
+    config, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
     if args.holdout:
         _, impressions = data_mod.split_by_time(impressions, config["train"]["holdout_fraction"])
-    embedder = make_embedder(config)
-    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
-                if params.config.constant_flow else None)
     scorer = Scorer(params, embedder, corpus, provider)
     rankings = [([s.probability for s in scorer.score(imp)], imp.labels) for imp in impressions]
     report = evaluate_rankings(rankings, include_global_auc=args.global_auc)
@@ -377,39 +371,44 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _store_from_args(args, config, corpus, impressions, params, articles_only=False):
-    embedder = make_embedder(config)
-    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
-                if params.config.constant_flow else None)
-    users = [] if articles_only else serve_mod.users_from_impressions(impressions)
-    return serve_mod.precompute(params, embedder, corpus, users, provider,
-                                allow_partial=args.allow_partial)
-
-
-def cmd_encode(args) -> int:
+def _checkpoint_inputs(args):
+    """What every command that uses a trained model starts from: run config,
+    out dir, dataset, checkpoint, text embedder and, with constant flow on,
+    the profile provider."""
     config = load_run_config(args.config, args.set)
     out = _out_dir(args)
     corpus, impressions = _load_dataset(args.data)
     params = ckpt.load_checkpoint(args.checkpoint)
-    store = _store_from_args(args, config, corpus, impressions, params, articles_only=True)
+    embedder = make_embedder(config)
+    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
+                if params.config.constant_flow else None)
+    return config, out, corpus, impressions, params, embedder, provider
+
+
+def _store_from_args(args, articles_only=False):
+    """Precompute the rep store for a checkpoint; returns the out dir and the store."""
+    _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
+    users = [] if articles_only else serve_mod.users_from_impressions(impressions)
+    return out, serve_mod.precompute(params, embedder, corpus, users, provider,
+                                     allow_partial=args.allow_partial)
+
+
+def cmd_encode(args) -> int:
+    out, store = _store_from_args(args, articles_only=True)
     store_path = os.path.join(out, "article_reps.bin")
     serve_mod.save_store(store_path, store)
-    print(json.dumps({"articles": len(store.article_reps), "errors": len(store.errors)}, sort_keys=True))
+    print(json.dumps({"articles": len(store.article_ids), "errors": len(store.errors)}, sort_keys=True))
     _write_manifest(out, {"command": "encode", "outputs": {"store": store_path},
-                          "stats": {"articles": len(store.article_reps)}})
+                          "stats": {"articles": len(store.article_ids)}})
     return 0
 
 
 def cmd_precompute(args) -> int:
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
-    corpus, impressions = _load_dataset(args.data)
-    params = ckpt.load_checkpoint(args.checkpoint)
-    store = _store_from_args(args, config, corpus, impressions, params)
+    out, store = _store_from_args(args)
     store_path = os.path.join(out, "store.bin")
     serve_mod.save_store(store_path, store)
     stats = {
-        "articles": len(store.article_reps),
+        "articles": len(store.article_ids),
         "users": len(store.users),
         "partial": store.partial,
         "errors": len(store.errors),
@@ -436,31 +435,23 @@ def cmd_serve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
-    corpus, impressions = _load_dataset(args.data)
-    params = ckpt.load_checkpoint(args.checkpoint)
+    _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
     mine = [imp for imp in impressions if imp.user_id == args.user]
     if not mine:
         raise KeyError(f"unknown user {args.user!r}")
     imp = max(mine, key=lambda i: i.timestamp)
     if not imp.history:
         raise data_mod.DataFormatError(f"user {args.user!r} has an empty history")
-    embedder = make_embedder(config)
-    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
-                if params.config.constant_flow else None)
     scorer = Scorer(params, embedder, corpus, provider)
     scored = scorer.score(imp)
 
     hist_ids = [a for a in imp.history if a in corpus]
     hist = np.stack([scorer.rep(a) for a in hist_ids])
-    profile = scorer.profile_embedding(imp.user_id, hist_ids)
+    profile = scorer.features.profile_embedding(imp.user_id, hist_ids)
 
     def cosine(x, y):
         nx, ny = np.linalg.norm(x), np.linalg.norm(y)
         return float(x @ y / (nx * ny)) if nx > 0 and ny > 0 else 0.0
-
-    from .model import constant_rep, instant_rep  # local to keep module deps one-way
 
     path = os.path.join(out, "diagnostics.csv")
     with open(path, "w", encoding="utf-8") as fh:

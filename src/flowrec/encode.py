@@ -7,14 +7,13 @@ a file of precomputed vectors produced by any external sentence encoder.
 
 The final article representation is the concatenation
 ``[attr_vec | title_vec | body_vec]`` with width ``attr_out_dim +
-2 * text_proj_dim``.
+2 * text_proj_dim``. :class:`FeatureSource` is the run's frozen-feature table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,30 +130,32 @@ def attr_index_row(vocabs: dict[str, dict[str, int]], attr_names: list[str],
     )
 
 
+def xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+    """Xavier-uniform ``(fan_out, fan_in)`` matrix drawn from ``rng``."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
 def init_encoder_tensors(rng: np.random.Generator, vocabs: dict[str, dict[str, int]],
                          attr_names: list[str], attr_embed_dim: int, attr_hidden_dim: int,
                          attr_out_dim: int, embed_dim: int, text_proj_dim: int,
                          batch_norm: bool) -> dict[str, np.ndarray]:
-    def xavier(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
     tensors: dict[str, np.ndarray] = {}
     for name in attr_names:
         tensors[f"attr_embed/{name}"] = 0.1 * rng.standard_normal((len(vocabs[name]) + 1, attr_embed_dim))
     concat_dim = len(attr_names) * attr_embed_dim
-    tensors["attr_w1"] = xavier(attr_hidden_dim, concat_dim)
+    tensors["attr_w1"] = xavier(rng, attr_hidden_dim, concat_dim)
     tensors["attr_b1"] = np.zeros(attr_hidden_dim)
-    tensors["attr_w2"] = xavier(attr_out_dim, attr_hidden_dim)
+    tensors["attr_w2"] = xavier(rng, attr_out_dim, attr_hidden_dim)
     tensors["attr_b2"] = np.zeros(attr_out_dim)
     if batch_norm:
         tensors["bn_gamma"] = np.ones(attr_hidden_dim)
         tensors["bn_beta"] = np.zeros(attr_hidden_dim)
         tensors["bn_mean"] = np.zeros(attr_hidden_dim)   # running stat, not trained
         tensors["bn_var"] = np.ones(attr_hidden_dim)     # running stat, not trained
-    tensors["title_w"] = xavier(text_proj_dim, embed_dim)
+    tensors["title_w"] = xavier(rng, text_proj_dim, embed_dim)
     tensors["title_b"] = np.zeros(text_proj_dim)
-    tensors["body_w"] = xavier(text_proj_dim, embed_dim)
+    tensors["body_w"] = xavier(rng, text_proj_dim, embed_dim)
     tensors["body_b"] = np.zeros(text_proj_dim)
     return tensors
 
@@ -257,27 +258,111 @@ def project_text(params, vec: np.ndarray, which: str) -> np.ndarray:
     return vec @ w.T + b
 
 
-@dataclass
-class ArticleRep:
-    attr_vec: np.ndarray
-    title_vec: np.ndarray
-    body_vec: np.ndarray
+def encode_features(params, title_emb: np.ndarray, body_emb: np.ndarray,
+                    idx: np.ndarray) -> np.ndarray:
+    """Eval-mode ``[attr_vec | title_vec | body_vec]`` of one article from its frozen features.
 
-    @property
-    def full(self) -> np.ndarray:
-        return np.concatenate([self.attr_vec, self.title_vec, self.body_vec])
+    Evaluation and serving both encode through this single-row arithmetic,
+    so the same frozen inputs always give the same bits.
+    """
+    h_a, _ = encode_attributes_batch(params, idx[None, :])
+    return np.concatenate([
+        h_a[0], project_text(params, title_emb, "title"), project_text(params, body_emb, "body"),
+    ])
 
 
-def encode_article(params, embedder, article: Article, mode: str = "eval",
-                   rng: np.random.Generator | None = None) -> ArticleRep:
-    """Encode one article into ``[attr_vec | title_vec | body_vec]``."""
+def encode_article(params, embedder, article: Article) -> np.ndarray:
+    """Eval-mode ``[attr_vec | title_vec | body_vec]`` of one article."""
     cfg = params.config
-    idx = attr_index_row(params.vocabs, cfg.attr_names, article.attributes)
-    h_a, _ = encode_attributes_batch(params, idx[None, :], mode=mode, rng=rng, dropout=cfg.dropout if mode == "train" else 0.0)
-    title_emb = embedder.embed(article.title)
-    body_emb = embedder.embed(article.body_text(cfg.use_summaries))
-    return ArticleRep(
-        attr_vec=h_a[0],
-        title_vec=project_text(params, title_emb, "title"),
-        body_vec=project_text(params, body_emb, "body"),
+    return encode_features(
+        params, embedder.embed(article.title), embedder.embed(article.body_text(cfg.use_summaries)),
+        attr_index_row(params.vocabs, cfg.attr_names, article.attributes),
     )
+
+
+# ---------------------------------------------------------------------------
+# Frozen-feature table
+# ---------------------------------------------------------------------------
+
+def _reserve(table: np.ndarray, used: int, rows: int) -> np.ndarray:
+    """``table``, or a copy of its first ``used`` rows with room for ``rows``.
+
+    Capacity grows by a quarter: amortized O(1) appends, few spare rows in peak memory.
+    """
+    if rows <= len(table):
+        return table
+    grown = np.zeros((max(rows, len(table) + len(table) // 4), *table.shape[1:]), dtype=table.dtype)
+    grown[:used] = table[:used]
+    return grown
+
+
+class FeatureSource:
+    """The frozen-feature table that training, evaluation and precompute read.
+
+    Article ``row_of[article_id]`` holds the text embeddings ``title[r]`` and
+    ``body[r]`` and the attribute indices ``attr_idx[r]``; profile
+    ``profile_row_of[(user_id, history)]`` holds ``profiles[r]`` and
+    ``profile_texts[r]``. A row is computed when first asked for, the only
+    time text reaches the embedder, and is written straight into its array;
+    arrays may carry spare rows past the last one in use.
+    """
+
+    def __init__(self, params, corpus: dict[str, Article], embedder, profile_provider=None):
+        cfg = params.config
+        self.config = cfg
+        self.vocabs = params.vocabs
+        self.corpus = corpus
+        self.embedder = embedder
+        self.profile_provider = profile_provider
+        self.row_of: dict[str, int] = {}
+        self.title = np.zeros((0, embedder.dim))
+        self.body = np.zeros((0, embedder.dim))
+        self.attr_idx = np.zeros((0, len(cfg.attr_names)), dtype=np.int64)
+        self.profile_row_of: dict[tuple[str, tuple[str, ...]], int] = {}
+        self.profiles = np.zeros((1, embedder.dim))
+        self.profile_texts = [""]
+
+    def rows(self, article_ids) -> np.ndarray:
+        """Table rows of ``article_ids``, adding rows for articles not seen yet."""
+        new = [a for a in dict.fromkeys(article_ids) if a not in self.row_of]
+        if new:
+            cfg, articles = self.config, [self.corpus[a] for a in new]
+            n, end = len(self.row_of), len(self.row_of) + len(new)
+            self.title, self.body, self.attr_idx = (
+                _reserve(t, n, end) for t in (self.title, self.body, self.attr_idx))
+            for r, a in enumerate(articles, n):
+                self.title[r] = self.embedder.embed(a.title)
+                self.body[r] = self.embedder.embed(a.body_text(cfg.use_summaries))
+                self.attr_idx[r] = attr_index_row(self.vocabs, cfg.attr_names, a.attributes)
+            self.row_of.update(zip(new, range(n, end)))
+        return np.array([self.row_of[a] for a in article_ids], dtype=np.int64)
+
+    def article_features(self, article_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(title_emb, body_emb, attr_idx)`` of one article."""
+        (r,) = self.rows([article_id])
+        return self.title[r], self.body[r], self.attr_idx[r]
+
+    def profile_rows(self, keys) -> np.ndarray:
+        """Rows of ``profiles`` for ``(user_id, history)`` keys, adding rows for new keys.
+
+        A new key's text is asked of the profile provider once; its embedding
+        is the zero vector when the history or the text is empty. With
+        constant flow off or no provider, every key reads the zero row 0.
+        """
+        if not self.config.constant_flow or self.profile_provider is None:
+            return np.zeros(len(keys), dtype=np.int64)
+        new = [k for k in dict.fromkeys(keys) if k not in self.profile_row_of]
+        if new:
+            texts = [self.profile_provider.profile_text(u, list(h)) if h else "" for u, h in new]
+            n, end = len(self.profile_texts), len(self.profile_texts) + len(new)
+            self.profiles = _reserve(self.profiles, n, end)
+            for r, text in enumerate(texts, n):
+                self.profiles[r] = self.embedder.embed(text) if text else 0.0
+            self.profile_texts += texts
+            self.profile_row_of.update(zip(new, range(n, end)))
+        return np.array([self.profile_row_of[k] for k in keys], dtype=np.int64)
+
+    def profile_embedding(self, user_id: str, history) -> np.ndarray:
+        """Frozen profile embedding of one user with the given history."""
+        (row,) = self.profile_rows([(user_id, tuple(history))])
+        return self.profiles[row]

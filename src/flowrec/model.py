@@ -11,9 +11,16 @@ Ablation switches:
                           concatenated titles)
   * ``use_summaries``   - encode summarized bodies (off: raw bodies)
 
-Scoring walks candidates one at a time with vector-level operations only,
-so probabilities are bit-identical no matter how candidates are batched or
-which serving path produced the inputs.
+Parity contract between evaluation (:class:`Scorer`) and serving
+(``flowrec.serve.rank``), which must give bit-identical probabilities:
+  * both build every article rep with the same single-row arithmetic,
+    :func:`flowrec.encode.encode_features`, from the same frozen inputs; a
+    rep taken from a batched matrix product can differ in the last bits;
+  * both score candidates one at a time through :func:`score_candidates`,
+    with vector-level operations only, so a probability does not depend on
+    how many candidates ride in one call;
+  * the frozen inputs come from :class:`flowrec.encode.FeatureSource`, the
+    only memo of frozen features.
 """
 
 from __future__ import annotations
@@ -23,12 +30,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Article, Impression
-from .encode import (
-    ArticleRep,
-    CachingEmbedder,
-    encode_article,
-    init_encoder_tensors,
-)
+from .encode import FeatureSource, encode_features, init_encoder_tensors, xavier
+from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError
 
 
@@ -148,17 +151,12 @@ def init_model_params(config: ModelConfig, vocabs: dict[str, dict[str, int]], se
         config.attr_out_dim, config.embed_dim, config.text_proj_dim, config.batch_norm,
     )
     d = config.article_dim
-
-    def xavier(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
     if config.instant_flow:
         tensors["attn_w"] = np.eye(d) + 0.01 * rng.standard_normal((d, d))
     if config.constant_flow:
-        tensors["profile_w"] = xavier(d, config.embed_dim)
+        tensors["profile_w"] = xavier(rng, d, config.embed_dim)
         tensors["profile_b"] = np.zeros(d)
-    tensors["head_w"] = xavier(1, config.user_dim + d)[0]
+    tensors["head_w"] = xavier(rng, 1, config.user_dim + d)[0]
     tensors["head_b"] = np.zeros(1)
     return ModelParams(config=config, vocabs=vocabs, tensors=tensors)
 
@@ -234,59 +232,35 @@ def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs: lis
 
 
 class Scorer:
-    """Evaluation-path scorer: encodes articles on demand and memoizes reps.
+    """Evaluation-path scorer; encodes article reps on first use and keeps them.
 
-    ``rep_overrides`` and ``profile_embedding_overrides`` let the serving
-    layer substitute precomputed entries while reusing the same arithmetic.
+    ``embedder`` is a text embedder to build a :class:`FeatureSource` from,
+    or an existing table: training passes its own to validation.
     """
 
     def __init__(self, params: ModelParams, embedder, corpus: dict[str, Article],
-                 profile_provider=None,
-                 rep_overrides: dict[str, np.ndarray] | None = None,
-                 profile_embedding_overrides: dict[str, np.ndarray] | None = None):
+                 profile_provider=None):
         params.validate_shapes()
         self.params = params
-        self.embedder = embedder if isinstance(embedder, CachingEmbedder) else CachingEmbedder(embedder)
         self.corpus = corpus
-        self.profile_provider = profile_provider
-        self._reps: dict[str, np.ndarray] = dict(rep_overrides or {})
-        self._profile_embs = profile_embedding_overrides or {}
+        self.features = (embedder if isinstance(embedder, FeatureSource)
+                         else FeatureSource(params, corpus, embedder, profile_provider))
+        self._reps: dict[str, np.ndarray] = {}
 
     def rep(self, article_id: str) -> np.ndarray:
         vec = self._reps.get(article_id)
         if vec is None:
             if article_id not in self.corpus:
                 raise KeyError(f"unknown article id {article_id!r}")
-            vec = encode_article(self.params, self.embedder, self.corpus[article_id]).full
+            vec = encode_features(self.params, *self.features.article_features(article_id))
             self._reps[article_id] = vec
-        return vec
-
-    def article_rep(self, article_id: str) -> ArticleRep:
-        cfg = self.params.config
-        full = self.rep(article_id)
-        a, p = cfg.attr_out_dim, cfg.text_proj_dim
-        return ArticleRep(full[:a], full[a:a + p], full[a + p:])
-
-    def profile_embedding(self, user_id: str, history_ids: list[str]) -> np.ndarray:
-        key = user_id + "\x00" + "\x1f".join(history_ids)
-        if key in self._profile_embs:
-            return self._profile_embs[key]
-        if not self.params.config.constant_flow or self.profile_provider is None or not history_ids:
-            vec = np.zeros(self.params.config.embed_dim)
-        else:
-            text = self.profile_provider.profile_text(user_id, history_ids)
-            vec = self.embedder.embed(text)
-        self._profile_embs[key] = vec
         return vec
 
     def score(self, impression: Impression) -> list[ScoredCandidate]:
         if not impression.candidates:
             raise ValueError(f"impression {impression.impression_id!r} has no candidates")
-        hist_ids = [a for a in impression.history if a in self.corpus or a in self._reps]
-        hist = (
-            np.stack([self.rep(a) for a in hist_ids])
-            if hist_ids else np.zeros((0, self.params.config.article_dim))
-        )
-        profile = self.profile_embedding(impression.user_id, hist_ids)
+        hist_ids = [a for a in impression.history if a in self.corpus]
+        hist = np.array([self.rep(a) for a in hist_ids]).reshape(len(hist_ids), self.params.config.article_dim)
+        profile = self.features.profile_embedding(impression.user_id, hist_ids)
         ids = [a for a, _ in impression.candidates]
         return score_candidates(self.params, ids, [self.rep(a) for a in ids], hist, profile)

@@ -1,10 +1,10 @@
 """Offline precompute plus an online rerank service.
 
-``precompute`` walks the corpus and user list once with a checkpoint and
-snapshots every article representation, profile text and frozen profile
-embedding into a :class:`RepStore`. ``rank`` then scores candidate lists
-through exactly the same arithmetic as offline evaluation, so serving
-probabilities are bit-identical to evaluation ones for the same inputs.
+``precompute`` walks the corpus and user list once with a checkpoint and a
+:class:`~flowrec.encode.FeatureSource` table, and snapshots one rep row per
+article and one profile row per user into a :class:`RepStore`. Reps are
+encoded one at a time and ``rank`` scores through the same code as offline
+evaluation, so serving probabilities are bit-identical to evaluation ones.
 
 The HTTP layer is a small JSON-over-HTTP server: ``POST /rank`` and
 ``GET /health``. Store and parameters are immutable after load; request
@@ -23,7 +23,8 @@ import numpy as np
 
 from .checkpoint import ensure_version_tag, read_tensor_file, write_tensor_file
 from .data import Article
-from .encode import CachingEmbedder, encode_article
+from .encode import FeatureSource, encode_features
+from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError
 from .model import ModelParams, score_candidates
 
@@ -44,13 +45,20 @@ class UserEntry:
 
 @dataclass
 class RepStore:
+    """Reps row-aligned with ``article_ids``; user entries row-aligned with ``profile_embs``."""
+
     version_tag: str
     article_dim: int
     embed_dim: int
-    article_reps: dict[str, np.ndarray] = field(default_factory=dict)
-    users: dict[str, UserEntry] = field(default_factory=dict)
+    article_ids: list[str]
+    reps: np.ndarray
+    users: dict[str, UserEntry]
+    profile_embs: np.ndarray
     partial: bool = False
     errors: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.row_of = {a: i for i, a in enumerate(self.article_ids)}
 
 
 def users_from_impressions(impressions) -> list[UserRecord]:
@@ -74,48 +82,44 @@ def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
     """
     params.validate_shapes()
     cfg = params.config
-    embedder = embedder if isinstance(embedder, CachingEmbedder) else CachingEmbedder(embedder)
-    store = RepStore(
+    feats = FeatureSource(params, corpus, embedder, profile_provider)
+    missing = {a for a, art in corpus.items() if cfg.use_summaries and art.body and art.summary is None}
+    errors = [f"article {a}: summary required but missing" for a in corpus if a in missing]
+    article_ids = [a for a in corpus if a not in missing]
+    if errors and not allow_partial:
+        raise ConfigError(
+            f"precompute failed for {len(errors)} items "
+            f"(first: {errors[0]}); pass allow_partial to keep going"
+        )
+    reps = np.array([encode_features(params, *feats.article_features(a)) for a in article_ids])
+
+    histories = {u.user_id: [a for a in u.history if a in corpus and a not in missing] for u in users}
+    prof_rows = feats.profile_rows([(uid, tuple(h)) for uid, h in histories.items()])
+    profile_embs = feats.profiles[prof_rows]
+    return RepStore(
         version_tag=ensure_version_tag(params),
         article_dim=cfg.article_dim,
         embed_dim=cfg.embed_dim,
+        article_ids=article_ids,
+        reps=reps.reshape(len(article_ids), cfg.article_dim),
+        users={
+            uid: UserEntry(h, feats.profile_texts[r], profile_embs[i])
+            for i, ((uid, h), r) in enumerate(zip(histories.items(), prof_rows))
+        },
+        profile_embs=profile_embs,
+        partial=bool(errors),
+        errors=errors,
     )
-    for article_id in corpus:
-        article = corpus[article_id]
-        if cfg.use_summaries and article.body and article.summary is None:
-            store.errors.append(f"article {article_id}: summary required but missing")
-            continue
-        store.article_reps[article_id] = encode_article(params, embedder, article).full
-
-    for user in users:
-        history = [a for a in user.history if a in store.article_reps]
-        if profile_provider is not None and history:
-            text = profile_provider.profile_text(user.user_id, history)
-        else:
-            text = ""
-        emb = embedder.embed(text) if text else np.zeros(cfg.embed_dim)
-        store.users[user.user_id] = UserEntry(history, text, emb)
-
-    if store.errors:
-        if not allow_partial:
-            raise ConfigError(
-                f"precompute failed for {len(store.errors)} items "
-                f"(first: {store.errors[0]}); pass allow_partial to keep going"
-            )
-        store.partial = True
-    return store
 
 
 def save_store(path, store: RepStore) -> None:
-    article_ids = list(store.article_reps)
-    user_ids = list(store.users)
     header = {
         "kind": "repstore",
         "format_version": 1,
         "version_tag": store.version_tag,
         "article_dim": store.article_dim,
         "embed_dim": store.embed_dim,
-        "article_ids": article_ids,
+        "article_ids": store.article_ids,
         "users": {
             uid: {"history": e.history, "profile_text": e.profile_text}
             for uid, e in store.users.items()
@@ -124,10 +128,10 @@ def save_store(path, store: RepStore) -> None:
         "errors": store.errors,
     }
     tensors = {}
-    if article_ids:
-        tensors["article_reps"] = np.stack([store.article_reps[a] for a in article_ids])
-    if user_ids:
-        tensors["profile_embs"] = np.stack([store.users[u].profile_emb for u in user_ids])
+    if store.article_ids:
+        tensors["article_reps"] = store.reps
+    if store.users:
+        tensors["profile_embs"] = store.profile_embs
     write_tensor_file(path, header, tensors)
 
 
@@ -135,23 +139,23 @@ def load_store(path) -> RepStore:
     header, tensors = read_tensor_file(path)
     if header.get("kind") != "repstore":
         raise ConfigError(f"{path} is not a rep store")
-    store = RepStore(
+    article_dim, embed_dim = int(header["article_dim"]), int(header["embed_dim"])
+    ids, user_meta = header["article_ids"], header["users"]
+    embs = tensors["profile_embs"] if user_meta else np.zeros((0, embed_dim))
+    return RepStore(
         version_tag=header["version_tag"],
-        article_dim=int(header["article_dim"]),
-        embed_dim=int(header["embed_dim"]),
+        article_dim=article_dim,
+        embed_dim=embed_dim,
+        article_ids=list(ids),
+        reps=tensors["article_reps"] if ids else np.zeros((0, article_dim)),
+        users={
+            uid: UserEntry(list(meta["history"]), meta["profile_text"], embs[i])
+            for i, (uid, meta) in enumerate(user_meta.items())
+        },
+        profile_embs=embs,
         partial=bool(header.get("partial", False)),
         errors=list(header.get("errors", [])),
     )
-    ids = header["article_ids"]
-    if ids:
-        reps = tensors["article_reps"]
-        store.article_reps = {a: reps[i] for i, a in enumerate(ids)}
-    user_meta = header["users"]
-    if user_meta:
-        embs = tensors["profile_embs"]
-        for i, (uid, meta) in enumerate(user_meta.items()):
-            store.users[uid] = UserEntry(list(meta["history"]), meta["profile_text"], embs[i])
-    return store
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +198,19 @@ def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResp
         )
     if not request.candidate_ids:
         raise ValueError("rank request has no candidates")
-    missing = [a for a in request.candidate_ids if a not in store.article_reps]
+    missing = [a for a in request.candidate_ids if a not in store.row_of]
     if missing:
         raise KeyError(f"unknown candidate id(s): {', '.join(missing)}")
 
     entry = store.users.get(request.user_id)
     if entry is None:
-        hist = np.zeros((0, store.article_dim))
+        hist_rows = []
         profile = np.zeros(store.embed_dim)
     else:
-        hist_ids = [a for a in entry.history if a in store.article_reps]
-        hist = np.stack([store.article_reps[a] for a in hist_ids]) if hist_ids else np.zeros((0, store.article_dim))
+        hist_rows = [store.row_of[a] for a in entry.history if a in store.row_of]
         profile = entry.profile_emb
-
-    scored = score_candidates(
-        params, request.candidate_ids,
-        [store.article_reps[a] for a in request.candidate_ids], hist, profile,
-    )
+    cand_vecs = [store.reps[store.row_of[a]] for a in request.candidate_ids]  # views, no copy
+    scored = score_candidates(params, request.candidate_ids, cand_vecs, store.reps[hist_rows], profile)
     order = sorted(range(len(scored)), key=lambda i: (-scored[i].probability, i))
     if request.top_k is not None:
         order = order[: max(request.top_k, 0)]
@@ -232,13 +232,19 @@ class RankService:
         self.store = store
         self.params = params
 
-    def handle_rank(self, payload: dict) -> dict:
-        request = RankRequest(
-            user_id=str(payload.get("user_id", "")),
-            candidate_ids=[str(a) for a in payload.get("candidates", [])],
-            top_k=payload.get("top_k"),
-        )
-        return rank(request, self.store, self.params).to_dict()
+    def handle_rank(self, payload) -> dict:
+        """Rank one decoded ``POST /rank`` body; a malformed body raises ValueError."""
+        if not isinstance(payload, dict):
+            raise ValueError("request body must be a JSON object")
+        candidates = payload.get("candidates")
+        if not (isinstance(candidates, list) and candidates
+                and all(isinstance(a, str) for a in candidates)):
+            raise ValueError("candidates must be a non-empty list of strings")
+        top_k = payload.get("top_k")
+        if top_k is not None and (isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0):
+            raise ValueError("top_k must be a non-negative integer")
+        return rank(RankRequest(str(payload.get("user_id", "")), candidates, top_k),
+                    self.store, self.params).to_dict()
 
     def handle_health(self) -> dict:
         return {"status": "ok", "model_version": self.store.version_tag}
@@ -269,7 +275,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
             self._reply(200, self.service.handle_rank(payload))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # pragma: no cover - defensive
             self._reply(500, {"error": f"internal error: {exc}"})

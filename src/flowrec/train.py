@@ -3,9 +3,10 @@
 for every trainable tensor, bias-corrected Adam, and early stopping on
 validation AUC.
 
-The frozen text embedder never receives gradients; its outputs (and the
-profile embeddings derived from it) are memoized once per run in a
-:class:`FeatureSource`. A central finite-difference gradient oracle is
+The frozen text embedder never receives gradients; its outputs, attribute
+indices and profile embeddings live in the run's
+:class:`~flowrec.encode.FeatureSource` table, which each batch gathers from
+and validation reads. A central finite-difference gradient oracle is
 included so analytic gradients can always be cross-checked.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Article, Impression, split_by_time
-from .encode import CachingEmbedder, attr_index_row, attributes_backward, encode_attributes_batch
+from .encode import FeatureSource, attributes_backward, encode_attributes_batch
 from .errors import ConfigError
 from .metrics import evaluate_rankings
 from .model import ModelParams, Scorer, sigmoid, softmax
@@ -89,76 +90,22 @@ def build_examples(impressions: list[Impression], corpus: dict[str, Article],
     return examples
 
 
-class FeatureSource:
-    """Frozen per-article and per-profile features, computed once per run.
-
-    Only trainable parameters vary during training, so frozen text
-    embeddings, attribute index rows and profile embeddings can be shared
-    across every step and every finite-difference probe.
-    """
-
-    def __init__(self, params: ModelParams, corpus: dict[str, Article], embedder,
-                 profile_provider=None):
-        self.config = params.config
-        self.vocabs = params.vocabs
-        self.corpus = corpus
-        self.embedder = embedder if isinstance(embedder, CachingEmbedder) else CachingEmbedder(embedder)
-        self.profile_provider = profile_provider
-        self._article: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._profile: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
-
-    def article_features(self, article_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        hit = self._article.get(article_id)
-        if hit is None:
-            article = self.corpus[article_id]
-            hit = (
-                self.embedder.embed(article.title),
-                self.embedder.embed(article.body_text(self.config.use_summaries)),
-                attr_index_row(self.vocabs, self.config.attr_names, article.attributes),
-            )
-            self._article[article_id] = hit
-        return hit
-
-    def profile_embedding(self, user_id: str, history: tuple[str, ...]) -> np.ndarray:
-        if not self.config.constant_flow:
-            return np.zeros(self.config.embed_dim)
-        key = (user_id, history)
-        hit = self._profile.get(key)
-        if hit is None:
-            if self.profile_provider is None or not history:
-                hit = np.zeros(self.config.embed_dim)
-            else:
-                text = self.profile_provider.profile_text(user_id, list(history))
-                hit = self.embedder.embed(text)
-            self._profile[key] = hit
-        return hit
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward over a batch
 # ---------------------------------------------------------------------------
-
-def _batch_layout(batch: list[TrainExample]) -> tuple[list[str], dict[str, int]]:
-    ids: list[str] = []
-    row_of: dict[str, int] = {}
-    for ex in batch:
-        for art_id in (*ex.history, ex.candidate_id):
-            if art_id not in row_of:
-                row_of[art_id] = len(ids)
-                ids.append(art_id)
-    return ids, row_of
-
 
 def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
     cfg = params.config
     t = params.tensors
-    ids, row_of = _batch_layout(batch)
-    n = len(ids)
-
-    title_emb = np.stack([feats.article_features(a)[0] for a in ids])
-    body_emb = np.stack([feats.article_features(a)[1] for a in ids])
-    idx = np.stack([feats.article_features(a)[2] for a in ids])
+    # Rows in order of first appearance in the batch: the GEMMs below see this order.
+    ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
+    row_of = {a: i for i, a in enumerate(ids)}
+    rows = feats.rows(ids)
+    title_emb, body_emb, idx = feats.title[rows], feats.body[rows], feats.attr_idx[rows]
+    if cfg.constant_flow:
+        prof_rows = feats.profile_rows([(ex.user_id, ex.history) for ex in batch])
+        e_profs = feats.profiles[prof_rows]
 
     h_attr, attr_cache = encode_attributes_batch(params, idx, mode=mode, rng=rng, dropout=dropout)
     reps = np.concatenate(
@@ -185,7 +132,7 @@ def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSourc
             else:
                 parts.append(np.zeros(cfg.article_dim))
         if cfg.constant_flow:
-            e_prof = feats.profile_embedding(ex.user_id, ex.history)
+            e_prof = e_profs[j]
             q = t["profile_w"] @ e_prof + t["profile_b"]
             parts.append(q * cand if cfg.flow_gate else q)
             ecache.update(q=q, e_prof=e_prof)
@@ -405,13 +352,10 @@ class TrainResult:
 
 def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
                     impressions: list[Impression], profile_provider=None):
-    """Eval-path metrics for a parameter snapshot."""
+    """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`)."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
-    rankings = []
-    for imp in impressions:
-        scored = scorer.score(imp)
-        rankings.append(([s.probability for s in scored], imp.labels))
-    return evaluate_rankings(rankings)
+    return evaluate_rankings([([s.probability for s in scorer.score(imp)], imp.labels)
+                              for imp in impressions])
 
 
 def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Impression],
@@ -462,8 +406,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         wall = (time.perf_counter() - started) * 1000.0
 
         if step % config.eval_every == 0 and val_impressions:
-            report = evaluate_params(params, feats.embedder, corpus, val_impressions,
-                                     profile_provider)
+            report = evaluate_params(params, feats, corpus, val_impressions)
             val_auc = report.auc
             result.log.append(LogRow(step, loss, val_auc, report.mrr, wall))
             if val_auc is not None and val_auc > best:

@@ -166,8 +166,8 @@ class TestEncodeArticle:
             toy_params.tensors[name][...] = 0.0
         article = make_article("a1", category="x")
         rep = encode_article(toy_params, HashedTextEmbedder(TOY_CONFIG["embed_dim"]), article)
-        assert rep.full.shape == (TOY_CONFIG["attr_out_dim"] + 2 * TOY_CONFIG["text_proj_dim"],)
-        assert not rep.full.any()
+        assert rep.shape == (TOY_CONFIG["attr_out_dim"] + 2 * TOY_CONFIG["text_proj_dim"],)
+        assert not rep.any()
 
     def test_summary_flag_changes_only_body_slice(self, toy_corpus):
         vocabs = build_vocabs(list(toy_corpus.values()), ["category"])
@@ -181,9 +181,9 @@ class TestEncodeArticle:
         without = encode_article(
             init_model_params(ModelConfig(**TOY_CONFIG, use_summaries=False), vocabs, seed=4),
             embedder, article)
-        assert np.array_equal(with_summary.attr_vec, without.attr_vec)
-        assert np.array_equal(with_summary.title_vec, without.title_vec)
-        assert not np.array_equal(with_summary.body_vec, without.body_vec)
+        body = TOY_CONFIG["attr_out_dim"] + TOY_CONFIG["text_proj_dim"]
+        assert np.array_equal(with_summary[:body], without[:body])
+        assert not np.array_equal(with_summary[body:], without[body:])
 
     def test_rep_equals_independently_computed_pieces(self, toy_params):
         rng = np.random.default_rng(8)
@@ -197,7 +197,7 @@ class TestEncodeArticle:
         attr_expected, _ = encode_attributes_batch(toy_params, idx)
         title_expected = project_text(toy_params, embedder.embed("alpha beta"), "title")
         body_expected = project_text(toy_params, embedder.embed("gamma delta epsilon."), "body")
-        assert np.array_equal(rep.full,
+        assert np.array_equal(rep,
                               np.concatenate([attr_expected[0], title_expected, body_expected]))
 
     def test_title_perturbation_leaves_other_slices(self, toy_params):
@@ -206,9 +206,10 @@ class TestEncodeArticle:
                            make_article("a", title="solar panels offshore", category="x"))
         b = encode_article(toy_params, embedder,
                            make_article("a", title="quantum entanglement measured", category="x"))
-        assert np.array_equal(a.attr_vec, b.attr_vec)
-        assert np.array_equal(a.body_vec, b.body_vec)
-        assert not np.array_equal(a.title_vec, b.title_vec)
+        title = slice(TOY_CONFIG["attr_out_dim"], TOY_CONFIG["attr_out_dim"] + TOY_CONFIG["text_proj_dim"])
+        assert np.array_equal(a[:title.start], b[:title.start])
+        assert np.array_equal(a[title.stop:], b[title.stop:])
+        assert not np.array_equal(a[title], b[title])
 
     def test_dimension_algebra(self, toy_corpus):
         for a_dim, p_dim in ((2, 3), (4, 5), (1, 1)):
@@ -217,4 +218,4 @@ class TestEncodeArticle:
             params = init_model_params(cfg, vocabs, seed=0)
             rep = encode_article(params, HashedTextEmbedder(cfg.embed_dim),
                                  make_article("a", category="x"))
-            assert rep.full.shape == (a_dim + 2 * p_dim,)
+            assert rep.shape == (a_dim + 2 * p_dim,)

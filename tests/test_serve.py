@@ -4,6 +4,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_impression
 from flowrec.data import SyntheticSpec, generate_synthetic
@@ -12,6 +14,7 @@ from flowrec.errors import ConfigError
 from flowrec.model import ModelConfig, Scorer, init_model_params
 from flowrec.serve import (
     RankRequest,
+    RankService,
     UserRecord,
     load_store,
     precompute,
@@ -44,7 +47,7 @@ class TestPrecompute:
     def test_empty_corpus_keeps_version_tag(self):
         _, params, embedder, _ = small_world()
         store = precompute(params, embedder, {}, [])
-        assert store.article_reps == {}
+        assert store.article_ids == []
         assert store.version_tag == params.version_tag != ""
 
     def test_recompute_is_identical(self, tmp_path):
@@ -59,8 +62,8 @@ class TestPrecompute:
         ds, params, embedder, provider = small_world()
         store = precompute(params, embedder, ds.corpus, [])
         art_id = ds.articles[7].article_id
-        direct = encode_article(params, embedder, ds.corpus[art_id]).full
-        assert np.array_equal(store.article_reps[art_id], direct)
+        direct = encode_article(params, embedder, ds.corpus[art_id])
+        assert np.array_equal(store.reps[store.row_of[art_id]], direct)
 
     def test_missing_summary_is_item_error(self):
         ds, params, embedder, _ = small_world()
@@ -70,7 +73,7 @@ class TestPrecompute:
         store = precompute(params, embedder, ds.corpus, [], allow_partial=True)
         assert store.partial
         assert len(store.errors) == len(ds.corpus)
-        assert store.article_reps == {}
+        assert store.article_ids == []
 
     def test_users_from_impressions_latest_history(self):
         imps = [make_impression("i1", user="u", history=["a"], timestamp=1),
@@ -89,9 +92,8 @@ class TestStoreFile:
         save_store(path, store)
         loaded = load_store(path)
         assert loaded.version_tag == store.version_tag
-        assert set(loaded.article_reps) == set(store.article_reps)
-        for art_id in store.article_reps:
-            assert np.array_equal(loaded.article_reps[art_id], store.article_reps[art_id])
+        assert loaded.article_ids == store.article_ids
+        assert np.array_equal(loaded.reps, store.reps)
         for uid in store.users:
             assert loaded.users[uid].history == store.users[uid].history
             assert loaded.users[uid].profile_text == store.users[uid].profile_text
@@ -201,6 +203,85 @@ class TestHttp:
         store.version_tag = "f" * 64
         with pytest.raises(ConfigError):
             serve_in_thread(store, params)
+
+
+def post_rank(port, raw: bytes) -> tuple[int, dict]:
+    req = urllib.request.Request(f"http://127.0.0.1:{port}/rank", data=raw)
+    try:
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read())
+
+
+@pytest.fixture(scope="module")
+def served():
+    ds, params, embedder, provider = small_world()
+    store = precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
+                       provider)
+    server, _ = serve_in_thread(store, params)
+    yield ds, RankService(store, params), server.server_address[1]
+    server.shutdown()
+    server.server_close()
+
+
+# Each body once reached rank() unchecked: a 500 (TypeError, AttributeError),
+# ids split into characters, or `true` taken as top_k=1.
+MALFORMED = {
+    "top_k_string": (lambda ids: {"candidates": ids, "top_k": "2"}, "top_k must be"),
+    "list_body": (lambda ids: ids, "must be a JSON object"),
+    "candidates_string": (lambda ids: {"candidates": ids[0]}, "list of strings"),
+    "top_k_true": (lambda ids: {"candidates": ids, "top_k": True}, "top_k must be"),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+
+class TestRankValidation:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_handle_rank_rejects(self, served, name):
+        ds, service, _ = served
+        make_body, message = MALFORMED[name]
+        with pytest.raises(ValueError, match=message):
+            service.handle_rank(make_body([a.article_id for a in ds.articles[:3]]))
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_http_is_400(self, served, name):
+        ds, _, port = served
+        make_body, message = MALFORMED[name]
+        body = make_body([a.article_id for a in ds.articles[:3]])
+        status, payload = post_rank(port, json.dumps(body).encode())
+        assert status == 400
+        assert message in payload["error"]
+
+    def test_deeply_nested_body_is_400(self, served):
+        _, _, port = served
+        status, _ = post_rank(port, b"[" * 100_000)
+        assert status == 400
+
+    def test_arbitrary_json_bodies_get_200_or_400(self, served):
+        ds, _, port = served
+        ids = [a.article_id for a in ds.articles[:6]]
+        users = sorted({imp.user_id for imp in ds.impressions})
+        bodies = JSON_VALUES | st.fixed_dictionaries({}, optional={
+            "user_id": JSON_VALUES | st.sampled_from(users),
+            "candidates": JSON_VALUES | st.lists(st.sampled_from(ids) | st.text(max_size=3),
+                                                 max_size=5),
+            "top_k": JSON_VALUES,
+        })
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(bodies)
+        def check(body):
+            status, _ = post_rank(port, json.dumps(body).encode())
+            assert status in (200, 400)
+
+        check()
 
 
 @pytest.mark.slow
