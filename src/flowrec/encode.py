@@ -304,7 +304,8 @@ class FeatureSource:
     ``profile_row_of[(user_id, history)]`` holds ``profiles[r]`` and
     ``profile_texts[r]``. A row is computed when first asked for, the only
     time text reaches the embedder, and is written straight into its array;
-    arrays may carry spare rows past the last one in use.
+    a text shared by several new rows is embedded once for all of them.
+    Arrays may carry spare rows past the last one in use.
     """
 
     def __init__(self, params, corpus: dict[str, Article], embedder, profile_provider=None):
@@ -330,10 +331,15 @@ class FeatureSource:
             n, end = len(self.row_of), len(self.row_of) + len(new)
             self.title, self.body, self.attr_idx = (
                 _reserve(t, n, end) for t in (self.title, self.body, self.attr_idx))
+            slots: dict[str, list[tuple[np.ndarray, int]]] = {}
             for r, a in enumerate(articles, n):
-                self.title[r] = self.embedder.embed(a.title)
-                self.body[r] = self.embedder.embed(a.body_text(cfg.use_summaries))
+                slots.setdefault(a.title, []).append((self.title, r))
+                slots.setdefault(a.body_text(cfg.use_summaries), []).append((self.body, r))
                 self.attr_idx[r] = attr_index_row(self.vocabs, cfg.attr_names, a.attributes)
+            for text, where in slots.items():  # each distinct text is embedded once
+                vec = self.embedder.embed(text)
+                for table, r in where:
+                    table[r] = vec
             self.row_of.update(zip(new, range(n, end)))
         return np.array([self.row_of[a] for a in article_ids], dtype=np.int64)
 
@@ -356,8 +362,11 @@ class FeatureSource:
             texts = [self.profile_provider.profile_text(u, list(h)) if h else "" for u, h in new]
             n, end = len(self.profile_texts), len(self.profile_texts) + len(new)
             self.profiles = _reserve(self.profiles, n, end)
+            slots: dict[str, list[int]] = {}
             for r, text in enumerate(texts, n):
-                self.profiles[r] = self.embedder.embed(text) if text else 0.0
+                slots.setdefault(text, []).append(r)
+            for text, rs in slots.items():  # each distinct text is embedded once
+                self.profiles[rs] = self.embedder.embed(text) if text else 0.0
             self.profile_texts += texts
             self.profile_row_of.update(zip(new, range(n, end)))
         return np.array([self.profile_row_of[k] for k in keys], dtype=np.int64)

@@ -11,16 +11,20 @@ Ablation switches:
                           concatenated titles)
   * ``use_summaries``   - encode summarized bodies (off: raw bodies)
 
-Parity contract between evaluation (:class:`Scorer`) and serving
-(``flowrec.serve.rank``), which must give bit-identical probabilities:
+Eval (:class:`Scorer`) and serve (``flowrec.serve.rank``) share one batched
+:func:`score_candidates`, and training calls the same :func:`flow_forward` /
+:func:`flow_backward` once per user state. Parity contract, which gives
+serving bit-identical probabilities to evaluation:
   * both build every article rep with the same single-row arithmetic,
-    :func:`flowrec.encode.encode_features`, from the same frozen inputs; a
-    rep taken from a batched matrix product can differ in the last bits;
-  * both score candidates one at a time through :func:`score_candidates`,
-    with vector-level operations only, so a probability does not depend on
-    how many candidates ride in one call;
-  * the frozen inputs come from :class:`flowrec.encode.FeatureSource`, the
-    only memo of frozen features.
+    :func:`flowrec.encode.encode_features`, from the same frozen inputs taken
+    from :class:`flowrec.encode.FeatureSource`; a rep taken from a batched
+    matrix product can differ in the last bits;
+  * both pass :func:`score_candidates` the same history rows and the same
+    candidate rows in the same order, so every product sees the same
+    matrices; bit parity holds for those, not for reordered or regrouped rows;
+  * each candidate's attention scores, softmax and head read are per-row
+    reductions, so a candidate duplicated anywhere in a call gets the same
+    bits at every position.
 """
 
 from __future__ import annotations
@@ -165,6 +169,9 @@ def init_model_params(config: ModelConfig, vocabs: dict[str, dict[str, int]], se
 # Flow computations
 # ---------------------------------------------------------------------------
 
+# The single-vector forms below define the flows for one candidate; the
+# batched flow_forward must agree with them (tests hold it to that).
+
 def attention_weights(params: ModelParams, cand_vec: np.ndarray, hist: np.ndarray) -> np.ndarray:
     """Softmax over bilinear scores candidate . W . history_i (max-subtracted)."""
     if hist.shape[0] == 0:
@@ -190,6 +197,126 @@ def constant_rep(params: ModelParams, profile_emb: np.ndarray, cand_vec: np.ndar
     return q * cand_vec if params.config.flow_gate else q
 
 
+def state_projections(params: ModelParams, hist: np.ndarray,
+                      profile_embs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`flow_forward` reads of user states: linear maps of their inputs.
+
+    History reps ``hist[L, d]`` map to ``[L, d + 1]`` rows: the attention key
+    ``k_l = W·h_l`` (a candidate ``c`` scores history row ``l`` as ``c·k_l``)
+    and, in the last column, the head's read of the rep, ``h_l·w_instant``.
+    Frozen profile embeddings ``profile_embs[U, E]`` map to the projected
+    profiles ``q = P·e + b``. Each output row depends on its input row alone,
+    so training projects a whole batch at once and gathers rows per user
+    state. A disabled flow's outputs have no columns.
+    """
+    cfg, t = params.config, params.tensors
+    hist_proj = np.zeros((len(hist), 0))
+    if cfg.instant_flow:
+        hist_proj = np.empty((len(hist), cfg.article_dim + 1))
+        np.matmul(hist, t["attn_w"].T, out=hist_proj[:, :-1])
+        np.matmul(hist, t["head_w"][:cfg.article_dim], out=hist_proj[:, -1])
+    queries = (profile_embs @ t["profile_w"].T + t["profile_b"] if cfg.constant_flow
+               else np.zeros((len(profile_embs), 0)))
+    return hist_proj, queries
+
+
+def state_projections_backward(params: ModelParams, hist: np.ndarray, profile_embs: np.ndarray,
+                               g_hist_proj: np.ndarray, g_queries: np.ndarray,
+                               grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Backward of :func:`state_projections`: adds the attention, head and
+    profile gradients into ``grads`` and returns the gradient of ``hist``."""
+    cfg, t = params.config, params.tensors
+    if cfg.instant_flow:
+        g_map = g_hist_proj.T @ hist
+        grads["attn_w"] += g_map[:-1]
+        grads["head_w"][:cfg.article_dim] += g_map[-1]
+        g_hist = g_hist_proj @ np.vstack([t["attn_w"], t["head_w"][:cfg.article_dim]])
+    else:
+        g_hist = np.zeros_like(hist)
+    if cfg.constant_flow:
+        grads["profile_w"] += g_queries.T @ profile_embs
+        grads["profile_b"] += g_queries.sum(axis=0)
+    return g_hist
+
+
+def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
+                 query: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Logits ``z[m]`` of the candidate reps ``cands[m, d]`` against one user state.
+
+    The state enters through its :func:`state_projections`: the keys and head
+    reads of its history rows and its profile ``query``. Candidate ``i``
+    attends with ``alpha_i = softmax(c_i·Kᵀ)``; its instant flow reaches the
+    head as ``alpha_i·head_reads``, which is ``(alpha_i·hist)·w_instant``.
+    Each candidate's scores, softmax and head reads are reductions over its
+    own row, and the head is read one slice per flow: ``[instant | constant
+    | candidate]``, without the slices of disabled flows. Returns the logits
+    and the cache :func:`flow_backward` reads; ``cache["alpha"]`` holds one
+    row of attention weights per candidate, empty without history or
+    instant flow.
+    """
+    cfg, t = params.config, params.tensors
+    d = cfg.article_dim
+    w = t["head_w"]
+    if len(w) != (1 + cfg.instant_flow + cfg.constant_flow) * d:
+        raise ConfigError(
+            f"head expects input dim {len(w)}, got {(1 + cfg.instant_flow + cfg.constant_flow) * d}; "
+            "checkpoint flags and parameters disagree"
+        )
+    w_cand = w[-d:]
+    z = np.full(len(cands), t["head_b"][0])
+    cache: dict = {"alpha": np.zeros((len(cands), 0)), "z_instant": None}
+    if cfg.instant_flow and len(hist_proj):
+        # One product per candidate row, so a row's bits do not depend on its position.
+        scores = np.matmul(cands[:, None, :], hist_proj[:, :-1].T)[:, 0]
+        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        cache["alpha"], cache["z_instant"] = alpha, np.einsum("il,l->i", alpha, hist_proj[:, -1])
+        z += cache["z_instant"]
+    if cfg.constant_flow:
+        w_cons = w[-2 * d:-d]
+        if cfg.flow_gate:
+            w_cand = w_cand + query * w_cons  # (q * c)·w_cons folded into the candidate's read
+        else:
+            z += query @ w_cons
+    cache["w_cand"] = w_cand
+    z += np.einsum("id,d->i", cands, w_cand)
+    return z, cache
+
+
+def flow_backward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
+                  query: np.ndarray, cache: dict, g_z: np.ndarray,
+                  grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward of :func:`flow_forward` for the loss gradient ``g_z[m]`` of its logits.
+
+    Adds the head gradients it can see into ``grads`` and returns the
+    gradients of ``cands``, ``hist_proj`` and ``query``; the last two go back
+    through :func:`state_projections_backward`.
+    """
+    cfg, t = params.config, params.tensors
+    d = cfg.article_dim
+    w, g_w = t["head_w"], grads["head_w"]
+    g_sum, g_total = g_z @ cands, g_z.sum()
+    g_w[-d:] += g_sum
+    grads["head_b"] += g_total
+    g_cands = np.outer(g_z, cache["w_cand"])
+    g_hist_proj, g_query = np.zeros_like(hist_proj), np.zeros_like(query)
+    if cache["z_instant"] is not None:
+        alpha = cache["alpha"]
+        g_scores = alpha * (g_z[:, None] * (hist_proj[:, -1] - cache["z_instant"][:, None]))
+        g_cands += g_scores @ hist_proj[:, :-1]
+        g_hist_proj[:, :-1] = g_scores.T @ cands
+        g_hist_proj[:, -1] = g_z @ alpha
+    if cfg.constant_flow:
+        w_cons = w[-2 * d:-d]
+        if cfg.flow_gate:
+            g_w[-2 * d:-d] += query * g_sum
+            g_query = w_cons * g_sum
+        else:
+            g_w[-2 * d:-d] += g_total * query
+            g_query = g_total * w_cons
+    return g_cands, g_hist_proj, g_query
+
+
 @dataclass
 class ScoredCandidate:
     article_id: str
@@ -197,38 +324,17 @@ class ScoredCandidate:
     attention: np.ndarray  # weights over the history, empty on cold start
 
 
-def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs: list[np.ndarray],
+def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
                      hist: np.ndarray, profile_emb: np.ndarray) -> list[ScoredCandidate]:
-    """Score a candidate list against one user state.
+    """Score candidate reps (a list of vectors or an ``[m, d]`` matrix) against one user state.
 
-    This is the single scoring code path shared by evaluation and serving;
-    only vector operations are used so results do not depend on how many
-    candidates ride in one call.
+    The one scoring call of evaluation and serving: a single :func:`flow_forward`.
     """
-    cfg = params.config
-    t = params.tensors
-    out: list[ScoredCandidate] = []
-    for art_id, cand in zip(article_ids, cand_vecs):
-        parts = []
-        alpha = np.zeros(0)
-        if cfg.instant_flow:
-            if hist.shape[0] > 0:
-                alpha = attention_weights(params, cand, hist)
-                parts.append(alpha @ hist)
-            else:
-                parts.append(np.zeros(cfg.article_dim))
-        if cfg.constant_flow:
-            parts.append(constant_rep(params, profile_emb, cand))
-        parts.append(cand)
-        v = np.concatenate(parts)
-        if v.shape[0] != t["head_w"].shape[0]:
-            raise ConfigError(
-                f"head expects input dim {t['head_w'].shape[0]}, got {v.shape[0]}; "
-                "checkpoint flags and parameters disagree"
-            )
-        z = float(t["head_w"] @ v + t["head_b"][0])
-        out.append(ScoredCandidate(art_id, float(sigmoid(z)), alpha))
-    return out
+    cands = np.asarray(cand_vecs, dtype=np.float64).reshape(len(article_ids), params.config.article_dim)
+    hist_proj, (query,) = state_projections(params, hist, profile_emb[None, :])
+    z, cache = flow_forward(params, cands, hist_proj, query)
+    return [ScoredCandidate(a, p, alpha)
+            for a, p, alpha in zip(article_ids, sigmoid(z).tolist(), cache["alpha"])]
 
 
 class Scorer:

@@ -6,8 +6,13 @@ validation AUC.
 The frozen text embedder never receives gradients; its outputs, attribute
 indices and profile embeddings live in the run's
 :class:`~flowrec.encode.FeatureSource` table, which each batch gathers from
-and validation reads. A central finite-difference gradient oracle is
-included so analytic gradients can always be cross-checked.
+and validation reads. A batch encodes its article rows once, projects every
+row and profile once (:func:`~flowrec.model.state_projections`), groups its
+examples by user state, ``(user_id, history)``, and makes one
+:func:`~flowrec.model.flow_forward` / :func:`~flowrec.model.flow_backward`
+call per state: the same flow arithmetic that evaluation and serving score
+with. A central finite-difference gradient oracle is included so analytic
+gradients can always be cross-checked.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ from .data import Article, Impression, split_by_time
 from .encode import FeatureSource, attributes_backward, encode_attributes_batch
 from .errors import ConfigError
 from .metrics import evaluate_rankings
-from .model import ModelParams, Scorer, sigmoid, softmax
+from .model import (
+    ModelParams,
+    Scorer,
+    flow_backward,
+    flow_forward,
+    sigmoid,
+    state_projections,
+    state_projections_backward,
+)
 
 PROB_CLAMP = 1e-7
 
@@ -94,6 +107,15 @@ def build_examples(impressions: list[Impression], corpus: dict[str, Article],
 # Forward / backward over a batch
 # ---------------------------------------------------------------------------
 
+def _scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """``out[rows] += vals``, summing rows that repeat (a history may hold an article twice).
+
+    ``np.add.at`` runs over the flat view, where it takes its one-dimensional fast path.
+    """
+    width = out.shape[1]
+    np.add.at(out.reshape(-1), (rows[:, None] * width + np.arange(width)).ravel(), vals.ravel())
+
+
 def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
     cfg = params.config
@@ -102,55 +124,39 @@ def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSourc
     ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
     row_of = {a: i for i, a in enumerate(ids)}
     rows = feats.rows(ids)
-    title_emb, body_emb, idx = feats.title[rows], feats.body[rows], feats.attr_idx[rows]
-    if cfg.constant_flow:
-        prof_rows = feats.profile_rows([(ex.user_id, ex.history) for ex in batch])
-        e_profs = feats.profiles[prof_rows]
-
-    h_attr, attr_cache = encode_attributes_batch(params, idx, mode=mode, rng=rng, dropout=dropout)
-    reps = np.concatenate(
-        [h_attr, title_emb @ t["title_w"].T + t["title_b"], body_emb @ t["body_w"].T + t["body_b"]],
-        axis=1,
-    )
-
-    per_example = []
-    probs = np.empty(len(batch))
-    losses = np.empty(len(batch))
+    # One user state per (user, history): the examples sharing one go through one flow call.
+    members: dict[tuple[str, tuple[str, ...]], list[int]] = {}
     for j, ex in enumerate(batch):
-        cand_row = row_of[ex.candidate_id]
-        hist_rows = np.array([row_of[a] for a in ex.history], dtype=np.int64)
-        cand = reps[cand_row]
-        parts = []
-        ecache: dict = {"cand_row": cand_row, "hist_rows": hist_rows, "label": ex.label}
-        if cfg.instant_flow:
-            if len(hist_rows):
-                hist = reps[hist_rows]
-                u = t["attn_w"].T @ cand
-                alpha = softmax(hist @ u)
-                parts.append(alpha @ hist)
-                ecache.update(alpha=alpha, u=u)
-            else:
-                parts.append(np.zeros(cfg.article_dim))
-        if cfg.constant_flow:
-            e_prof = e_profs[j]
-            q = t["profile_w"] @ e_prof + t["profile_b"]
-            parts.append(q * cand if cfg.flow_gate else q)
-            ecache.update(q=q, e_prof=e_prof)
-        parts.append(cand)
-        v = np.concatenate(parts)
-        z = float(t["head_w"] @ v + t["head_b"][0])
-        p = float(sigmoid(z))
-        pc = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-        losses[j] = -(ex.label * np.log(pc) + (1 - ex.label) * np.log(1.0 - pc))
-        probs[j] = p
-        ecache["v"] = v
-        per_example.append(ecache)
+        members.setdefault((ex.user_id, ex.history), []).append(j)
+    prof_rows = feats.profile_rows(list(members))  # may grow the table: index it after
+    profile_embs = feats.profiles[prof_rows]
 
-    loss = float(losses.mean())
+    h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
+                                                 dropout=dropout)
+    reps = np.concatenate([
+        h_attr,
+        feats.title[rows] @ t["title_w"].T + t["title_b"],
+        feats.body[rows] @ t["body_w"].T + t["body_b"],
+    ], axis=1)
+
+    hist_proj, queries = state_projections(params, reps, profile_embs)
+    cand_rows = np.array([row_of[ex.candidate_id] for ex in batch], dtype=np.int64)
+    z = np.empty(len(batch))
+    states = []
+    for ((_, history), js), query in zip(members.items(), queries):
+        js = np.array(js, dtype=np.int64)
+        hist_rows = np.array([row_of[a] for a in history] if cfg.instant_flow else [], dtype=np.int64)
+        z[js], flow = flow_forward(params, reps[cand_rows[js]], hist_proj[hist_rows], query)
+        states.append((js, hist_rows, flow))
+
+    probs = sigmoid(z)
+    labels = np.array([ex.label for ex in batch], dtype=np.float64)
+    pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    loss = float(np.mean(-(labels * np.log(pc) + (1 - labels) * np.log(1.0 - pc))))
     cache = {
-        "reps": reps, "attr_cache": attr_cache, "title_emb": title_emb,
-        "body_emb": body_emb, "per_example": per_example, "probs": probs,
-        "batch": batch,
+        "rows": rows, "reps": reps, "attr_cache": attr_cache, "profile_embs": profile_embs,
+        "hist_proj": hist_proj, "queries": queries, "labels": labels, "cand_rows": cand_rows,
+        "states": states,
     }
     return loss, probs, cache
 
@@ -184,7 +190,8 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
             },
         )
 
-    reps = cache["reps"]
+    reps, cand_rows, queries = cache["reps"], cache["cand_rows"], cache["queries"]
+    hist_proj = cache.pop("hist_proj")  # dropped after the flow loop, before the peak below
     grads: dict[str, np.ndarray] = {
         name: np.zeros_like(t[name]) for name in ("head_w", "head_b")
     }
@@ -193,55 +200,29 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
     if cfg.constant_flow:
         grads["profile_w"] = np.zeros_like(t["profile_w"])
         grads["profile_b"] = np.zeros_like(t["profile_b"])
-    g_reps = np.zeros_like(reps)
 
-    d = cfg.article_dim
-    inv_b = 1.0 / len(batch)
-    for j, ecache in enumerate(cache["per_example"]):
-        p, y = probs[j], ecache["label"]
-        if not PROB_CLAMP < p < 1.0 - PROB_CLAMP:
-            continue  # clamped example: locally flat loss
-        g_z = (p - y) * inv_b
-        v = ecache["v"]
-        grads["head_w"] += g_z * v
-        grads["head_b"][0] += g_z
-        g_v = g_z * t["head_w"]
-
-        cand_row = ecache["cand_row"]
-        cand = reps[cand_row]
-        off = 0
-        if cfg.instant_flow:
-            g_ins = g_v[:d]
-            off = d
-            hist_rows = ecache["hist_rows"]
-            if len(hist_rows):
-                hist = reps[hist_rows]
-                alpha, u = ecache["alpha"], ecache["u"]
-                np.add.at(g_reps, hist_rows, np.outer(alpha, g_ins))
-                g_alpha = hist @ g_ins
-                g_scores = alpha * (g_alpha - alpha @ g_alpha)
-                sh = g_scores @ hist
-                grads["attn_w"] += np.outer(cand, sh)
-                g_reps[cand_row] += t["attn_w"] @ sh
-                np.add.at(g_reps, hist_rows, np.outer(g_scores, u))
-        if cfg.constant_flow:
-            g_cons = g_v[off:off + d]
-            off += d
-            q, e_prof = ecache["q"], ecache["e_prof"]
-            if cfg.flow_gate:
-                g_q = g_cons * cand
-                g_reps[cand_row] += g_cons * q
-            else:
-                g_q = g_cons
-            grads["profile_w"] += np.outer(g_q, e_prof)
-            grads["profile_b"] += g_q
-        g_reps[cand_row] += g_v[off:off + d]
+    # A clamped example sits on a locally flat loss and passes no gradient.
+    live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
+    g_z = np.where(live, (probs - cache["labels"]) / len(batch), 0.0)
+    g_hist_proj = np.zeros_like(hist_proj)
+    g_queries = np.empty_like(queries)
+    g_cands = np.empty((len(batch), reps.shape[1]))
+    for g, (js, hist_rows, flow) in enumerate(cache["states"]):
+        g_cands[js], g_hp, g_queries[g] = flow_backward(
+            params, reps[cand_rows[js]], hist_proj[hist_rows], queries[g], flow, g_z[js], grads)
+        _scatter_add(g_hist_proj, hist_rows, g_hp)
+    del hist_proj
+    g_reps = state_projections_backward(params, reps, cache["profile_embs"], g_hist_proj, g_queries,
+                                        grads)
+    del g_hist_proj
+    _scatter_add(g_reps, cand_rows, g_cands)
 
     a, p_dim = cfg.attr_out_dim, cfg.text_proj_dim
     g_attr, g_title, g_body = g_reps[:, :a], g_reps[:, a:a + p_dim], g_reps[:, a + p_dim:]
-    grads["title_w"] = g_title.T @ cache["title_emb"]
+    # The frozen text rows are gathered again here rather than kept from the forward.
+    grads["title_w"] = g_title.T @ feats.title[cache["rows"]]
     grads["title_b"] = g_title.sum(axis=0)
-    grads["body_w"] = g_body.T @ cache["body_emb"]
+    grads["body_w"] = g_body.T @ feats.body[cache["rows"]]
     grads["body_b"] = g_body.sum(axis=0)
     grads.update(attributes_backward(params, cache["attr_cache"], g_attr))
     return loss, grads

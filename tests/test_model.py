@@ -192,6 +192,67 @@ class TestScore:
                              np.zeros((0, 2)), np.array([0.0, 0.0]))
 
 
+def paper_params(seed=0, **flags):
+    """Paper-default dims (article dim 320, embed dim 256) with random weights."""
+    cfg = ModelConfig(attr_names=["category"], **flags)
+    return init_model_params(cfg, {"category": {"x": 1}}, seed=seed)
+
+
+def oracle_scores(params, cands, hist, profile):
+    """Per-candidate probabilities and attention from the single-vector flow helpers."""
+    cfg, t = params.config, params.tensors
+    probs, alphas = [], []
+    for cand in cands:
+        parts = [instant_rep(params, cand, hist)] if cfg.instant_flow else []
+        if cfg.constant_flow:
+            parts.append(constant_rep(params, profile, cand))
+        z = t["head_w"] @ np.concatenate(parts + [cand]) + t["head_b"][0]
+        probs.append(1.0 / (1.0 + math.exp(-z)))
+        alphas.append(attention_weights(params, cand, hist) if cfg.instant_flow and len(hist)
+                      else np.zeros(0))
+    return np.array(probs), alphas
+
+
+class TestBatchedScorer:
+    FLAGS = [{}, {"flow_gate": False}, {"constant_flow": False}, {"instant_flow": False}]
+
+    @pytest.mark.parametrize("n_hist", [50, 0])
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_thousand_candidates_match_single_vector_helpers(self, flags, n_hist):
+        params = paper_params(seed=4, **flags)
+        rng = np.random.default_rng(8)
+        d = params.config.article_dim
+        cands = 0.1 * rng.normal(size=(1000, d))
+        hist = 0.1 * rng.normal(size=(n_hist, d))
+        profile = rng.normal(size=params.config.embed_dim)
+        profile /= np.linalg.norm(profile)
+        scored = score_candidates(params, [f"c{i}" for i in range(1000)], cands, hist, profile)
+        probs, alphas = oracle_scores(params, cands, hist, profile)
+        np.testing.assert_allclose([s.probability for s in scored], probs, rtol=1e-12, atol=0)
+        for s, alpha in zip(scored, alphas):
+            assert s.attention.shape == alpha.shape
+            np.testing.assert_allclose(s.attention, alpha, rtol=1e-12, atol=0)
+
+    def test_duplicated_candidate_bit_identical_at_any_position(self):
+        rng = np.random.default_rng(12)
+        models = [paper_params(seed=1, **flags) for flags in self.FLAGS]
+        d = models[0].config.article_dim
+        for trial in range(200):
+            params = models[trial % len(models)]
+            m = int(rng.integers(2, 1001))
+            cands = 0.1 * rng.normal(size=(m, d))
+            hist = 0.1 * rng.normal(size=(int(rng.integers(0, 51)), d))
+            # Random rows plus the first and the last, where blocked kernels take edge paths.
+            spots = np.unique(np.concatenate([[0, m - 1], rng.choice(m, size=min(m, 6), replace=False)]))
+            cands[spots] = cands[spots[0]]
+            scored = score_candidates(params, [str(i) for i in range(m)], cands, hist,
+                                      rng.normal(size=params.config.embed_dim))
+            first = scored[spots[0]]
+            for i in spots[1:]:
+                assert scored[i].probability == first.probability, f"trial {trial}, rows {spots}"
+                assert np.array_equal(scored[i].attention, first.attention)
+
+
 class TestAblationShapes:
     def base(self, **flags):
         cfg = ModelConfig(**TOY_CONFIG, **flags)

@@ -1,3 +1,4 @@
+import http.client
 import json
 import time
 import urllib.request
@@ -263,6 +264,38 @@ class TestRankValidation:
         _, _, port = served
         status, _ = post_rank(port, b"[" * 100_000)
         assert status == 400
+
+    def test_keep_alive_connection_carries_rank_and_404(self, served):
+        ds, _, port = served
+        body = json.dumps({"user_id": ds.impressions[0].user_id,
+                           "candidates": [a.article_id for a in ds.articles[:4]]}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            replies, socks = [], []
+            for path in ("/rank", "/nowhere", "/rank"):
+                conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+                replies.append((resp.status, resp.version, "results" in payload))
+                socks.append(conn.sock)
+        finally:
+            conn.close()
+        assert replies == [(200, 11, True), (404, 11, False), (200, 11, True)]
+        assert socks[0] is not None and socks.count(socks[0]) == 3  # one connection for all three
+
+    def test_unreadable_content_length_is_400_and_closes(self, served):
+        _, _, port = served
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.putrequest("POST", "/rank")
+            conn.putheader("Content-Length", "many")
+            conn.endheaders()
+            resp = conn.getresponse()
+            resp.read()
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert resp.getheader("Connection") == "close"
 
     def test_arbitrary_json_bodies_get_200_or_400(self, served):
         ds, _, port = served

@@ -43,6 +43,23 @@ def toy_setup(seed=3, flags=None, batch_norm=False, dropout=0.0):
     return ds, params, feats, examples
 
 
+def assert_matches_central_difference(params, feats, batch, dropout):
+    """Analytic gradients of every trainable tensor agree with the finite-difference oracle."""
+
+    def loss_fn():
+        return loss_batch(params, batch, feats, mode="train",
+                          rng=np.random.default_rng(99), dropout=dropout)
+
+    _, grads = backward_batch(params, batch, feats, mode="train",
+                              rng=np.random.default_rng(99), dropout=dropout)
+    fd = finite_difference_grads(loss_fn, params)
+    assert set(grads) == set(params.trainable_names())
+    for name in params.trainable_names():
+        denom = np.maximum(1e-6, np.maximum(np.abs(grads[name]), np.abs(fd[name])))
+        rel = np.abs(grads[name] - fd[name]) / denom
+        assert rel.max() < 1e-4, f"{name}: rel err {rel.max():.2e}"
+
+
 class TestLoss:
     def test_half_probability_is_ln2(self):
         _, params, feats, examples = toy_setup()
@@ -88,19 +105,7 @@ class TestGradients:
     def test_analytic_matches_central_difference(self, batch_norm, dropout, flags):
         _, params, feats, examples = toy_setup(batch_norm=batch_norm, dropout=dropout,
                                                flags=flags)
-
-        def loss_fn():
-            return loss_batch(params, examples, feats, mode="train",
-                              rng=np.random.default_rng(99), dropout=dropout)
-
-        _, grads = backward_batch(params, examples, feats, mode="train",
-                                  rng=np.random.default_rng(99), dropout=dropout)
-        fd = finite_difference_grads(loss_fn, params)
-        assert set(grads) == set(params.trainable_names())
-        for name in params.trainable_names():
-            denom = np.maximum(1e-6, np.maximum(np.abs(grads[name]), np.abs(fd[name])))
-            rel = np.abs(grads[name] - fd[name]) / denom
-            assert rel.max() < 1e-4, f"{name}: rel err {rel.max():.2e}"
+        assert_matches_central_difference(params, feats, examples, dropout)
 
     def test_untouched_attribute_rows_zero(self):
         ds, params, feats, examples = toy_setup()
@@ -128,6 +133,31 @@ class TestGradients:
         _, grads = backward_batch(params, examples, feats, mode="eval")
         assert all(not name.startswith("embed") for name in grads)
         assert set(grads) <= set(params.trainable_names())
+
+
+class TestGroupedBackward:
+    """One flow call per (user, history); its gradients reach every row they should."""
+
+    @pytest.mark.parametrize("batch_norm,dropout,flags", [
+        (False, 0.0, {}),
+        (False, 0.0, {"flow_gate": False}),
+        (True, 0.1, {}),
+        (False, 0.0, {"instant_flow": False}),
+        (False, 0.0, {"constant_flow": False}),
+    ])
+    def test_edge_case_batch_matches_central_difference(self, batch_norm, dropout, flags):
+        ds, params, feats, _ = toy_setup(batch_norm=batch_norm, dropout=dropout, flags=flags)
+        a = [art.article_id for art in ds.articles]
+        shared = (a[0], a[1], a[2])
+        batch = [
+            TrainExample("u1", shared, a[3], 1),  # three candidates share one user state
+            TrainExample("u1", shared, a[4], 0),
+            TrainExample("u1", shared, a[5], 0),
+            TrainExample("u2", (), a[3], 0),  # empty history
+            TrainExample("u3", (a[6], a[7], a[6]), a[8], 1),  # an article twice in one history
+            TrainExample("u0", (a[9], a[10]), a[9], 1),  # a candidate inside its own history
+        ]
+        assert_matches_central_difference(params, feats, batch, dropout)
 
 
 class TestAdam:
