@@ -9,15 +9,16 @@ evaluation, so serving probabilities are bit-identical to evaluation ones.
 
 The HTTP layer is a small JSON-over-HTTP server: ``POST /rank`` and
 ``GET /health``. Store and parameters are immutable after load; request
-handling is stateless and thread-safe.
+handling is thread-safe, and the one thing requests share is a list of idle
+candidate blocks, taken and given back under a lock.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -185,17 +186,34 @@ class RankResponse:
         }
 
 
-def _candidate_block(reps: np.ndarray, rows: list[int]) -> np.ndarray:
-    """``reps[rows]``, held in its own anonymous memory map.
+# Candidate blocks not in use, shared by every handler thread.
+_idle_blocks: list[np.ndarray] = []
+_idle_lock = threading.Lock()
 
-    The block is a request's one large array. From malloc it stays in the
-    handler thread's arena after the request, and the server starts a thread
-    per connection: serving 1000-candidate requests kept about 2.8 MB in each
-    of several arenas. A map goes back to the system when the block is dropped.
+
+@contextmanager
+def _candidate_block(reps: np.ndarray, rows: list[int]):
+    """``reps[rows]`` in a block reused across requests.
+
+    The block is a request's one large array. Allocated per request, it
+    either takes fresh page faults every time (a map of its own) or stays in
+    the handler thread's malloc arena after the request (the server starts a
+    thread per connection). Reused, it is faulted in once. It goes back to the
+    idle list once the request is scored, so the list holds one block per
+    request that was ever in flight at the same time, each as large as the
+    largest request that used it.
     """
-    block = np.frombuffer(mmap.mmap(-1, len(rows) * reps.shape[1] * reps.itemsize), dtype=reps.dtype)
-    # mode="clip" writes straight into the block; the default "raise" takes a buffered copy.
-    return np.take(reps, rows, axis=0, out=block.reshape(len(rows), reps.shape[1]), mode="clip")
+    size = len(rows) * reps.shape[1]
+    with _idle_lock:
+        buf = _idle_blocks.pop() if _idle_blocks else None
+    if buf is None or buf.size < size or buf.dtype != reps.dtype:
+        buf = np.empty(size, dtype=reps.dtype)
+    try:
+        # mode="clip" writes straight into the block; the default "raise" takes a buffered copy.
+        yield np.take(reps, rows, axis=0, out=buf[:size].reshape(len(rows), reps.shape[1]), mode="clip")
+    finally:
+        with _idle_lock:
+            _idle_blocks.append(buf)
 
 
 def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResponse:
@@ -224,8 +242,9 @@ def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResp
     else:
         hist_rows = [store.row_of[a] for a in entry.history if a in store.row_of]
         profile = entry.profile_emb
-    cands = _candidate_block(store.reps, [store.row_of[a] for a in request.candidate_ids])
-    scored = score_candidates(params, request.candidate_ids, cands, store.reps[hist_rows], profile)
+    with _candidate_block(store.reps, [store.row_of[a] for a in request.candidate_ids]) as cands:
+        # The scored candidates keep no view of the block.
+        scored = score_candidates(params, request.candidate_ids, cands, store.reps[hist_rows], profile)
     # Stable: equal probabilities keep request order.
     order = np.argsort([-s.probability for s in scored], kind="stable").tolist()
     if request.top_k is not None:

@@ -2,6 +2,7 @@ import http.client
 import json
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ class TestRank:
             offline = {s.article_id: s.probability for s in scorer.score(imp)}
             online = dict(rank(RankRequest(uid, ids), store, params).results)
             assert online == offline  # bit-identical
+
+    def test_reused_candidate_block_keeps_results(self):
+        # rank gathers candidates into a block reused across requests: a block
+        # left over from a longer request, or in use by another thread, must
+        # not leak into a result.
+        ds, params, _, _, store = self._ready()
+        users = sorted(store.users)
+        ids = [a.article_id for a in ds.articles]
+        requests = [RankRequest(users[i % len(users)], ids[i:] + ids[:i][: i % 3]) for i in range(12)]
+        expected = [rank(r, store, params).results for r in requests]
+        assert [rank(r, store, params).results for r in reversed(requests)] == expected[::-1]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                assert [r.results for r in pool.map(lambda r: rank(r, store, params), requests)] == expected
 
     def test_unknown_candidate_named(self):
         ds, params, _, _, store = self._ready()
