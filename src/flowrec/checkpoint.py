@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -60,24 +61,44 @@ def write_tensor_file(path, header: dict, tensors: dict[str, np.ndarray]) -> Non
 
 
 def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and tensors of a container; a file that is cut short or garbled
+    raises :class:`ConfigError` naming what could not be read."""
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
+        left = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ConfigError(f"{path} is truncated: {what} needs {n} bytes, {left} left")
+            left -= n
+            return fh.read(n)
+
+        if take(len(MAGIC), "the magic") != MAGIC:
             raise ConfigError(f"{path} is not a tensor container (bad magic)")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (header_len,) = struct.unpack("<I", take(4, "the header length"))
+        raw = take(header_len, "the header")
+        try:
+            header = json.loads(raw)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{path}: unreadable header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ConfigError(f"{path}: the header is not a JSON object")
+        (count,) = struct.unpack("<I", take(4, "the tensor count"))
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", fh.read(2))
+        for i in range(count):
+            (name_len,) = struct.unpack("<H", take(2, f"tensor {i}'s name length"))
+            raw = take(name_len, f"tensor {i}'s name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: unreadable name of tensor {i} ({exc})") from None
+            code, ndim = struct.unpack("<BB", take(2, f"tensor {name!r}'s dtype"))
             if code not in _DTYPES:
                 raise ConfigError(f"tensor {name!r} has unknown dtype code {code}")
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}'s shape"))
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            width = int(_DTYPES[code][-1])
-            data = np.frombuffer(fh.read(width * size), dtype=_DTYPES[code]).astype(np.float64)
-            tensors[name] = data.reshape(shape)
+            raw = take(int(_DTYPES[code][-1]) * size, f"tensor {name!r}'s data")
+            tensors[name] = np.frombuffer(raw, dtype=_DTYPES[code]).astype(np.float64).reshape(shape)
     return header, tensors
 
 

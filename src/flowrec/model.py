@@ -12,16 +12,21 @@ Ablation switches:
   * ``use_summaries``   - encode summarized bodies (off: raw bodies)
 
 Eval (:class:`Scorer`) and serve (``flowrec.serve.rank``) share one batched
-:func:`score_candidates`, and training calls the same :func:`flow_forward` /
-:func:`flow_backward` once per user state. Parity contract, which gives
-serving bit-identical probabilities to evaluation:
+:func:`score_candidates`, a :func:`flow_forward` call with one user state and
+no padding. Training makes one :func:`flow_forward` / :func:`flow_backward`
+call per batch, with every user state of the batch padded into it; a padded
+history slot is masked out of the softmax and gets exactly zero attention, so
+a state's logits match :func:`score_candidates` on that state alone up to
+rounding. Parity contract, which gives serving bit-identical probabilities to
+evaluation:
   * both build every article rep with the same single-row arithmetic,
     :func:`flowrec.encode.encode_features`, from the same frozen inputs taken
     from :class:`flowrec.encode.FeatureSource`; a rep taken from a batched
     matrix product can differ in the last bits;
   * both pass :func:`score_candidates` the same history rows and the same
     candidate rows in the same order, so every product sees the same
-    matrices; bit parity holds for those, not for reordered or regrouped rows;
+    matrices; bit parity holds for those, not for reordered, regrouped or
+    padded rows;
   * each candidate's attention scores, softmax and head read are per-row
     reductions, so a candidate duplicated anywhere in a call gets the same
     bits at every position.
@@ -240,19 +245,24 @@ def state_projections_backward(params: ModelParams, hist: np.ndarray, profile_em
 
 
 def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
-                 query: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Logits ``z[m]`` of the candidate reps ``cands[m, d]`` against one user state.
+                 hist_idx: np.ndarray, queries: np.ndarray,
+                 mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Logits ``z[S, M]`` of ``S`` user states with up to ``M`` candidates each.
 
-    The state enters through its :func:`state_projections`: the keys and head
-    reads of its history rows and its profile ``query``. Candidate ``i``
-    attends with ``alpha_i = softmax(c_i·Kᵀ)``; its instant flow reaches the
-    head as ``alpha_i·head_reads``, which is ``(alpha_i·hist)·w_instant``.
-    Each candidate's scores, softmax and head reads are reductions over its
-    own row, and the head is read one slice per flow: ``[instant | constant
-    | candidate]``, without the slices of disabled flows. Returns the logits
-    and the cache :func:`flow_backward` reads; ``cache["alpha"]`` holds one
-    row of attention weights per candidate, empty without history or
-    instant flow.
+    State ``s`` scores the candidate reps ``cands[s, :, :]``. It enters through
+    its :func:`state_projections`: its history is the rows ``hist_idx[s]`` of
+    ``hist_proj`` (the keys and head reads of every history row of the call)
+    and its profile is ``queries[s]``. ``mask[S, L]`` marks the history slots
+    in use when histories are padded to one length ``L``; a padded slot gets
+    exactly zero attention, and a state without history attends to nothing.
+    Candidate ``i`` attends with ``alpha_i = softmax(c_i·Kᵀ)``; its instant
+    flow reaches the head as ``alpha_i·head_reads``, which is
+    ``(alpha_i·hist)·w_instant``. Each candidate's scores, softmax and head
+    reads are reductions over its own row, and the head is read one slice per
+    flow: ``[instant | constant | candidate]``, without the slices of
+    disabled flows. Returns the logits and the cache :func:`flow_backward`
+    reads; ``cache["alpha"][s, i]`` holds candidate ``(s, i)``'s attention
+    weights, empty without history or instant flow.
     """
     cfg, t = params.config, params.tensors
     d = cfg.article_dim
@@ -262,59 +272,78 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
             f"head expects input dim {len(w)}, got {(1 + cfg.instant_flow + cfg.constant_flow) * d}; "
             "checkpoint flags and parameters disagree"
         )
-    w_cand = w[-d:]
-    z = np.full(len(cands), t["head_b"][0])
-    cache: dict = {"alpha": np.zeros((len(cands), 0)), "z_instant": None}
-    if cfg.instant_flow and len(hist_proj):
+    n_states, n_cands = cands.shape[:2]
+    w_cand = w[None, -d:]  # one row per state once the gate folds a profile in
+    z = np.full((n_states, n_cands), t["head_b"][0])
+    cache: dict = {"alpha": np.zeros((n_states, n_cands, 0)), "z_instant": None}
+    if cfg.instant_flow and hist_idx.shape[1]:
+        keys = hist_proj[hist_idx]  # [S, L, d + 1], freed on return
         # One product per candidate row, so a row's bits do not depend on its position.
-        scores = np.matmul(cands[:, None, :], hist_proj[:, :-1].T)[:, 0]
-        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        cache["alpha"], cache["z_instant"] = alpha, np.einsum("il,l->i", alpha, hist_proj[:, -1])
+        scores = np.matmul(cands[:, :, None, :], keys[:, None, :, :-1].swapaxes(-1, -2))[:, :, 0]
+        valid = True if mask is None else mask[:, None, :]
+        top = np.max(scores, axis=-1, keepdims=True, where=valid, initial=-np.inf)
+        alpha = np.exp(scores - top, where=valid, out=np.zeros_like(scores))
+        np.divide(alpha, alpha.sum(axis=-1, keepdims=True), out=alpha, where=valid)
+        cache["alpha"] = alpha
+        cache["z_instant"] = np.einsum("sml,sl->sm", alpha, keys[:, :, -1])
         z += cache["z_instant"]
     if cfg.constant_flow:
         w_cons = w[-2 * d:-d]
         if cfg.flow_gate:
-            w_cand = w_cand + query * w_cons  # (q * c)·w_cons folded into the candidate's read
+            w_cand = w_cand + queries * w_cons  # (q * c)·w_cons folded into the candidate's read
         else:
-            z += query @ w_cons
+            z += (queries @ w_cons)[:, None]
     cache["w_cand"] = w_cand
-    z += np.einsum("id,d->i", cands, w_cand)
+    z += np.einsum("smd,sd->sm", cands, w_cand)
     return z, cache
 
 
 def flow_backward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
-                  query: np.ndarray, cache: dict, g_z: np.ndarray,
+                  hist_idx: np.ndarray, queries: np.ndarray, cache: dict, g_z: np.ndarray,
                   grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`flow_forward` for the loss gradient ``g_z[m]`` of its logits.
+    """Backward of :func:`flow_forward` for the loss gradient ``g_z[S, M]`` of its logits.
 
-    Adds the head gradients it can see into ``grads`` and returns the
-    gradients of ``cands``, ``hist_proj`` and ``query``; the last two go back
-    through :func:`state_projections_backward`.
+    A padded candidate slot must carry a zero ``g_z``. Adds the head
+    gradients it can see into ``grads`` and returns the gradients of
+    ``cands``, ``hist_proj`` and ``queries``; the last two go back through
+    :func:`state_projections_backward`. History gradients are summed in row
+    space: ``G[r, s·M + i]`` collects the score gradients of candidate
+    ``(s, i)`` against history row ``r``, so an article twice in one history,
+    or in many states' histories, sums into its one row.
     """
     cfg, t = params.config, params.tensors
     d = cfg.article_dim
+    n_states, n_cands = g_z.shape
     w, g_w = t["head_w"], grads["head_w"]
-    g_sum, g_total = g_z @ cands, g_z.sum()
-    g_w[-d:] += g_sum
-    grads["head_b"] += g_total
-    g_cands = np.outer(g_z, cache["w_cand"])
-    g_hist_proj, g_query = np.zeros_like(hist_proj), np.zeros_like(query)
-    if cache["z_instant"] is not None:
-        alpha = cache["alpha"]
-        g_scores = alpha * (g_z[:, None] * (hist_proj[:, -1] - cache["z_instant"][:, None]))
-        g_cands += g_scores @ hist_proj[:, :-1]
-        g_hist_proj[:, :-1] = g_scores.T @ cands
-        g_hist_proj[:, -1] = g_z @ alpha
+    g_sums = np.einsum("sm,smd->sd", g_z, cands)  # per state: sum_i g_z[s, i] c[s, i]
+    g_totals = g_z.sum(axis=1)
+    g_w[-d:] += g_sums.sum(axis=0)
+    grads["head_b"] += g_totals.sum()
+    g_cands = g_z[:, :, None] * cache["w_cand"][:, None, :]
+    g_queries = np.zeros_like(queries)
+    if cache["z_instant"] is None:
+        g_hist_proj = np.zeros_like(hist_proj)
+    else:
+        alpha, n_rows, width = cache["alpha"], len(hist_proj), n_states * n_cands
+        head_reads = hist_proj[hist_idx, -1]
+        g_scores = alpha * (g_z[:, :, None] * (head_reads[:, None, :] - cache["z_instant"][:, :, None]))
+        cells = hist_idx[:, None, :] * width + np.arange(width).reshape(n_states, n_cands, 1)
+        G = np.bincount(cells.ravel(), g_scores.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+        g_cands += (G.T @ hist_proj[:, :-1]).reshape(n_states, n_cands, d)
+        g_hist_proj = np.empty_like(hist_proj)  # only now: the candidate term's temporary is freed
+        np.matmul(G, cands.reshape(width, d), out=g_hist_proj[:, :-1])
+        del G
+        g_hist_proj[:, -1] = np.bincount(hist_idx.ravel(), np.einsum("sm,sml->sl", g_z, alpha).ravel(),
+                                         minlength=n_rows)
     if cfg.constant_flow:
         w_cons = w[-2 * d:-d]
         if cfg.flow_gate:
-            g_w[-2 * d:-d] += query * g_sum
-            g_query = w_cons * g_sum
+            g_w[-2 * d:-d] += np.einsum("sd,sd->d", queries, g_sums)
+            g_queries = w_cons * g_sums
         else:
-            g_w[-2 * d:-d] += g_total * query
-            g_query = g_total * w_cons
-    return g_cands, g_hist_proj, g_query
+            g_w[-2 * d:-d] += g_totals @ queries
+            g_queries = g_totals[:, None] * w_cons
+    return g_cands, g_hist_proj, g_queries
 
 
 @dataclass
@@ -330,11 +359,11 @@ def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
 
     The one scoring call of evaluation and serving: a single :func:`flow_forward`.
     """
-    cands = np.asarray(cand_vecs, dtype=np.float64).reshape(len(article_ids), params.config.article_dim)
-    hist_proj, (query,) = state_projections(params, hist, profile_emb[None, :])
-    z, cache = flow_forward(params, cands, hist_proj, query)
+    cands = np.asarray(cand_vecs, dtype=np.float64).reshape(1, len(article_ids), params.config.article_dim)
+    hist_proj, queries = state_projections(params, hist, profile_emb[None, :])
+    z, cache = flow_forward(params, cands, hist_proj, np.arange(len(hist))[None, :], queries)
     return [ScoredCandidate(a, p, alpha)
-            for a, p, alpha in zip(article_ids, sigmoid(z).tolist(), cache["alpha"])]
+            for a, p, alpha in zip(article_ids, sigmoid(z[0]).tolist(), cache["alpha"][0])]
 
 
 class Scorer:

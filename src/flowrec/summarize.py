@@ -26,6 +26,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,22 +106,54 @@ def prompt_sha(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _read_cache_file(path) -> tuple[list[dict], int | None]:
+    """The records of a cache-format JSONL file, and where a torn last line starts.
+
+    A record is written together with its newline in one append, so a last
+    line without a newline was cut short mid-append: it is dropped with a
+    warning, and its byte offset is returned (``None`` when there is none).
+    Any other line that is not a record raises :class:`ConfigError`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    torn_at = None
+    if end < len(data):
+        warnings.warn(f"{path}: dropping a torn last line ({len(data) - end} bytes without a newline)",
+                      stacklevel=2)
+        torn_at = end
+    records = []
+    for number, line in enumerate(data[:end].split(b"\n")[:-1], start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {number}: not JSON ({exc})") from None
+        if not (isinstance(rec, dict) and isinstance(rec.get("key"), str)
+                and isinstance(rec.get("completion"), str)):
+            raise ConfigError(f"{path}, line {number}: not a record with a string key and completion")
+        records.append(rec)
+    return records, torn_at
+
+
 class SummaryCache:
     """Append-only JSONL store of completions, survives process restarts.
 
     Writes are serialized with a lock so concurrent client calls stay safe.
+    A torn last line left by a crash is dropped on load and cut off the file
+    before the next record is appended.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
+        self._torn_at: int | None = None
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        self._entries[rec["key"]] = rec["completion"]
+            records, self._torn_at = _read_cache_file(path)
+            for rec in records:
+                self._entries[rec["key"]] = rec["completion"]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -134,6 +167,9 @@ class SummaryCache:
                 return
             self._entries[key] = completion
             if self.path is not None:
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)  # the next record starts on a line of its own
+                    self._torn_at = None
                 rec = {"key": key, "prompt_sha": prompt_sha(prompt), "completion": completion}
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
@@ -192,13 +228,10 @@ class ReplayCompletionClient:
         self.calls = 0
         self._by_key: dict[str, str] = {}
         self._by_sha: dict[str, str] = {}
-        with open(fixture_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    self._by_key[rec["key"]] = rec["completion"]
-                    if "prompt_sha" in rec:
-                        self._by_sha[rec["prompt_sha"]] = rec["completion"]
+        for rec in _read_cache_file(fixture_path)[0]:
+            self._by_key[rec["key"]] = rec["completion"]
+            if "prompt_sha" in rec:
+                self._by_sha[rec["prompt_sha"]] = rec["completion"]
 
     def complete(self, template_name: str, prompt: str, context: dict) -> str:
         self.calls += 1

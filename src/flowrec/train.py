@@ -8,10 +8,12 @@ indices and profile embeddings live in the run's
 :class:`~flowrec.encode.FeatureSource` table, which each batch gathers from
 and validation reads. A batch encodes its article rows once, projects every
 row and profile once (:func:`~flowrec.model.state_projections`), groups its
-examples by user state, ``(user_id, history)``, and makes one
-:func:`~flowrec.model.flow_forward` / :func:`~flowrec.model.flow_backward`
-call per state: the same flow arithmetic that evaluation and serving score
-with. A central finite-difference gradient oracle is included so analytic
+examples by user state, ``(user_id, history)``, and pads the states into one
+block: candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a
+mask. One :func:`~flowrec.model.flow_forward` and one
+:func:`~flowrec.model.flow_backward` call then cover the whole batch, with
+the same flow arithmetic that evaluation and serving score with.
+A central finite-difference gradient oracle is included so analytic
 gradients can always be cross-checked.
 """
 
@@ -124,7 +126,7 @@ def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSourc
     ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
     row_of = {a: i for i, a in enumerate(ids)}
     rows = feats.rows(ids)
-    # One user state per (user, history): the examples sharing one go through one flow call.
+    # One user state per (user, history): the examples sharing one share its history and profile.
     members: dict[tuple[str, tuple[str, ...]], list[int]] = {}
     for j, ex in enumerate(batch):
         members.setdefault((ex.user_id, ex.history), []).append(j)
@@ -140,23 +142,32 @@ def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSourc
     ], axis=1)
 
     hist_proj, queries = state_projections(params, reps, profile_embs)
+    # All user states in one flow call, padded: state s holds its examples in candidate
+    # slots s·M + i and its history rows in hist_idx[s, :len(history)] (none without
+    # instant flow); mask marks the history slots in use.
+    hists = [history if cfg.instant_flow else () for _, history in members]
+    hist_lens = np.array([len(h) for h in hists])
+    mask = np.arange(hist_lens.max()) < hist_lens[:, None]
+    hist_idx = np.zeros(mask.shape, dtype=np.int64)
+    hist_idx[mask] = [row_of[a] for h in hists for a in h]
+    n_cands = np.array([len(js) for js in members.values()])
+    width = n_cands.max()
+    slots = np.empty(len(batch), dtype=np.int64)
+    slots[[j for js in members.values() for j in js]] = np.flatnonzero(np.arange(width) < n_cands[:, None])
     cand_rows = np.array([row_of[ex.candidate_id] for ex in batch], dtype=np.int64)
-    z = np.empty(len(batch))
-    states = []
-    for ((_, history), js), query in zip(members.items(), queries):
-        js = np.array(js, dtype=np.int64)
-        hist_rows = np.array([row_of[a] for a in history] if cfg.instant_flow else [], dtype=np.int64)
-        z[js], flow = flow_forward(params, reps[cand_rows[js]], hist_proj[hist_rows], query)
-        states.append((js, hist_rows, flow))
+    cands = np.zeros((len(members) * width, reps.shape[1]))
+    cands[slots] = reps[cand_rows]
+    cands = cands.reshape(len(members), width, reps.shape[1])
+    z, flow = flow_forward(params, cands, hist_proj, hist_idx, queries, mask)
 
-    probs = sigmoid(z)
+    probs = sigmoid(z.reshape(-1)[slots])
     labels = np.array([ex.label for ex in batch], dtype=np.float64)
     pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(np.mean(-(labels * np.log(pc) + (1 - labels) * np.log(1.0 - pc))))
     cache = {
         "rows": rows, "reps": reps, "attr_cache": attr_cache, "profile_embs": profile_embs,
         "hist_proj": hist_proj, "queries": queries, "labels": labels, "cand_rows": cand_rows,
-        "states": states,
+        "cands": cands, "hist_idx": hist_idx, "slots": slots, "flow": flow,
     }
     return loss, probs, cache
 
@@ -175,7 +186,8 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
     """Loss plus analytic gradients for every trainable tensor.
 
     Frozen embeddings receive no gradient; attribute vocabulary rows that a
-    batch never touches come back exactly zero.
+    batch never touches come back exactly zero. A non-finite loss or gradient
+    raises :class:`TrainingError`; a gradient's dump names the tensors.
     """
     cfg = params.config
     t = params.tensors
@@ -190,8 +202,9 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
             },
         )
 
-    reps, cand_rows, queries = cache["reps"], cache["cand_rows"], cache["queries"]
-    hist_proj = cache.pop("hist_proj")  # dropped after the flow loop, before the peak below
+    reps, cand_rows, queries, slots = cache["reps"], cache["cand_rows"], cache["queries"], cache["slots"]
+    # Dropped after the flow backward, before the peak below.
+    hist_proj, cands, flow = cache.pop("hist_proj"), cache.pop("cands"), cache.pop("flow")
     grads: dict[str, np.ndarray] = {
         name: np.zeros_like(t[name]) for name in ("head_w", "head_b")
     }
@@ -203,15 +216,12 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
 
     # A clamped example sits on a locally flat loss and passes no gradient.
     live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    g_z = np.where(live, (probs - cache["labels"]) / len(batch), 0.0)
-    g_hist_proj = np.zeros_like(hist_proj)
-    g_queries = np.empty_like(queries)
-    g_cands = np.empty((len(batch), reps.shape[1]))
-    for g, (js, hist_rows, flow) in enumerate(cache["states"]):
-        g_cands[js], g_hp, g_queries[g] = flow_backward(
-            params, reps[cand_rows[js]], hist_proj[hist_rows], queries[g], flow, g_z[js], grads)
-        _scatter_add(g_hist_proj, hist_rows, g_hp)
-    del hist_proj
+    g_z = np.zeros(cands.shape[:2])  # padded candidate slots pass no gradient
+    g_z.reshape(-1)[slots] = np.where(live, (probs - cache["labels"]) / len(batch), 0.0)
+    g_cands, g_hist_proj, g_queries = flow_backward(params, cands, hist_proj, cache["hist_idx"],
+                                                    queries, flow, g_z, grads)
+    g_cands = g_cands.reshape(-1, reps.shape[1])[slots]
+    del hist_proj, cands, flow
     g_reps = state_projections_backward(params, reps, cache["profile_embs"], g_hist_proj, g_queries,
                                         grads)
     del g_hist_proj
@@ -225,6 +235,17 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
     grads["body_w"] = g_body.T @ feats.body[cache["rows"]]
     grads["body_b"] = g_body.sum(axis=0)
     grads.update(attributes_backward(params, cache["attr_cache"], g_attr))
+    counts = {name: int(np.count_nonzero(~np.isfinite(g))) for name, g in grads.items()}
+    bad = {name: n for name, n in counts.items() if n}
+    if bad:
+        raise TrainingError(
+            f"non-finite gradient in {', '.join(sorted(bad))}",
+            dump={
+                "loss": loss,
+                "nonfinite_gradients": bad,
+                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch],
+            },
+        )
     return loss, grads
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,16 @@ def identity_text_params(params: ModelParams) -> ModelParams:
     for name, t in params.tensors.items():
         params.tensors[name] = np.zeros_like(t)
     return params
+
+
+def container_cuts(raw: bytes) -> dict[str, int]:
+    """Lengths to cut a tensor container to, one inside each part of its layout
+    (magic, header length, header, the first tensor's name, shape and data, the
+    last tensor's data); walked from the byte layout, not with the reader."""
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    first = 8 + 4 + header_len + 4
+    (name_len,) = struct.unpack_from("<H", raw, first)
+    shape_at = first + 2 + name_len + 2
+    data_at = shape_at + 4 * raw[shape_at - 1]
+    return {"magic": 5, "header length": 10, "header": 14, "tensor name": first + 3,
+            "tensor shape": shape_at + 2, "tensor data": data_at + 3, "last bytes": len(raw) - 7}

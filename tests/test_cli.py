@@ -190,6 +190,18 @@ class TestPipeline:
                    "--user", "nobody", *sets())
         assert code == 2
 
+    def test_truncated_checkpoint_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("synth", "--users", 5, "--articles", 20, "--impressions", 20,
+                   "--seed", 2, "--out", out) == 0
+        assert run("train", "--data", out / "dataset.jsonl", "--out", out, *sets()) == 0
+        ckpt = out / "checkpoint.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:10])  # inside the header length
+        code = run("eval", "--data", out / "dataset.jsonl", "--checkpoint", ckpt, "--out", out,
+                   *sets())
+        assert code == 1
+        assert "checkpoint.bin is truncated" in capsys.readouterr().err
+
     def test_missing_dataset_exits_one(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "o",
                    *sets()) == 1

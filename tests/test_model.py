@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TOY_CONFIG, make_article, make_impression
+from conftest import TOY_CONFIG, container_cuts, make_article, make_impression
 from flowrec.checkpoint import load_checkpoint, save_checkpoint
 from flowrec.encode import HashedTextEmbedder, build_vocabs
 from flowrec.errors import ConfigError
@@ -350,3 +350,15 @@ class TestCheckpoint:
         loaded.config = loaded.config.ablated(instant_flow=False)
         with pytest.raises(ConfigError):
             loaded.validate_shapes()
+
+    @pytest.mark.parametrize("part", ["magic", "header length", "header", "tensor name",
+                                      "tensor shape", "tensor data", "last bytes"])
+    def test_truncated_checkpoint_is_config_error(self, tmp_path, toy_corpus, part):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:container_cuts(raw)[part]])
+        with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
+            load_checkpoint(path)

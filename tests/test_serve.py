@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_impression
+from conftest import container_cuts, make_impression
 from flowrec.data import SyntheticSpec, generate_synthetic
 from flowrec.encode import HashedTextEmbedder, build_vocabs, encode_article
 from flowrec.errors import ConfigError
@@ -98,6 +98,18 @@ class TestStoreFile:
         assert np.array_equal(loaded.reps, store.reps)
         for uid in store.users:
             assert loaded.users[uid].history == store.users[uid].history
+
+    @pytest.mark.parametrize("part", ["magic", "header length", "header", "tensor name",
+                                      "tensor shape", "tensor data", "last bytes"])
+    def test_truncated_store_is_config_error(self, tmp_path, part):
+        ds, params, embedder, provider = small_world()
+        path = tmp_path / "store.bin"
+        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
+                                    provider))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:container_cuts(raw)[part]])
+        with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
+            load_store(path)
             assert loaded.users[uid].profile_text == store.users[uid].profile_text
             assert np.array_equal(loaded.users[uid].profile_emb, store.users[uid].profile_emb)
 

@@ -1,5 +1,6 @@
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -147,6 +148,34 @@ class TestCache:
         assert len(lines) == 1
         rec = json.loads(lines[0])
         assert rec == {"key": "k1", "prompt_sha": prompt_sha("prompt one"), "completion": "done"}
+
+    def test_torn_last_line_is_dropped_and_overwritten(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = SummaryCache(path)
+        cache.put("k1", "prompt one", "one")
+        cache.put("k2", "prompt two", "two")
+        intact = path.read_bytes()
+        path.write_bytes(intact[:-9])  # a crash cut the second record mid-append
+        with pytest.warns(UserWarning, match="torn last line"):
+            torn = SummaryCache(path)
+        assert torn.get("k1") == "one" and torn.get("k2") is None
+        torn.put("k3", "prompt three", "three")
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == ["k1", "k3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = SummaryCache(path)
+        assert (len(reloaded), reloaded.get("k1"), reloaded.get("k3")) == (2, "one", "three")
+
+    def test_bad_line_mid_file_is_config_error(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = SummaryCache(path)
+        cache.put("k1", "prompt one", "one")
+        cache.put("k2", "prompt two", "two")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0][:-5] + "\n" + lines[1])
+        with pytest.raises(ConfigError, match="line 1"):
+            SummaryCache(path)
 
 
 class TestReplayClient:

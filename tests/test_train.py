@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from conftest import TOY_CONFIG
 from flowrec.checkpoint import save_checkpoint
 from flowrec.data import SyntheticSpec, generate_synthetic
 from flowrec.encode import HashedTextEmbedder, build_vocabs
-from flowrec.model import ModelConfig, init_model_params
+from flowrec.model import ModelConfig, init_model_params, score_candidates
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 from flowrec.train import (
     FeatureSource,
     TrainConfig,
     TrainExample,
     TrainingError,
+    _forward,
     adam_init,
     adam_step,
     backward_batch,
@@ -92,6 +94,18 @@ class TestLoss:
             backward_batch(params, examples[:2], feats, mode="eval")
         assert "examples" in err.value.dump
 
+    def test_nonfinite_gradient_aborts_with_dump(self):
+        _, params, feats, examples = toy_setup()
+        # An infinite profile bias saturates every gated logit: every probability clamps,
+        # so the loss stays finite while inf * 0 reaches the constant-flow head gradient.
+        params.tensors["profile_b"][params.config.attr_out_dim] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match="non-finite gradient") as err:
+            assert np.isfinite(loss_batch(params, examples, feats, mode="eval"))
+            backward_batch(params, examples, feats, mode="eval")
+        bad = err.value.dump["nonfinite_gradients"]
+        assert "head_w" in bad and all(n > 0 for n in bad.values())
+        assert "examples" in err.value.dump
+
 
 class TestGradients:
     @pytest.mark.parametrize("batch_norm,dropout,flags", [
@@ -158,6 +172,83 @@ class TestGroupedBackward:
             TrainExample("u0", (a[9], a[10]), a[9], 1),  # a candidate inside its own history
         ]
         assert_matches_central_difference(params, feats, batch, dropout)
+
+
+def padded_state_batch(ds):
+    """One batch whose user states have histories of 0, 1, 3 and 12 rows (one
+    of them holding an article twice) and 1 to 6 candidates each, interleaved."""
+    a = [art.article_id for art in ds.articles]
+    states = [("u0", (), 2), ("u1", (a[5],), 6), ("u2", (a[1], a[2], a[1]), 1),
+              ("u3", tuple(a[:12]), 4)]
+    per_state = [[TrainExample(user, history, a[(3 * k + j) % 12], (k + j) % 2)
+                  for j in range(count)] for k, (user, history, count) in enumerate(states)]
+    batch = []
+    while any(per_state):
+        batch.extend(group.pop() for group in per_state if group)
+    return batch
+
+
+class TestStateBatchedFlow:
+    """All user states of a batch go through one padded flow call."""
+
+    @pytest.mark.parametrize("flags", [{}, {"flow_gate": False}, {"constant_flow": False},
+                                       {"instant_flow": False}])
+    def test_logits_match_per_state_scoring(self, flags):
+        ds, params, feats, _ = toy_setup(batch_norm=True, dropout=0.1, flags=flags)
+        batch = padded_state_batch(ds)
+        _, probs, cache = _forward(params, batch, feats, "eval", None, 0.0)
+        reps, alpha = cache["reps"], cache["flow"]["alpha"]
+        # Rep rows follow first appearance in the batch; states too.
+        row_of = {a: i for i, a in enumerate(dict.fromkeys(
+            a for ex in batch for a in (*ex.history, ex.candidate_id)))}
+        states = list(dict.fromkeys((ex.user_id, ex.history) for ex in batch))
+        assert alpha.shape[0] == 4 and alpha.shape[2] == (0 if flags.get("instant_flow") is False else 12)
+        for s, (user, history) in enumerate(states):
+            js = [j for j, ex in enumerate(batch) if (ex.user_id, ex.history) == (user, history)]
+            cand_ids = [batch[j].candidate_id for j in js]
+            scored = score_candidates(params, cand_ids, reps[[row_of[a] for a in cand_ids]],
+                                      reps[[row_of[a] for a in history]],
+                                      feats.profile_embedding(user, history))
+            np.testing.assert_allclose(probs[js], [c.probability for c in scored], rtol=1e-12, atol=0)
+            assert not alpha[s, :, len(history):].any()  # padded history slots get no attention
+
+    @pytest.mark.parametrize("batch_norm,dropout,flags", [
+        (False, 0.0, {}),
+        (True, 0.1, {"flow_gate": False}),
+    ])
+    def test_padded_batch_matches_central_difference(self, batch_norm, dropout, flags):
+        ds, params, feats, _ = toy_setup(batch_norm=batch_norm, dropout=dropout, flags=flags)
+        assert_matches_central_difference(params, feats, padded_state_batch(ds), dropout)
+
+
+# tracemalloc peak, in bytes, of one backward_batch at this shape when training made one
+# flow call per user state (numpy 2.4, 2-vCPU x86-64 VM); the padded key block and the
+# row-space gradient of the one-call flow may cost up to 40% on top.
+PER_STATE_LOOP_PEAK = 20.18e6
+
+
+def test_backward_peak_memory_at_paper_shape():
+    """One backward_batch at the benchmark's train-paper shape: paper dims,
+    86 user states with 50 history rows each, 512 examples over 1434 rows."""
+    ds = generate_synthetic(SyntheticSpec(n_users=200, n_articles=1500, n_impressions=90, topic_count=8,
+                                          seed=1, click_rule="planted-bilinear", history_length=50))
+    cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=256, text_proj_dim=128,
+                      attr_embed_dim=16, attr_hidden_dim=64, attr_out_dim=64)
+    params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=1)
+    provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+    feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
+    batch = build_examples(ds.impressions, ds.corpus)[:512]
+    assert len({(ex.user_id, ex.history) for ex in batch}) == 86
+    assert {len(ex.history) for ex in batch} == {50}
+    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the table
+    tracemalloc.start()
+    try:
+        backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(feats.row_of) == 1434
+    assert peak < 1.4 * PER_STATE_LOOP_PEAK, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestAdam:
