@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -96,7 +97,7 @@ def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             if code not in _DTYPES:
                 raise ConfigError(f"tensor {name!r} has unknown dtype code {code}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}'s shape"))
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            size = math.prod(shape)  # Python ints: a garbled shape cannot wrap to a short read
             raw = take(int(_DTYPES[code][-1]) * size, f"tensor {name!r}'s data")
             tensors[name] = np.frombuffer(raw, dtype=_DTYPES[code]).astype(np.float64).reshape(shape)
     return header, tensors

@@ -306,14 +306,12 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
     A padded candidate slot must carry a zero ``g_z``. Adds the head
     gradients it can see into ``grads`` and returns the gradients of
     ``cands``, ``hist_proj`` and ``queries``; the last two go back through
-    :func:`state_projections_backward`. History gradients are summed in row
-    space: ``G[r, s·M + i]`` collects the score gradients of candidate
-    ``(s, i)`` against history row ``r``, so an article twice in one history,
-    or in many states' histories, sums into its one row.
+    :func:`state_projections_backward`. ``hist_proj`` is consumed: its
+    gradient is written over it. An article twice in one history, or in many
+    states' histories, sums its gradients into its one row.
     """
     cfg, t = params.config, params.tensors
     d = cfg.article_dim
-    n_states, n_cands = g_z.shape
     w, g_w = t["head_w"], grads["head_w"]
     g_sums = np.einsum("sm,smd->sd", g_z, cands)  # per state: sum_i g_z[s, i] c[s, i]
     g_totals = g_z.sum(axis=1)
@@ -324,17 +322,13 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
     if cache["z_instant"] is None:
         g_hist_proj = np.zeros_like(hist_proj)
     else:
-        alpha, n_rows, width = cache["alpha"], len(hist_proj), n_states * n_cands
+        alpha = cache["alpha"]
         head_reads = hist_proj[hist_idx, -1]
         g_scores = alpha * (g_z[:, :, None] * (head_reads[:, None, :] - cache["z_instant"][:, :, None]))
-        cells = hist_idx[:, None, :] * width + np.arange(width).reshape(n_states, n_cands, 1)
-        G = np.bincount(cells.ravel(), g_scores.ravel(), minlength=n_rows * width).reshape(n_rows, width)
-        g_cands += (G.T @ hist_proj[:, :-1]).reshape(n_states, n_cands, d)
-        g_hist_proj = np.empty_like(hist_proj)  # only now: the candidate term's temporary is freed
-        np.matmul(G, cands.reshape(width, d), out=g_hist_proj[:, :-1])
-        del G
-        g_hist_proj[:, -1] = np.bincount(hist_idx.ravel(), np.einsum("sm,sml->sl", g_z, alpha).ravel(),
-                                         minlength=n_rows)
+        _attention_backward(hist_proj, hist_idx, cands, g_scores, g_cands)
+        hist_proj[:, -1] = np.bincount(hist_idx.ravel(), np.einsum("sm,sml->sl", g_z, alpha).ravel(),
+                                       minlength=len(hist_proj))
+        g_hist_proj = hist_proj
     if cfg.constant_flow:
         w_cons = w[-2 * d:-d]
         if cfg.flow_gate:
@@ -344,6 +338,39 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
             g_w[-2 * d:-d] += g_totals @ queries
             g_queries = g_totals[:, None] * w_cons
     return g_cands, g_hist_proj, g_queries
+
+
+def _attention_backward(hist_proj: np.ndarray, hist_idx: np.ndarray, cands: np.ndarray,
+                        g_scores: np.ndarray, g_cands: np.ndarray) -> None:
+    """Backward of the attention scores ``c·k`` for their gradients ``g_scores[S, M, L]``.
+
+    Adds the candidate term into ``g_cands[S, M, d]`` and writes the key
+    gradients over the keys, ``hist_proj[:, :-1]``, once it has read them.
+    Both sums run in whichever of two layouts holds fewer numbers:
+
+    * row space, ``G[n_rows, S·M]``: ``G[r, s·M + i]`` collects candidate
+      ``(s, i)``'s score gradients against history row ``r``, and both
+      terms are products with ``G``. It suits batches whose states share
+      their history rows.
+    * slot space, ``[S, L, d]``: the gathered keys give the candidate term,
+      the key gradients of each history slot are written in their place and
+      ``np.add.at`` sums them into rows. It suits batches of many states with
+      rows of their own, where ``G`` would grow with states × rows.
+    """
+    n_states, n_cands, d = cands.shape
+    n_rows, width = len(hist_proj), n_states * n_cands
+    keys = hist_proj[:, :-1]
+    if n_rows * n_cands <= hist_idx.shape[1] * d:
+        cells = hist_idx[:, None, :] * width + np.arange(width).reshape(n_states, n_cands, 1)
+        G = np.bincount(cells.ravel(), g_scores.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+        g_cands += (G.T @ keys).reshape(n_states, n_cands, d)
+        np.matmul(G, cands.reshape(width, d), out=keys)
+    else:
+        slots = keys[hist_idx]
+        g_cands += np.matmul(g_scores, slots)
+        np.matmul(g_scores.swapaxes(1, 2), cands, out=slots)  # the keys' gradients, in their place
+        keys[...] = 0.0
+        np.add.at(keys, hist_idx.ravel(), slots.reshape(-1, d))
 
 
 @dataclass

@@ -203,7 +203,8 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
         )
 
     reps, cand_rows, queries, slots = cache["reps"], cache["cand_rows"], cache["queries"], cache["slots"]
-    # Dropped after the flow backward, before the peak below.
+    # The flow backward writes hist_proj's gradient over it; cands and flow are dropped
+    # after it, before the peak below.
     hist_proj, cands, flow = cache.pop("hist_proj"), cache.pop("cands"), cache.pop("flow")
     grads: dict[str, np.ndarray] = {
         name: np.zeros_like(t[name]) for name in ("head_w", "head_b")

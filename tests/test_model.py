@@ -11,6 +11,7 @@ from flowrec.model import (
     ModelConfig,
     ModelParams,
     Scorer,
+    _attention_backward,
     attention_weights,
     constant_rep,
     init_model_params,
@@ -253,6 +254,35 @@ class TestBatchedScorer:
                 assert np.array_equal(scored[i].attention, first.attention)
 
 
+
+class TestAttentionBackward:
+    """Both layouts of the attention backward give the per-slot sums."""
+
+    # 10 rows x 2 candidates fit in a [rows, S*M] matrix no larger than the [S, L, d]
+    # slots; 60 rows x 2 do not.
+    @pytest.mark.parametrize("n_rows,layout", [(10, "row space"), (60, "slot space")])
+    def test_layouts_match_per_slot_reference(self, n_rows, layout):
+        rng = np.random.default_rng(3)
+        n_states, n_cands, hist_len, d = 4, 2, 5, 6
+        assert (n_rows * n_cands <= hist_len * d) == (layout == "row space")
+        hist_proj = rng.normal(size=(n_rows, d + 1))
+        hist_idx = rng.integers(0, n_rows, size=(n_states, hist_len))
+        hist_idx[0, 1] = hist_idx[0, 3] = hist_idx[2, 0]  # one row twice in a history and in two
+        cands = rng.normal(size=(n_states, n_cands, d))
+        g_scores = rng.normal(size=(n_states, n_cands, hist_len))
+        want_cands = np.zeros_like(cands)
+        want_keys = np.zeros((n_rows, d))
+        for s in range(n_states):
+            for slot, row in enumerate(hist_idx[s]):
+                want_cands[s] += np.outer(g_scores[s, :, slot], hist_proj[row, :-1])
+                want_keys[row] += g_scores[s, :, slot] @ cands[s]
+        head_reads = hist_proj[:, -1].copy()
+        g_cands = np.ones_like(cands)
+        _attention_backward(hist_proj, hist_idx, cands, g_scores, g_cands)
+        np.testing.assert_allclose(g_cands, 1.0 + want_cands, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hist_proj[:, :-1], want_keys, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(hist_proj[:, -1], head_reads)  # the head column is the caller's
+
 class TestAblationShapes:
     def base(self, **flags):
         cfg = ModelConfig(**TOY_CONFIG, **flags)
@@ -361,4 +391,17 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:container_cuts(raw)[part]])
         with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
+            load_checkpoint(path)
+
+    def test_garbled_shape_is_config_error(self, tmp_path, toy_corpus):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())
+        at = container_cuts(bytes(raw))["tensor shape"] - 2  # the first tensor's first dim
+        assert raw[at - 1] == 2  # two dims whose u32 product wraps a signed 64-bit count
+        raw[at:at + 8] = b"\xff" * 8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match=r"tensor .*'s data needs \d+ bytes"):
             load_checkpoint(path)

@@ -98,6 +98,8 @@ class TestStoreFile:
         assert np.array_equal(loaded.reps, store.reps)
         for uid in store.users:
             assert loaded.users[uid].history == store.users[uid].history
+            assert loaded.users[uid].profile_text == store.users[uid].profile_text
+            assert np.array_equal(loaded.users[uid].profile_emb, store.users[uid].profile_emb)
 
     @pytest.mark.parametrize("part", ["magic", "header length", "header", "tensor name",
                                       "tensor shape", "tensor data", "last bytes"])
@@ -110,8 +112,6 @@ class TestStoreFile:
         path.write_bytes(raw[:container_cuts(raw)[part]])
         with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
             load_store(path)
-            assert loaded.users[uid].profile_text == store.users[uid].profile_text
-            assert np.array_equal(loaded.users[uid].profile_emb, store.users[uid].profile_emb)
 
 
 class TestRank:
