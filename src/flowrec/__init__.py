@@ -5,6 +5,13 @@ representations of previously clicked articles and (b) gating the candidate
 with an embedded textual profile of the user's stable interests. Articles
 are encoded from frozen text embeddings plus trainable projections and
 attribute embeddings; training is hand-rolled gradient descent with Adam.
+
+The package re-exports the function :func:`flowrec.train.train` as
+``flowrec.train``. That attribute shadows the submodule of the same name, so
+``flowrec.train`` is the function and ``from flowrec import train`` gives the
+function. Names of the module come from ``from flowrec.train import ...``,
+and the module object itself from ``sys.modules["flowrec.train"]``;
+``import flowrec.train as m`` binds ``m`` to the function.
 """
 
 from .data import (

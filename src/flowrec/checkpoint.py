@@ -18,7 +18,9 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import struct
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -50,9 +52,32 @@ def content_digest(header: dict, tensors: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def replacing(path, mode: str = "wb", **kwargs):
+    """Write ``path`` through a temporary file in its directory (``mode`` is
+    ``"wb"`` or ``"w"``).
+
+    The file replaces ``path`` in one ``os.replace`` once the block ends
+    cleanly. If the block raises, the temporary file is removed and ``path``
+    is left as it was, so a reader never sees a half-written file.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x" + mode.lstrip("w"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_tensor_file(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write a container; an error partway leaves an existing file at ``path`` untouched."""
     header_raw = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_raw)))
         fh.write(header_raw)

@@ -205,7 +205,7 @@ def _write_manifest(out_dir: str, entry: dict) -> None:
             entries = json.load(fh)
     entries = [e for e in entries if e.get("command") != entry["command"]]
     entries.append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
+    with ckpt.replacing(path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -32,6 +32,11 @@ from .errors import ConfigError
 from .model import ModelParams, score_candidates
 
 
+# The largest POST body read. A 1000-candidate /rank body is about 12 KB, so
+# this is far above any real request; a longer one gets 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
+
 @dataclass
 class UserRecord:
     user_id: str
@@ -316,6 +321,11 @@ class _Handler(BaseHTTPRequestHandler):
             # The body's end is unknown, so the connection cannot carry another request.
             self.close_connection = True
             self._reply(400, {"error": "a POST body needs a non-negative integer Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry another request.
+            self.close_connection = True
+            self._reply(413, {"error": f"a POST body may hold at most {MAX_BODY_BYTES} bytes, not {length}"})
             return
         body = self.rfile.read(length)
         if self.path != "/rank":

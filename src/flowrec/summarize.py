@@ -296,6 +296,9 @@ class RemoteCompletionClient:
                     body = json.loads(response.read().decode("utf-8"))
                 return str(body["text"])
             except (urllib.error.URLError, KeyError, json.JSONDecodeError, TimeoutError) as exc:
+                if isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500:
+                    # The request itself was refused: sent again, it gets the same answer.
+                    raise CompletionError(f"remote completion refused with HTTP {exc.code}: {exc.reason}") from exc
                 last_error = exc
                 if attempt + 1 < self.retries:
                     time.sleep(self.backoff * (attempt + 1))

@@ -6,13 +6,17 @@ validation AUC.
 The frozen text embedder never receives gradients; its outputs, attribute
 indices and profile embeddings live in the run's
 :class:`~flowrec.encode.FeatureSource` table, which each batch gathers from
-and validation reads. A batch encodes its article rows once, projects every
-row and profile once (:func:`~flowrec.model.state_projections`), groups its
-examples by user state, ``(user_id, history)``, and pads the states into one
-block: candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a
-mask. One :func:`~flowrec.model.flow_forward` and one
-:func:`~flowrec.model.flow_backward` call then cover the whole batch, with
-the same flow arithmetic that evaluation and serving score with.
+and validation reads. ``train()`` resolves its examples to integers once
+(:class:`ExampleIndex`), and each step builds its batch from the example ids
+it takes with numpy alone (:func:`_gather`): article rows in order of first
+appearance, and user states, ``(user_id, history)``, padded into one block of
+candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask. The
+batch encodes its rows once, projects every row and profile once
+(:func:`~flowrec.model.state_projections`), and one
+:func:`~flowrec.model.flow_forward` and one
+:func:`~flowrec.model.flow_backward` call cover it, with the same flow
+arithmetic that evaluation and serving score with. A list of
+:class:`TrainExample` is indexed on the spot and runs the same code.
 A central finite-difference gradient oracle is included so analytic
 gradients can always be cross-checked.
 """
@@ -106,6 +110,115 @@ def build_examples(impressions: list[Impression], corpus: dict[str, Article],
 
 
 # ---------------------------------------------------------------------------
+# The indexed training set
+# ---------------------------------------------------------------------------
+
+class ExampleIndex:
+    """Training examples resolved to integers once, so a step gathers its
+    batch with numpy alone.
+
+    Rows are those of the :class:`FeatureSource` the index is built with,
+    which every batch of it must be run with. Example ``j`` scores article
+    row ``cand_row[j]`` against user state ``state[j]``, with label
+    ``labels[j]``. User state ``s`` is the key ``state_keys[s]``,
+    ``(user_id, history)``; its history is the rows
+    ``hist_rows[s, :hist_len[s]]``, and its profile is row ``profile_row[s]``
+    of ``FeatureSource.profiles``, or -1 until a batch first holds the state:
+    profiles are asked for only when they are first needed.
+    """
+
+    def __init__(self, examples: list[TrainExample], feats: FeatureSource):
+        ids: dict[tuple[str, tuple[str, ...]], int] = {}
+        self.examples = examples
+        self.state = np.fromiter((ids.setdefault((ex.user_id, ex.history), len(ids)) for ex in examples),
+                                 dtype=np.int64, count=len(examples))
+        self.labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=len(examples))
+        self.state_keys = list(ids)
+        # The history table is filled state by state; the examples add their candidates.
+        self.hist_len = np.array([len(h) for _, h in self.state_keys], dtype=np.int64)
+        rows = feats.rows([a for _, h in self.state_keys for a in h] + [ex.candidate_id for ex in examples])
+        n_hist = int(self.hist_len.sum())
+        self.hist_rows = np.zeros((len(self.state_keys), self.hist_len.max(initial=0)), dtype=np.int64)
+        self.hist_rows[np.arange(self.hist_rows.shape[1]) < self.hist_len[:, None]] = rows[:n_hist]
+        self.cand_row = rows[n_hist:]
+        self.profile_row = np.full(len(self.state_keys), -1, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class IndexedBatch:
+    """The examples ``take`` of an :class:`ExampleIndex`, in that order."""
+
+    index: ExampleIndex
+    take: np.ndarray
+
+    def examples(self) -> list[TrainExample]:
+        return [self.index.examples[j] for j in self.take]
+
+
+def _indexed(batch: list[TrainExample] | IndexedBatch, feats: FeatureSource) -> IndexedBatch:
+    """``batch`` itself, or a list of examples indexed as a batch of its own."""
+    if isinstance(batch, IndexedBatch):
+        return batch
+    return IndexedBatch(ExampleIndex(batch, feats), np.arange(len(batch)))
+
+
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``values`` (non-negative ints) in order of first appearance,
+    the position where each first appears, and each value's rank in that order."""
+    first = np.full(int(values.max()) + 1, len(values))
+    np.minimum.at(first, values, np.arange(len(values)))
+    distinct = np.flatnonzero(first < len(values))
+    order = np.argsort(first[distinct])
+    distinct, lead = distinct[order], first[distinct[order]]
+    first[distinct] = np.arange(len(distinct))
+    return distinct, lead, first[values]
+
+
+def _gather(batch: IndexedBatch, feats: FeatureSource, instant_flow: bool) -> dict:
+    """The integer arrays of one step, from numpy gathers, sorts and counts.
+
+    * ``rows``: the article rows the batch reads, in order of first
+      appearance over each example's history followed by its candidate;
+      ``cand_rows`` places each example's candidate among them.
+    * ``prof_rows``: the profile rows of the batch's user states, in order of
+      first appearance. A state the index has not asked about yet is asked
+      of :meth:`FeatureSource.profile_rows` now, in that order.
+    * ``hist_idx[S, L]`` and ``mask``: each state's history among ``rows``,
+      padded to the longest (no columns without instant flow).
+    * ``slots``: example ``j`` is candidate slot ``slots[j]`` of the flat
+      ``[S·width]`` block; a state's examples take its slots in batch order.
+    """
+    index, take = batch.index, batch.take
+    states, lead, state_of = _first_seen(index.state[take])
+    fresh = states[index.profile_row[states] < 0]
+    if len(fresh):
+        index.profile_row[fresh] = feats.profile_rows([index.state_keys[s] for s in fresh])
+
+    lens = index.hist_len[states]
+    in_hist = np.arange(lens.max()) < lens[:, None]
+    # A state's history first appears with its first example, so only that one carries it here.
+    seq = np.full((len(take), in_hist.shape[1] + 1), -1, dtype=np.int64)
+    seq[lead, :-1] = np.where(in_hist, index.hist_rows[states, :in_hist.shape[1]], -1)
+    seq[:, -1] = index.cand_row[take]
+    used = seq >= 0
+    rows, _, local = _first_seen(seq[used])
+    seq[used] = local
+
+    counts = np.bincount(state_of)
+    grouped = np.argsort(state_of, kind="stable")
+    rank = np.empty_like(grouped)
+    rank[grouped] = np.arange(len(take)) - (np.cumsum(counts) - counts)[state_of[grouped]]
+    if not instant_flow:
+        in_hist = np.zeros((len(states), 0), dtype=bool)
+    return {
+        "rows": rows, "prof_rows": index.profile_row[states], "cand_rows": seq[:, -1],
+        "hist_idx": np.where(in_hist, seq[lead, :in_hist.shape[1]], 0), "mask": in_hist,
+        "width": int(counts.max()), "slots": state_of * counts.max() + rank,
+        "labels": index.labels[take],
+    }
+
+
+# ---------------------------------------------------------------------------
 # Forward / backward over a batch
 # ---------------------------------------------------------------------------
 
@@ -118,20 +231,13 @@ def _scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     np.add.at(out.reshape(-1), (rows[:, None] * width + np.arange(width)).ravel(), vals.ravel())
 
 
-def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSource,
+def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
     cfg = params.config
     t = params.tensors
-    # Rows in order of first appearance in the batch: the GEMMs below see this order.
-    ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
-    row_of = {a: i for i, a in enumerate(ids)}
-    rows = feats.rows(ids)
-    # One user state per (user, history): the examples sharing one share its history and profile.
-    members: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-    for j, ex in enumerate(batch):
-        members.setdefault((ex.user_id, ex.history), []).append(j)
-    prof_rows = feats.profile_rows(list(members))  # may grow the table: index it after
-    profile_embs = feats.profiles[prof_rows]
+    g = _gather(_indexed(batch, feats), feats, cfg.instant_flow)
+    rows = g["rows"]
+    profile_embs = feats.profiles[g["prof_rows"]]
 
     h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
                                                  dropout=dropout)
@@ -143,25 +249,14 @@ def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSourc
 
     hist_proj, queries = state_projections(params, reps, profile_embs)
     # All user states in one flow call, padded: state s holds its examples in candidate
-    # slots s·M + i and its history rows in hist_idx[s, :len(history)] (none without
-    # instant flow); mask marks the history slots in use.
-    hists = [history if cfg.instant_flow else () for _, history in members]
-    hist_lens = np.array([len(h) for h in hists])
-    mask = np.arange(hist_lens.max()) < hist_lens[:, None]
-    hist_idx = np.zeros(mask.shape, dtype=np.int64)
-    hist_idx[mask] = [row_of[a] for h in hists for a in h]
-    n_cands = np.array([len(js) for js in members.values()])
-    width = n_cands.max()
-    slots = np.empty(len(batch), dtype=np.int64)
-    slots[[j for js in members.values() for j in js]] = np.flatnonzero(np.arange(width) < n_cands[:, None])
-    cand_rows = np.array([row_of[ex.candidate_id] for ex in batch], dtype=np.int64)
-    cands = np.zeros((len(members) * width, reps.shape[1]))
+    # slots s·width + i and its history rows in hist_idx[s, :len(history)].
+    hist_idx, slots, cand_rows, labels = g["hist_idx"], g["slots"], g["cand_rows"], g["labels"]
+    cands = np.zeros((len(hist_idx) * g["width"], reps.shape[1]))
     cands[slots] = reps[cand_rows]
-    cands = cands.reshape(len(members), width, reps.shape[1])
-    z, flow = flow_forward(params, cands, hist_proj, hist_idx, queries, mask)
+    cands = cands.reshape(len(hist_idx), g["width"], reps.shape[1])
+    z, flow = flow_forward(params, cands, hist_proj, hist_idx, queries, g["mask"])
 
     probs = sigmoid(z.reshape(-1)[slots])
-    labels = np.array([ex.label for ex in batch], dtype=np.float64)
     pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(np.mean(-(labels * np.log(pc) + (1 - labels) * np.log(1.0 - pc))))
     cache = {
@@ -172,7 +267,7 @@ def _forward(params: ModelParams, batch: list[TrainExample], feats: FeatureSourc
     return loss, probs, cache
 
 
-def loss_batch(params: ModelParams, batch: list[TrainExample], feats: FeatureSource,
+def loss_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
                mode: str = "train", rng: np.random.Generator | None = None,
                dropout: float = 0.0) -> float:
     """Mean clamped binary cross-entropy of the batch."""
@@ -180,17 +275,23 @@ def loss_batch(params: ModelParams, batch: list[TrainExample], feats: FeatureSou
     return loss
 
 
-def backward_batch(params: ModelParams, batch: list[TrainExample], feats: FeatureSource,
-                   mode: str = "train", rng: np.random.Generator | None = None,
+def backward_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch,
+                   feats: FeatureSource, mode: str = "train", rng: np.random.Generator | None = None,
                    dropout: float = 0.0) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus analytic gradients for every trainable tensor.
 
-    Frozen embeddings receive no gradient; attribute vocabulary rows that a
-    batch never touches come back exactly zero. A non-finite loss or gradient
-    raises :class:`TrainingError`; a gradient's dump names the tensors.
+    ``batch`` is an :class:`IndexedBatch`, as ``train()`` takes each step
+    from its :class:`ExampleIndex`, or a list of :class:`TrainExample`,
+    which is indexed on the spot; both run the same array code. Frozen
+    embeddings receive no gradient; attribute vocabulary rows that a batch
+    never touches come back exactly zero. A non-finite loss or gradient
+    raises :class:`TrainingError` whose dump lists the batch's examples as
+    ``(user_id, candidate_id, label)``; a gradient's dump also names the
+    tensors.
     """
     cfg = params.config
     t = params.tensors
+    batch = _indexed(batch, feats)
     loss, probs, cache = _forward(params, batch, feats, mode, rng, dropout)
     if not np.isfinite(loss):
         raise TrainingError(
@@ -198,7 +299,7 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
             dump={
                 "loss": loss,
                 "probs": probs.tolist(),
-                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch],
+                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch.examples()],
             },
         )
 
@@ -218,7 +319,7 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
     # A clamped example sits on a locally flat loss and passes no gradient.
     live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
     g_z = np.zeros(cands.shape[:2])  # padded candidate slots pass no gradient
-    g_z.reshape(-1)[slots] = np.where(live, (probs - cache["labels"]) / len(batch), 0.0)
+    g_z.reshape(-1)[slots] = np.where(live, (probs - cache["labels"]) / len(probs), 0.0)
     g_cands, g_hist_proj, g_queries = flow_backward(params, cands, hist_proj, cache["hist_idx"],
                                                     queries, flow, g_z, grads)
     g_cands = g_cands.reshape(-1, reps.shape[1])[slots]
@@ -244,7 +345,7 @@ def backward_batch(params: ModelParams, batch: list[TrainExample], feats: Featur
             dump={
                 "loss": loss,
                 "nonfinite_gradients": bad,
-                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch],
+                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch.examples()],
             },
         )
     return loss, grads
@@ -382,6 +483,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         raise TrainingError("training set is empty after filtering")
 
     feats = FeatureSource(params, corpus, embedder, profile_provider)
+    index = ExampleIndex(examples, feats)
     state = adam_init(params)
     result = TrainResult(params=params)
     best = -np.inf
@@ -399,10 +501,9 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
             cursor = 0
         take = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
-        batch = [examples[i] for i in take]
 
         drop_rng = np.random.default_rng([config.seed, step])
-        loss, grads = backward_batch(params, batch, feats, mode="train",
+        loss, grads = backward_batch(params, IndexedBatch(index, take), feats, mode="train",
                                      rng=drop_rng, dropout=config.dropout)
         adam_step(params, grads, state, config.learning_rate)
         result.losses.append(loss)

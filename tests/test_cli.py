@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flowrec.cli import load_run_config, main
+from flowrec.cli import _write_manifest, load_run_config, main
 from flowrec.errors import ConfigError
 
 NEWS = (
@@ -98,6 +98,17 @@ class TestIngest:
 
     def test_usage_error_exits_one(self, tmp_path):
         assert run("ingest", "--format", "mind", "--out", tmp_path / "out") == 1
+
+    def test_failed_manifest_write_leaves_previous_manifest(self, mind_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run("ingest", "--format", "mind", "--news", mind_dir / "news.tsv",
+                   "--behaviors", mind_dir / "behaviors.tsv", "--out", out) == 0
+        before = (out / "manifest.json").read_bytes()
+        # json.dump writes the earlier entries before it reaches the value it cannot encode.
+        with pytest.raises(TypeError):
+            _write_manifest(str(out), {"command": "zz", "stats": object()})
+        assert (out / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl", "manifest.json"]
 
 
 class TestPipeline:

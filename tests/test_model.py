@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY_CONFIG, container_cuts, make_article, make_impression
+from flowrec import checkpoint
 from flowrec.checkpoint import load_checkpoint, save_checkpoint
 from flowrec.encode import HashedTextEmbedder, build_vocabs
 from flowrec.errors import ConfigError
@@ -405,3 +406,26 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigError, match=r"tensor .*'s data needs \d+ bytes"):
             load_checkpoint(path)
+
+    def test_failed_write_leaves_previous_file(self, tmp_path, toy_corpus, monkeypatch):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        before = path.read_bytes()
+        real, written = checkpoint._tensor_bytes, []
+
+        def fail_on_second(name, array):
+            written.append(name)
+            if len(written) == 2:
+                raise OSError("disk full")
+            return real(name, array)
+
+        monkeypatch.setattr(checkpoint, "_tensor_bytes", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.write_tensor_file(path, {"kind": "checkpoint"},
+                                         {n: t + 1.0 for n, t in params.tensors.items()})
+        assert len(written) == 2
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).version_tag == params.version_tag
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -15,6 +15,7 @@ from flowrec.encode import HashedTextEmbedder, build_vocabs, encode_article
 from flowrec.errors import ConfigError
 from flowrec.model import ModelConfig, Scorer, init_model_params
 from flowrec.serve import (
+    MAX_BODY_BYTES,
     RankRequest,
     RankService,
     UserRecord,
@@ -323,6 +324,21 @@ class TestRankValidation:
             conn.close()
         assert resp.status == 400
         assert resp.getheader("Connection") == "close"
+
+    def test_over_long_body_is_413_before_it_is_read(self, served):
+        _, _, port = served
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.putrequest("POST", "/rank")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()  # headers only: the reply cannot wait for the body
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 413
+        assert resp.getheader("Connection") == "close"
+        assert str(MAX_BODY_BYTES) in payload["error"]
 
     def test_arbitrary_json_bodies_get_200_or_400(self, served):
         ds, _, port = served

@@ -219,6 +219,25 @@ class _FakeCompletionHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _StatusHandler(BaseHTTPRequestHandler):
+    """Answers every POST with ``status`` and counts the requests it saw."""
+
+    status = 500
+    hits = 0
+
+    def do_POST(self):
+        type(self).hits += 1
+        self.rfile.read(int(self.headers["Content-Length"]))
+        raw = b'{"error": "no"}'
+        self.send_response(self.status)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
 class TestRemoteClient:
     def test_missing_credential_fails_before_network(self, monkeypatch):
         monkeypatch.delenv(API_KEY_ENV, raising=False)
@@ -256,6 +275,24 @@ class TestRemoteClient:
         with pytest.raises(CompletionError) as err:
             summarize_article(article, TEMPLATES["article_summary_mind"], client)
         assert err.value.article_id == "a77"
+
+    @pytest.mark.parametrize("status,attempts", [(400, 1), (401, 1), (404, 1), (500, 3), (503, 3)])
+    def test_client_errors_are_not_retried(self, monkeypatch, status, attempts):
+        handler = type("Handler", (_StatusHandler,), {"status": status, "hits": 0})
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            monkeypatch.setenv(ENDPOINT_ENV, f"http://127.0.0.1:{server.server_address[1]}/v1/chat")
+            monkeypatch.setenv(MODEL_ENV, "m")
+            monkeypatch.setenv(API_KEY_ENV, "k")
+            client = RemoteCompletionClient(retries=3, timeout=5.0, backoff=0.0)
+            with pytest.raises(CompletionError, match=str(status)):
+                client.complete("article_summary_mind", "prompt", {})
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert handler.hits == attempts
 
 
 class TestCorpusSummarization:

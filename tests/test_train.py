@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,16 +8,19 @@ import pytest
 
 from conftest import TOY_CONFIG
 from flowrec.checkpoint import save_checkpoint
-from flowrec.data import SyntheticSpec, generate_synthetic
+from flowrec.data import SyntheticSpec, generate_synthetic, split_by_time
 from flowrec.encode import HashedTextEmbedder, build_vocabs
 from flowrec.model import ModelConfig, init_model_params, score_candidates
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 from flowrec.train import (
+    ExampleIndex,
     FeatureSource,
+    IndexedBatch,
     TrainConfig,
     TrainExample,
     TrainingError,
     _forward,
+    _gather,
     adam_init,
     adam_step,
     backward_batch,
@@ -219,6 +223,111 @@ class TestStateBatchedFlow:
     def test_padded_batch_matches_central_difference(self, batch_norm, dropout, flags):
         ds, params, feats, _ = toy_setup(batch_norm=batch_norm, dropout=dropout, flags=flags)
         assert_matches_central_difference(params, feats, padded_state_batch(ds), dropout)
+
+
+def index_world(ds):
+    """The toy world's examples plus a user state without history and one whose
+    history holds an article twice (and a candidate from inside it)."""
+    a = [art.article_id for art in ds.articles]
+    return (build_examples(ds.impressions, ds.corpus)
+            + [TrainExample("u2", (), a[j], j % 2) for j in (3, 4, 5)]
+            + [TrainExample("u3", (a[6], a[7], a[6]), a[j], (j + 1) % 2) for j in (8, 9, 6)])
+
+
+def shuffled_batches(n, count=8, seed=5):
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(n)[:rng.integers(1, n + 1)] for _ in range(count)]
+
+
+def first_batch(ds, config):
+    """train()'s first batch: the first batch_size examples of its seeded shuffle."""
+    examples = build_examples(split_by_time(ds.impressions, config.holdout_fraction)[0], ds.corpus)
+    order = np.arange(len(examples))
+    np.random.default_rng(config.seed).shuffle(order)
+    return [examples[j] for j in order[:config.batch_size]]
+
+
+class TestExampleIndex:
+    """train() resolves its examples to integers once and gathers each batch from them."""
+
+    @pytest.mark.parametrize("instant_flow", [True, False])
+    def test_batch_arrays_match_first_appearance(self, instant_flow):
+        ds, params, feats, _ = toy_setup()
+        examples = index_world(ds)
+        assert any(not ex.history for ex in examples)
+        assert any(len(set(ex.history)) < len(ex.history) for ex in examples)
+        index = ExampleIndex(examples, feats)
+        for take in shuffled_batches(len(examples)):
+            batch = [examples[j] for j in take]
+            g = _gather(IndexedBatch(index, take), feats, instant_flow)
+            # The reference builds every array with Python containers, example by example.
+            ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
+            states = list(dict.fromkeys((ex.user_id, ex.history) for ex in batch))
+            assert np.array_equal(g["rows"], feats.rows(ids))
+            assert np.array_equal(g["prof_rows"], feats.profile_rows(states))
+            assert np.array_equal(g["cand_rows"], [ids.index(ex.candidate_id) for ex in batch])
+            assert np.array_equal(g["labels"], [ex.label for ex in batch])
+            width = max(len(h) for _, h in states) if instant_flow else 0
+            assert g["hist_idx"].shape == g["mask"].shape == (len(states), width)
+            for s, (_, history) in enumerate(states):
+                used = len(history) if instant_flow else 0
+                assert g["mask"][s].tolist() == [True] * used + [False] * (width - used)
+                assert g["hist_idx"][s, :used].tolist() == [ids.index(a) for a in history[:used]]
+                members = [j for j, ex in enumerate(batch) if (ex.user_id, ex.history) == states[s]]
+                assert g["slots"][members].tolist() == [s * g["width"] + i for i in range(len(members))]
+            assert g["width"] == max(sum(1 for ex in batch if (ex.user_id, ex.history) == k) for k in states)
+
+    @pytest.mark.parametrize("batch_norm,dropout,flags", [
+        (False, 0.0, {}),
+        (False, 0.0, {"flow_gate": False}),
+        (False, 0.0, {"constant_flow": False}),
+        (False, 0.0, {"instant_flow": False}),
+        (True, 0.1, {}),
+    ])
+    def test_index_path_is_bit_identical_to_list_path(self, batch_norm, dropout, flags):
+        ds, params, feats, _ = toy_setup(batch_norm=batch_norm, dropout=dropout, flags=flags)
+        examples = index_world(ds)
+        index = ExampleIndex(examples, feats)
+        for step, take in enumerate(shuffled_batches(len(examples))):
+            got_loss, got = backward_batch(params, IndexedBatch(index, take), feats,
+                                           rng=np.random.default_rng(step), dropout=dropout)
+            want_loss, want = backward_batch(params, [examples[j] for j in take], feats,
+                                             rng=np.random.default_rng(step), dropout=dropout)
+            assert got_loss == want_loss
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_profiles_are_asked_for_the_first_batch_only(self):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        asked = []
+        ask = provider.profile_text
+        provider.profile_text = lambda user, history: asked.append((user, tuple(history))) or ask(user, history)
+        config = TrainConfig(learning_rate=0.01, batch_size=16, max_steps=1, seed=3)
+        train(params, ds.corpus, ds.impressions, config, embedder, provider)
+        first = first_batch(ds, config)
+        expected = list(dict.fromkeys((ex.user_id, ex.history) for ex in first if ex.history))
+        assert asked == expected
+        assert provider.client.calls == len(expected)
+
+    def test_training_error_dump_names_the_batch_examples(self):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        params.tensors["profile_b"][params.config.attr_out_dim] = np.inf
+        config = TrainConfig(learning_rate=0.01, batch_size=16, max_steps=5, seed=4)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(TrainingError, match="non-finite") as err:
+            train(params, ds.corpus, ds.impressions, config, embedder, provider)
+        first = first_batch(ds, config)
+        assert err.value.dump["examples"] == [(ex.user_id, ex.candidate_id, ex.label) for ex in first]
+
+
+def test_package_train_is_the_function_and_the_module_stays_importable():
+    from flowrec import train as train_function
+
+    assert train_function is train
+    assert sys.modules["flowrec.train"].TrainConfig is TrainConfig
 
 
 # tracemalloc peak, in bytes, of one backward_batch at this shape when training made one
