@@ -43,8 +43,9 @@ summary_again = summarize_article(article, TEMPLATES["article_summary_mind"], cl
 print(f"second call hit the cache (client calls: {client.calls}), identical: "
       f"{summary == summary_again}\n")
 
-# Profile text for a user's click history: the provider memoizes per
-# (user, history prefix), so re-scoring an impression is free.
+# Profile text for a user's click history. The provider keeps no memo: in
+# training, evaluation and precompute the frozen-feature table asks it once
+# per (user, history), and a summary cache keeps completions across runs.
 history = [
     Article("h1", title="rust compiler diagnostics deep dive"),
     Article("h2", title="incremental compiler architecture notes"),

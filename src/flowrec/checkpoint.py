@@ -24,7 +24,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, byte_reader
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"FRTENS01"
@@ -90,15 +90,7 @@ def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and tensors of a container; a file that is cut short or garbled
     raises :class:`ConfigError` naming what could not be read."""
     with open(path, "rb") as fh:
-        left = os.fstat(fh.fileno()).st_size
-
-        def take(n: int, what: str) -> bytes:
-            nonlocal left
-            if n > left:
-                raise ConfigError(f"{path} is truncated: {what} needs {n} bytes, {left} left")
-            left -= n
-            return fh.read(n)
-
+        take = byte_reader(fh, path)
         if take(len(MAGIC), "the magic") != MAGIC:
             raise ConfigError(f"{path} is not a tensor container (bad magic)")
         (header_len,) = struct.unpack("<I", take(4, "the header length"))

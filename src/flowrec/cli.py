@@ -87,24 +87,49 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _merge_checked(base: dict, override: dict, path: str = "") -> dict:
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` may replace ``default``: a value of the same JSON type,
+    an integer for a number, or a string for a key that defaults to null."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _merge_checked(base: dict, override: dict, path: str = "", defaults: dict = DEFAULT_CONFIG) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge_checked(base[key], value, where)
-        else:
-            out[key] = value
+        default = defaults[key]
+        if not _fits(value, default):
+            kind = "a string or null" if default is None else _JSON_KINDS[type(default)]
+            raise ConfigError(f"config key {where!r} must be {kind}, got {json.dumps(value)}")
+        out[key] = _merge_checked(base[key], value, where, default) if isinstance(default, dict) else value
     return out
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{what} {path!r} is not JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path!r} is not a JSON object")
+    return raw
 
 
 def load_run_config(path: str | None, overrides: list[str] | None = None) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = _merge_checked(config, json.load(fh))
+        config = _merge_checked(config, _read_json_object(path, "config file"))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key.path=value, got {item!r}")
@@ -183,9 +208,11 @@ def load_user_attrs(path: str | None) -> dict:
         return {}
     if not os.path.exists(path):
         raise ConfigError(f"user attrs file {path!r} does not exist")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {str(u): {str(k): str(v) for k, v in attrs.items()} for u, attrs in raw.items()}
+    raw = _read_json_object(path, "user attrs file")
+    if not all(isinstance(attrs, dict) and all(isinstance(v, str) for v in attrs.values())
+               for attrs in raw.values()):
+        raise ConfigError(f"user attrs file {path!r} is not an object of {{user_id: {{attr: string}}}}")
+    return raw
 
 
 def _out_dir(args) -> str:

@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .data import Article
-from .errors import ConfigError
+from .errors import ConfigError, byte_reader
 from .text import terms
 
 BN_EPS = 1e-5
@@ -78,15 +78,23 @@ def write_embedding_file(path, table: dict[str, np.ndarray], dim: int) -> None:
             fh.write(raw)
             fh.write(np.asarray(vec, dtype="<f4").tobytes())
 
+
 def read_embedding_file(path) -> tuple[dict[str, np.ndarray], int]:
+    """Table and dim of an embedding file; a file that is cut short or
+    garbled raises :class:`ConfigError` naming what could not be read."""
     with open(path, "rb") as fh:
-        count, dim = struct.unpack("<II", fh.read(8))
+        take = byte_reader(fh, path)
+        count, dim = struct.unpack("<II", take(8, "the record count and dim"))
         table: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            key = fh.read(id_len).decode("utf-8")
-            vec = np.frombuffer(fh.read(4 * dim), dtype="<f4").astype(np.float64)
-            table[key] = vec
+        for i in range(count):
+            (id_len,) = struct.unpack("<I", take(4, f"record {i}'s id length"))
+            try:
+                key = take(id_len, f"record {i}'s id").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: unreadable id of record {i} ({exc})") from None
+            table[key] = np.frombuffer(take(4 * dim, f"record {i}'s vector"), dtype="<f4").astype(np.float64)
+        if fh.read(1):
+            raise ConfigError(f"{path}: bytes follow the last of its {count} records")
     return table, dim
 
 
@@ -305,6 +313,8 @@ class FeatureSource:
     ``profile_texts[r]``. A row is computed when first asked for, the only
     time text reaches the embedder, and is written straight into its array;
     a text shared by several new rows is embedded once for all of them.
+    The profile rows are the run's only profile memo: the profile provider
+    keeps none, so each ``(user_id, history)`` reaches it once, here.
     Arrays may carry spare rows past the last one in use.
     """
 

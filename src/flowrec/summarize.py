@@ -11,8 +11,12 @@ flavors exist:
   * ``RemoteCompletionClient``: JSON-over-HTTP chat-completion endpoint,
     configured through environment variables.
 
-All completions can be memoized in an append-only ``SummaryCache`` so a
-corpus is summarized at most once per distinct prompt.
+Article summaries and profiles go through one completion path: render the
+prompt, look it up in an optional append-only ``SummaryCache``, else ask the
+client and store its non-empty answer, so a corpus is summarized at most
+once per distinct prompt, across runs too. ``ProfileProvider`` keeps no memo:
+within a run, the frozen-feature table (``flowrec.encode.FeatureSource``)
+asks it once per (user, history).
 """
 
 from __future__ import annotations
@@ -210,9 +214,7 @@ class StubCompletionClient:
         return truncate_words(f"{headline} {lead}", self.summary_budget)
 
     def _summarize_user(self, titles: list[str], attrs: dict[str, str]) -> str:
-        counts = collections.Counter()
-        for title in titles:
-            counts.update(terms(title))
+        counts = collections.Counter(terms("\n".join(titles)))
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         top = [tok for tok, _ in ranked[: self.profile_top_n]]
         sentence = ("This reader mostly follows " + " ".join(top) + "."
@@ -315,26 +317,32 @@ def _article_values(article: Article) -> dict[str, str]:
     return values
 
 
+def _complete(template: PromptTemplate, prompt: str, context: dict, client,
+              cache: SummaryCache | None, article_id: str | None = None) -> str:
+    """The completion of a rendered prompt: from ``cache`` when it holds one,
+    else from ``client``, stored in ``cache`` once it is known to be non-empty."""
+    key = completion_key(template.name, prompt) if cache is not None else None
+    if cache is not None and (hit := cache.get(key)) is not None:
+        return hit
+    try:
+        completion = client.complete(template.name, prompt, context)
+    except CompletionError as exc:
+        raise CompletionError(str(exc), article_id) from exc
+    if not completion.strip():
+        raise CompletionError(f"{template.name} completion was empty", article_id)
+    if cache is not None:
+        cache.put(key, prompt, completion)
+    return completion
+
+
 def summarize_article(article: Article, template: PromptTemplate, client,
                       cache: SummaryCache | None = None) -> str:
     """Produce the condensed body text for one article."""
     if not article.body:
         raise CompletionError("cannot summarize an article with an empty body", article.article_id)
     prompt = template.render(_article_values(article))
-    key = completion_key(template.name, prompt)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    try:
-        completion = client.complete(template.name, prompt, {"title": article.title, "body": article.body})
-    except CompletionError as exc:
-        raise CompletionError(str(exc), article.article_id) from exc
-    if not completion.strip():
-        raise CompletionError("completion was empty", article.article_id)
-    if cache is not None:
-        cache.put(key, prompt, completion)
-    return completion
+    return _complete(template, prompt, {"title": article.title, "body": article.body}, client, cache,
+                     article.article_id)
 
 
 def render_visited_articles(history: list[Article], include_summaries: bool = False) -> str:
@@ -361,22 +369,8 @@ def summarize_user(history: list[Article], user_attrs: dict[str, str], template:
                    client, cache: SummaryCache | None = None, include_summaries: bool = False) -> str:
     """Produce the constant-interest profile text for one user history."""
     prompt = render_user_profile_prompt(history, user_attrs, template, include_summaries)
-    key = completion_key(template.name, prompt)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    context = {
-        "titles": [a.title for a in history],
-        "summaries": [a.summary for a in history],
-        "attrs": dict(user_attrs),
-    }
-    completion = client.complete(template.name, prompt, context)
-    if not completion.strip():
-        raise CompletionError("profile completion was empty")
-    if cache is not None:
-        cache.put(key, prompt, completion)
-    return completion
+    return _complete(template, prompt, {"titles": [a.title for a in history], "attrs": dict(user_attrs)},
+                     client, cache)
 
 
 def summarize_corpus(articles: list[Article], template: PromptTemplate, client,
@@ -384,45 +378,38 @@ def summarize_corpus(articles: list[Article], template: PromptTemplate, client,
                      max_workers: int = 1) -> tuple[dict[str, str], list[CompletionError]]:
     """Summarize every article with a non-empty body; collect per-item errors.
 
-    Returns (article_id -> summary, errors). Completions run concurrently up
-    to ``max_workers`` in-flight calls; cache writes stay serialized.
+    Returns (article_id -> summary, errors). All prompts are rendered first,
+    so a template error stops the run before any client call; completions
+    run on ``max(max_workers, 1)`` threads, and any error other than a
+    :class:`CompletionError` cancels those not yet started.
     """
-    summaries: dict[str, str] = {}
-    errors: list[CompletionError] = []
-
-    def run(article: Article):
-        return article.article_id, summarize_article(article, template, client, cache)
-
     todo = [a for a in articles if a.body]
-    errors.extend(
-        CompletionError("article has an empty body", a.article_id) for a in articles if not a.body
-    )
-    if max_workers <= 1:
-        for article in todo:
-            try:
-                art_id, summary = run(article)
-                summaries[art_id] = summary
-            except CompletionError as exc:
-                errors.append(exc)
-        return summaries, errors
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for article, future in [(a, pool.submit(run, a)) for a in todo]:
-            try:
-                art_id, summary = future.result()
-                summaries[art_id] = summary
-            except CompletionError as exc:
-                errors.append(exc)
+    errors = [CompletionError("article has an empty body", a.article_id) for a in articles if not a.body]
+    prompts = [template.render(_article_values(a)) for a in todo]
+    summaries: dict[str, str] = {}
+    with ThreadPoolExecutor(max_workers=max(max_workers, 1)) as pool:
+        futures = [pool.submit(_complete, template, p, {"title": a.title, "body": a.body}, client, cache,
+                               a.article_id) for a, p in zip(todo, prompts)]
+        try:
+            for article, future in zip(todo, futures):
+                try:
+                    summaries[article.article_id] = future.result()
+                except CompletionError as exc:
+                    errors.append(exc)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return summaries, errors
 
 
 @dataclass
 class ProfileProvider:
-    """Computes and memoizes profile texts per (user, history-prefix).
+    """Computes the profile text of one (user, history).
 
-    The same history prefix never triggers a second completion; with
-    ``use_instruct_u`` off the profile degrades to the raw newline-joined
-    title list, which needs no client at all.
+    It keeps no memo of its own: the run's :class:`~flowrec.encode.FeatureSource`
+    asks it once per ``(user, history)`` key, and a ``cache``, when given,
+    keeps completions across runs. With ``use_instruct_u`` off the profile
+    degrades to the raw newline-joined title list, which needs no client at all.
     """
 
     corpus: dict[str, Article]
@@ -432,23 +419,14 @@ class ProfileProvider:
     use_instruct_u: bool = True
     include_summaries: bool = False
     user_attrs: dict[str, dict[str, str]] = field(default_factory=dict)
-    _memo: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def profile_text(self, user_id: str, history_ids: list[str]) -> str:
-        if not history_ids:
-            return ""
-        key = (user_id, hashlib.sha256("\n".join(history_ids).encode("utf-8")).hexdigest())
-        if key in self._memo:
-            return self._memo[key]
         history = [self.corpus[a] for a in history_ids if a in self.corpus]
         if not history:
-            text = ""
-        elif not self.use_instruct_u:
-            text = render_visited_articles(history, self.include_summaries)
-        else:
-            if self.client is None:
-                raise ConfigError("profile generation requires a completion client when use_instruct_u is on")
-            text = summarize_user(history, self.user_attrs.get(user_id, {}), self.template,
-                                  self.client, self.cache, self.include_summaries)
-        self._memo[key] = text
-        return text
+            return ""
+        if not self.use_instruct_u:
+            return render_visited_articles(history, self.include_summaries)
+        if self.client is None:
+            raise ConfigError("profile generation requires a completion client when use_instruct_u is on")
+        return summarize_user(history, self.user_attrs.get(user_id, {}), self.template,
+                              self.client, self.cache, self.include_summaries)

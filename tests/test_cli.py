@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flowrec.cli import _write_manifest, load_run_config, main
+from flowrec.cli import _write_manifest, load_run_config, load_user_attrs, main
 from flowrec.errors import ConfigError
 
 NEWS = (
@@ -68,6 +68,49 @@ class TestRunConfig:
         assert config["train"]["batch_size"] == 512
         assert config["train"]["dropout"] == 0.1
         assert config["train"]["max_steps"] == 600_000
+
+    @pytest.mark.parametrize("text,message", [
+        ("{bad", "is not JSON"),
+        ("[1,2]", "is not a JSON object"),
+        ('{"dims": 5}', "'dims' must be an object"),
+        ('{"flags": {"batch_norm": 1}}', "'flags.batch_norm' must be true or false"),
+    ])
+    def test_bad_config_file_exits_one_naming_the_problem(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run("train", "--config", path, "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o") == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item,message", [
+        ("dims.embed_dim=abc", "'dims.embed_dim' must be an integer, got \"abc\""),
+        ("train.batch_size=abc", "'train.batch_size' must be an integer"),
+        ("train.max_steps=true", "'train.max_steps' must be an integer"),
+        ("train.learning_rate=fast", "'train.learning_rate' must be a number"),
+        ("summarizer.cache_path=3", "'summarizer.cache_path' must be a string or null"),
+        ("seed.x=1", "'seed' must be an integer"),
+    ])
+    def test_mistyped_set_exits_one_naming_the_key(self, tmp_path, capsys, item, message):
+        assert run("train", "--set", item, "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o") == 1
+        assert message in capsys.readouterr().err
+
+    def test_numbers_take_integers_and_null_defaults_take_strings(self):
+        config = load_run_config(None, ["train.learning_rate=1", "summarizer.cache_path=c.jsonl",
+                                        "embedder.path=null"])
+        assert config["train"]["learning_rate"] == 1
+        assert config["summarizer"]["cache_path"] == "c.jsonl"
+        assert config["embedder"]["path"] is None
+
+    @pytest.mark.parametrize("text", ["{bad", "[1]", '{"u1": ["skill"]}', '{"u1": {"skill": 3}}'])
+    def test_bad_user_attrs_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "attrs.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="user attrs file"):
+            load_user_attrs(str(path))
+        out = tmp_path / "run"
+        assert run("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--out", out) == 0
+        assert run("train", "--data", out / "dataset.jsonl", "--out", out, "--user-attrs", path,
+                   *sets()) == 1
+        assert "user attrs file" in capsys.readouterr().err
 
 
 class TestIngest:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import TOY_CONFIG, make_article
 from flowrec.encode import (
+    FeatureSource,
     HashedTextEmbedder,
     PrecomputedTextEmbedder,
     attr_index_row,
@@ -18,6 +19,7 @@ from flowrec.encode import (
 )
 from flowrec.errors import ConfigError
 from flowrec.model import ModelConfig, init_model_params
+from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 
 
 class TestHashedEmbedder:
@@ -70,6 +72,70 @@ class TestPrecomputedEmbedder:
         emb = PrecomputedTextEmbedder.from_file(path)
         with pytest.raises(KeyError):
             emb.embed("unknown text")
+
+
+class TestEmbeddingFileDamage:
+    """Two records, ``hello`` and ``bye``, of four floats each: bytes 0-8 hold the
+    count and dim, 8-12 ``hello``'s id length, 12-17 its id, 17-33 its vector,
+    33-37 ``bye``'s id length, 37-40 its id and 40-56 its vector."""
+
+    @pytest.fixture
+    def raw(self, tmp_path):
+        path = tmp_path / "embs.bin"
+        write_embedding_file(path, {"hello": np.arange(4.0), "bye": np.ones(4)}, 4)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cut,what", [
+        (5, "the record count and dim"), (10, "record 0's id length"), (14, "record 0's id"),
+        (22, "record 0's vector"), (35, "record 1's id length"), (38, "record 1's id"),
+        (48, "record 1's vector"),  # on a float boundary: two of the four floats are left
+    ])
+    def test_cut_inside_each_part_is_config_error(self, tmp_path, raw, cut, what):
+        assert len(raw) == 56
+        path = tmp_path / "cut.bin"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConfigError, match=f"truncated: {what} needs"):
+            read_embedding_file(path)
+
+    @pytest.mark.parametrize("garble,message", [
+        (lambda b: b[:12] + b"\xff" + b[13:], "unreadable id of record 0"),
+        (lambda b: b"\x01" + b[1:], "bytes follow the last of its 1 records"),
+        (lambda b: b + b"\x00", "bytes follow the last of its 2 records"),
+        (lambda b: b[:4] + b"\xff\xff\x00\x00" + b[8:], "record 0's vector needs 262140 bytes"),
+    ])
+    def test_garbled_file_is_config_error(self, tmp_path, raw, garble, message):
+        path = tmp_path / "garbled.bin"
+        path.write_bytes(garble(raw))
+        with pytest.raises(ConfigError, match=message):
+            read_embedding_file(path)
+
+
+class TestFeatureSourceProfiles:
+    def test_each_key_asked_once_and_each_text_embedded_once(self, toy_params, toy_corpus):
+        asked, embedded = [], []
+        provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+        ask = provider.profile_text
+        provider.profile_text = lambda user, history: asked.append((user, tuple(history))) or ask(user, history)
+
+        class CountingEmbedder(HashedTextEmbedder):
+            def embed(self, text):
+                embedded.append(text)
+                return super().embed(text)
+
+        feats = FeatureSource(toy_params, toy_corpus, CountingEmbedder(toy_params.config.embed_dim), provider)
+        keys = [("u1", ("a1", "a2")), ("u2", ("a1", "a2")), ("u1", ("a1", "a2", "a3"))]
+        first = feats.profile_rows(keys)
+        again = feats.profile_rows([keys[2], ("u3", ("a4",)), keys[0], keys[2], ("u4", ())])
+        profile = feats.profile_embedding("u2", ["a1", "a2"])
+        feats.profile_embedding("u3", ("a4",))
+
+        assert asked == [*keys, ("u3", ("a4",))]  # an empty history is not asked at all
+        assert provider.client.calls == 4
+        # u1 and u2 clicked the same titles, so their profile texts are one text
+        assert len(embedded) == len(set(embedded)) == 3
+        assert list(again[[0, 2, 3]]) == [first[2], first[0], first[2]]
+        assert np.array_equal(profile, feats.profiles[first[1]])
+        assert np.array_equal(feats.profiles[first[0]], feats.profiles[first[1]])
 
 
 class TestProjection:

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -325,18 +326,43 @@ class TestCorpusSummarization:
         assert "ok" in summaries
         assert errors[0].article_id == "empty"
 
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_template_error_stops_before_any_completion(self, max_workers):
+        articles = [make_article(f"a{i}", title=f"T{i}", body="words.", category="c") for i in range(200)]
+        articles[0].attributes.clear()  # the template's [category] has no value
+        client = StubCompletionClient()
+        with pytest.raises(TemplateError, match=r"\[category\]"):
+            summarize_corpus(articles, TEMPLATES["article_summary_mind"], client, max_workers=max_workers)
+        assert client.calls == 0
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_client_bug_cancels_completions_not_started(self, max_workers):
+        client = _FirstArticleFails()
+        articles = [make_article(f"a{i}", title=f"T{i}", body="words.", category="c") for i in range(200)]
+        with pytest.raises(RuntimeError, match="client bug"):
+            summarize_corpus(articles, TEMPLATES["article_summary_mind"], client, max_workers=max_workers)
+        # the failed call, plus at most one started call per worker before the cancel
+        assert client.calls <= max_workers + 1
+
+
+class _FirstArticleFails:
+    """Fails the first article with an error that is not a CompletionError;
+    every other call takes long enough for the failure to be seen first."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, template_name, prompt, context):
+        with self._lock:
+            self.calls += 1
+        if context["title"] == "T0":
+            raise RuntimeError("client bug")
+        time.sleep(0.3)
+        return "summary"
+
 
 class TestProfileProvider:
-    def test_memoizes_per_history_prefix(self, toy_corpus):
-        client = StubCompletionClient()
-        provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], client)
-        first = provider.profile_text("u1", ["a1", "a2"])
-        again = provider.profile_text("u1", ["a1", "a2"])
-        assert first == again
-        assert client.calls == 1
-        provider.profile_text("u1", ["a1", "a2", "a3"])
-        assert client.calls == 2
-
     def test_empty_history_is_empty_profile(self, toy_corpus):
         provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
         assert provider.profile_text("u1", []) == ""
