@@ -538,8 +538,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse raw logs into the canonical JSONL format")
-    p.add_argument("--config", help="JSON run config file")
-    p.add_argument("--set", action="append")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["mind", "jsonl"], required=True)
     p.add_argument("--news", help="news TSV (mind format)")

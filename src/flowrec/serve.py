@@ -287,7 +287,9 @@ class RankService:
                     self.store, self.params).to_dict()
 
     def handle_health(self) -> dict:
-        return {"status": "ok", "model_version": self.store.version_tag}
+        store = self.store
+        return {"status": "ok", "model_version": store.version_tag, "partial": store.partial,
+                "n_errors": len(store.errors), "n_articles": len(store.article_ids), "n_users": len(store.users)}
 
 
 class _Handler(BaseHTTPRequestHandler):

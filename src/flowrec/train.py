@@ -13,9 +13,10 @@ appearance, and user states, ``(user_id, history)``, padded into one block of
 candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask. The
 batch encodes its rows once, projects every row and profile once
 (:func:`~flowrec.model.state_projections`), and one
-:func:`~flowrec.model.flow_forward` and one
-:func:`~flowrec.model.flow_backward` call cover it, with the same flow
-arithmetic that evaluation and serving score with. A list of
+:func:`~flowrec.model.flow_forward` call scores it, with the same flow
+arithmetic that evaluation and serving score with. The projected keys are
+freed when the forward returns: one :func:`~flowrec.model.flow_backward`
+call takes the reps themselves and returns their gradient. A list of
 :class:`TrainExample` is indexed on the spot and runs the same code.
 A central finite-difference gradient oracle is included so analytic
 gradients can always be cross-checked.
@@ -37,9 +38,9 @@ from .model import (
     Scorer,
     flow_backward,
     flow_forward,
+    scatter_add,
     sigmoid,
     state_projections,
-    state_projections_backward,
 )
 
 PROB_CLAMP = 1e-7
@@ -222,15 +223,6 @@ def _gather(batch: IndexedBatch, feats: FeatureSource, instant_flow: bool) -> di
 # Forward / backward over a batch
 # ---------------------------------------------------------------------------
 
-def _scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-    """``out[rows] += vals``, summing rows that repeat (a history may hold an article twice).
-
-    ``np.add.at`` runs over the flat view, where it takes its one-dimensional fast path.
-    """
-    width = out.shape[1]
-    np.add.at(out.reshape(-1), (rows[:, None] * width + np.arange(width)).ravel(), vals.ravel())
-
-
 def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
     cfg = params.config
@@ -261,7 +253,7 @@ def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feat
     loss = float(np.mean(-(labels * np.log(pc) + (1 - labels) * np.log(1.0 - pc))))
     cache = {
         "rows": rows, "reps": reps, "attr_cache": attr_cache, "profile_embs": profile_embs,
-        "hist_proj": hist_proj, "queries": queries, "labels": labels, "cand_rows": cand_rows,
+        "queries": queries, "labels": labels, "cand_rows": cand_rows,
         "cands": cands, "hist_idx": hist_idx, "slots": slots, "flow": flow,
     }
     return loss, probs, cache
@@ -304,30 +296,26 @@ def backward_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch
         )
 
     reps, cand_rows, queries, slots = cache["reps"], cache["cand_rows"], cache["queries"], cache["slots"]
-    # The flow backward writes hist_proj's gradient over it; cands and flow are dropped
-    # after it, before the peak below.
-    hist_proj, cands, flow = cache.pop("hist_proj"), cache.pop("cands"), cache.pop("flow")
+    # cands and flow are dropped once the flow backward has read them, before the peak below.
+    cands, flow = cache.pop("cands"), cache.pop("flow")
     grads: dict[str, np.ndarray] = {
         name: np.zeros_like(t[name]) for name in ("head_w", "head_b")
     }
     if cfg.instant_flow:
         grads["attn_w"] = np.zeros_like(t["attn_w"])
-    if cfg.constant_flow:
-        grads["profile_w"] = np.zeros_like(t["profile_w"])
-        grads["profile_b"] = np.zeros_like(t["profile_b"])
 
     # A clamped example sits on a locally flat loss and passes no gradient.
     live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
     g_z = np.zeros(cands.shape[:2])  # padded candidate slots pass no gradient
     g_z.reshape(-1)[slots] = np.where(live, (probs - cache["labels"]) / len(probs), 0.0)
-    g_cands, g_hist_proj, g_queries = flow_backward(params, cands, hist_proj, cache["hist_idx"],
-                                                    queries, flow, g_z, grads)
+    g_cands, g_reps, g_queries = flow_backward(params, cands, reps, cache["hist_idx"], queries, flow,
+                                               g_z, grads)
     g_cands = g_cands.reshape(-1, reps.shape[1])[slots]
-    del hist_proj, cands, flow
-    g_reps = state_projections_backward(params, reps, cache["profile_embs"], g_hist_proj, g_queries,
-                                        grads)
-    del g_hist_proj
-    _scatter_add(g_reps, cand_rows, g_cands)
+    del cands, flow
+    if cfg.constant_flow:  # the profile projection's backward
+        grads["profile_w"] = g_queries.T @ cache["profile_embs"]
+        grads["profile_b"] = g_queries.sum(axis=0)
+    scatter_add(g_reps, cand_rows, g_cands)
 
     a, p_dim = cfg.attr_out_dim, cfg.text_proj_dim
     g_attr, g_title, g_body = g_reps[:, :a], g_reps[:, a:a + p_dim], g_reps[:, a + p_dim:]

@@ -142,6 +142,14 @@ class TestIngest:
     def test_usage_error_exits_one(self, tmp_path):
         assert run("ingest", "--format", "mind", "--out", tmp_path / "out") == 1
 
+    @pytest.mark.parametrize("option", [("--config", "run.json"), ("--set", "train.seed=1")])
+    def test_run_config_options_are_rejected(self, mind_dir, tmp_path, option):
+        # ingest reads no run config, so a config option given to it is a usage error.
+        code = run("ingest", *option, "--format", "mind", "--news", mind_dir / "news.tsv",
+                   "--behaviors", mind_dir / "behaviors.tsv", "--out", tmp_path / "out")
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
     def test_failed_manifest_write_leaves_previous_manifest(self, mind_dir, tmp_path):
         out = tmp_path / "out"
         assert run("ingest", "--format", "mind", "--news", mind_dir / "news.tsv",

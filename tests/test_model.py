@@ -12,12 +12,15 @@ from flowrec.model import (
     ModelConfig,
     ModelParams,
     Scorer,
-    _attention_backward,
     attention_weights,
     constant_rep,
+    flow_backward,
+    flow_forward,
     init_model_params,
     instant_rep,
     score_candidates,
+    slot_groups,
+    state_projections,
 )
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 
@@ -256,33 +259,52 @@ class TestBatchedScorer:
 
 
 
-class TestAttentionBackward:
-    """Both layouts of the attention backward give the per-slot sums."""
+class TestFlowBackward:
+    """Both layouts of flow_backward's attention sums give the per-slot gradients."""
 
-    # 10 rows x 2 candidates fit in a [rows, S*M] matrix no larger than the [S, L, d]
-    # slots; 60 rows x 2 do not.
-    @pytest.mark.parametrize("n_rows,layout", [(10, "row space"), (60, "slot space")])
-    def test_layouts_match_per_slot_reference(self, n_rows, layout):
+    # (rows, states, candidate slots per state, history, states per slot group; 0 = row space)
+    @pytest.mark.parametrize("n_rows,n_states,n_cands,hist_len,group", [
+        (10, 4, 2, 5, 0),     # few rows shared by the states
+        (40, 8, 64, 5, 4),    # many candidates per state: two groups of four states
+    ], ids=["row space", "slot space"])
+    def test_matches_per_slot_reference(self, n_rows, n_states, n_cands, hist_len, group):
         rng = np.random.default_rng(3)
-        n_states, n_cands, hist_len, d = 4, 2, 5, 6
-        assert (n_rows * n_cands <= hist_len * d) == (layout == "row space")
-        hist_proj = rng.normal(size=(n_rows, d + 1))
+        d = 6
+        cfg = ModelConfig(attr_out_dim=2, text_proj_dim=2, constant_flow=False)
+        params = ModelParams(config=cfg, vocabs={}, tensors={
+            "attn_w": rng.normal(size=(d, d)), "head_w": rng.normal(size=2 * d), "head_b": np.zeros(1)})
+        hist = rng.normal(size=(n_rows, d))
         hist_idx = rng.integers(0, n_rows, size=(n_states, hist_len))
-        hist_idx[0, 1] = hist_idx[0, 3] = hist_idx[2, 0]  # one row twice in a history and in two
+        hist_idx[0, 1] = hist_idx[0, 3] = hist_idx[-1, 0]  # one row twice in a history and in two
+        mask = np.ones(hist_idx.shape, dtype=bool)
+        mask[1, 3:] = False  # a padded history
+        hist_idx[1, 3:] = 0
         cands = rng.normal(size=(n_states, n_cands, d))
-        g_scores = rng.normal(size=(n_states, n_cands, hist_len))
-        want_cands = np.zeros_like(cands)
-        want_keys = np.zeros((n_rows, d))
+        g_z = rng.normal(size=(n_states, n_cands))
+        g_z[2, 1:] = 0.0  # padded candidate slots
+        assert slot_groups(n_rows, n_states, np.count_nonzero(g_z), hist_len, d) == group
+        hist_proj, queries = state_projections(params, hist, np.zeros((n_states, 0)))
+        _, cache = flow_forward(params, cands, hist_proj, hist_idx, queries, mask)
+        grads = {"attn_w": np.zeros((d, d)), "head_w": np.zeros(2 * d), "head_b": np.zeros(1)}
+        g_cands, g_hist, _ = flow_backward(params, cands, hist, hist_idx, queries, cache, g_z, grads)
+
+        W, w_ins, w_cand = params.tensors["attn_w"], params.tensors["head_w"][:d], params.tensors["head_w"][d:]
+        want_w, want_cands, want_hist = np.zeros((d, d)), np.zeros_like(cands), np.zeros_like(hist)
         for s in range(n_states):
-            for slot, row in enumerate(hist_idx[s]):
-                want_cands[s] += np.outer(g_scores[s, :, slot], hist_proj[row, :-1])
-                want_keys[row] += g_scores[s, :, slot] @ cands[s]
-        head_reads = hist_proj[:, -1].copy()
-        g_cands = np.ones_like(cands)
-        _attention_backward(hist_proj, hist_idx, cands, g_scores, g_cands)
-        np.testing.assert_allclose(g_cands, 1.0 + want_cands, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(hist_proj[:, :-1], want_keys, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(hist_proj[:, -1], head_reads)  # the head column is the caller's
+            used = [int(r) for r, m in zip(hist_idx[s], mask[s]) if m]
+            for i in range(n_cands):
+                c, alpha = cands[s, i], cache["alpha"][s, i]
+                z_ins = sum(alpha[slot] * (hist[r] @ w_ins) for slot, r in enumerate(used))
+                want_cands[s, i] += g_z[s, i] * w_cand
+                for slot, r in enumerate(used):
+                    g_score = g_z[s, i] * alpha[slot] * (hist[r] @ w_ins - z_ins)
+                    want_w += g_score * np.outer(c, hist[r])
+                    want_cands[s, i] += g_score * (W @ hist[r])
+                    want_hist[r] += g_score * (c @ W) + g_z[s, i] * alpha[slot] * w_ins
+        np.testing.assert_allclose(grads["attn_w"], want_w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g_cands, want_cands, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g_hist, want_hist, rtol=1e-12, atol=1e-12)
+
 
 class TestAblationShapes:
     def base(self, **flags):

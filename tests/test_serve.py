@@ -191,7 +191,9 @@ class TestHttp:
             port = server.server_address[1]
             with urllib.request.urlopen(f"http://127.0.0.1:{port}/health") as resp:
                 health = json.loads(resp.read())
-            assert health == {"status": "ok", "model_version": store.version_tag}
+            assert health == {"status": "ok", "model_version": store.version_tag, "partial": False,
+                              "n_errors": 0, "n_articles": len(ds.articles),
+                              "n_users": len(users_from_impressions(ds.impressions))}
 
             uid = ds.impressions[0].user_id
             ids = [a.article_id for a in ds.articles[:4]]

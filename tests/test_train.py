@@ -10,7 +10,7 @@ from conftest import TOY_CONFIG
 from flowrec.checkpoint import save_checkpoint
 from flowrec.data import SyntheticSpec, generate_synthetic, split_by_time
 from flowrec.encode import HashedTextEmbedder, build_vocabs
-from flowrec.model import ModelConfig, init_model_params, score_candidates
+from flowrec.model import ModelConfig, init_model_params, score_candidates, slot_groups
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 from flowrec.train import (
     ExampleIndex,
@@ -225,6 +225,27 @@ class TestStateBatchedFlow:
         assert_matches_central_difference(params, feats, padded_state_batch(ds), dropout)
 
 
+def test_slot_layout_in_two_groups_matches_central_difference():
+    """11 user states of 24 candidates over 60 rows: the attention backward takes
+    the slot layout, in two groups of states."""
+    ds = generate_synthetic(SyntheticSpec(n_users=4, n_articles=60, n_impressions=6, topic_count=3,
+                                          seed=3, history_length=3, candidates_per_impression=3))
+    cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=5, text_proj_dim=3,
+                      attr_embed_dim=2, attr_hidden_dim=3, attr_out_dim=2, batch_norm=False, dropout=0.0)
+    params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=11)
+    provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+    feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
+    a = [art.article_id for art in ds.articles]
+    histories = [tuple(a[3 * k:3 * k + 3]) for k in range(10)] + [(a[0], a[5], a[0])]  # shared, repeated
+    batch = [TrainExample(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
+             for k, history in enumerate(histories) for j in range(24)]
+    _, _, cache = _forward(params, batch, feats, "eval", None, 0.0)
+    n_states, width, d = cache["cands"].shape
+    assert (len(cache["reps"]), n_states, width) == (60, 11, 24)
+    assert slot_groups(len(cache["reps"]), n_states, len(batch), cache["hist_idx"].shape[1], d) == 10  # 2 groups
+    assert_matches_central_difference(params, feats, batch, 0.0)
+
+
 def index_world(ds):
     """The toy world's examples plus a user state without history and one whose
     history holds an article twice (and a candidate from inside it)."""
@@ -358,6 +379,37 @@ def test_backward_peak_memory_at_paper_shape():
         tracemalloc.stop()
     assert len(feats.row_of) == 1434
     assert peak < 1.4 * PER_STATE_LOOP_PEAK, f"peak {peak / 1e6:.1f} MB"
+
+
+# tracemalloc peak, in bytes, of one backward_batch at this shape when the flow backward
+# summed its gradients into a row-space key gradient (70,382,083 B; numpy 2.4, 2-vCPU x86-64
+# VM). The forward's padded key block sets it; a backward that keeps the state projections
+# alive beside the row gradient reads 81.55 MB here.
+ROW_KEY_GRADIENT_PEAK = 70.39e6
+
+
+def test_backward_peak_memory_with_a_state_per_example():
+    """One backward_batch at paper dims where each of 160 examples is its own
+    user state, with 50 history rows each over 5900 rows."""
+    ds = generate_synthetic(SyntheticSpec(n_users=160, n_articles=12_000, n_impressions=160, topic_count=8,
+                                          seed=1, click_rule="planted-bilinear", history_length=50,
+                                          candidates_per_impression=1))
+    cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=256, text_proj_dim=128,
+                      attr_embed_dim=16, attr_hidden_dim=64, attr_out_dim=64)
+    params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=1)
+    provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+    feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
+    batch = build_examples(ds.impressions, ds.corpus)
+    assert len({(ex.user_id, ex.history) for ex in batch}) == len(batch) == 160
+    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the table
+    tracemalloc.start()
+    try:
+        backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(feats.row_of) == 5900
+    assert peak <= ROW_KEY_GRADIENT_PEAK, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestAdam:
