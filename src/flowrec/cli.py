@@ -18,6 +18,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from . import serve as serve_mod
 from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, build_vocabs
-from .errors import ConfigError
+from .errors import ConfigError, UnknownIdError
 from .metrics import evaluate_rankings
 from .model import ModelConfig, Scorer, constant_rep, init_model_params, instant_rep
 from .summarize import (
@@ -41,36 +42,16 @@ from .summarize import (
 )
 from .train import TrainConfig, TrainingError, train
 
+# The model and training sections take their defaults from ModelConfig and
+# TrainConfig: ModelConfig's integers are "dims", its booleans are "flags".
+_MODEL_DEFAULTS = ModelConfig().to_dict()
+
 DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "out_dir": "out",
-    "dims": {
-        "embed_dim": 256,
-        "text_proj_dim": 128,
-        "attr_embed_dim": 16,
-        "attr_hidden_dim": 64,
-        "attr_out_dim": 64,
-    },
-    "flags": {
-        "instant_flow": True,
-        "constant_flow": True,
-        "flow_gate": True,
-        "use_instruct_u": True,
-        "use_summaries": True,
-        "batch_norm": True,
-    },
-    "attrs": ["category"],
-    "train": {
-        "learning_rate": 1e-5,
-        "batch_size": 512,
-        "dropout": 0.1,
-        "max_steps": 600_000,
-        "eval_every": 1000,
-        "patience": 5,
-        "neg_sample_ratio": 0,
-        "holdout_fraction": 0.05,
-        "log_every": 50,
-    },
+    "seed": TrainConfig.seed,
+    "dims": {k: v for k, v in _MODEL_DEFAULTS.items() if type(v) is int},
+    "flags": {k: v for k, v in _MODEL_DEFAULTS.items() if type(v) is bool},
+    "attrs": _MODEL_DEFAULTS["attr_names"],
+    "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
     "summarizer": {
         "client": "stub",
         "article_template": "article_summary_mind",
@@ -115,12 +96,16 @@ def _merge_checked(base: dict, override: dict, path: str = "", defaults: dict = 
     return out
 
 
-def _read_json_object(path: str, what: str) -> dict:
+def _read_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"{what} {path!r} is not JSON ({exc})") from None
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    raw = _read_json(path, what)
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} {path!r} is not a JSON object")
     return raw
@@ -146,16 +131,21 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
             leaf = leaf[key]
         leaf[keys[-1]] = value
         config = _merge_checked(config, node)
+    model_config_from_run(config).validate()
+    train_config_from_run(config).validate()
+    for key in ("article_template", "profile_template"):
+        if config["summarizer"][key] not in TEMPLATES:
+            raise ConfigError(f"unknown summarizer.{key} {config['summarizer'][key]!r}; "
+                              f"known: {', '.join(sorted(TEMPLATES))}")
     return config
 
 
 def model_config_from_run(config: dict) -> ModelConfig:
-    return ModelConfig(
-        attr_names=list(config["attrs"]),
-        dropout=config["train"]["dropout"],
-        **config["dims"],
-        **config["flags"],
-    )
+    return ModelConfig(attr_names=list(config["attrs"]), **config["dims"], **config["flags"])
+
+
+def train_config_from_run(config: dict) -> TrainConfig:
+    return TrainConfig(seed=config["seed"], **config["train"])
 
 
 def make_embedder(config: dict):
@@ -226,10 +216,9 @@ def _write_manifest(out_dir: str, entry: dict) -> None:
     if "outputs" in entry:
         entry["outputs"] = {k: os.path.relpath(v, out_dir) for k, v in entry["outputs"].items()}
     path = os.path.join(out_dir, "manifest.json")
-    entries = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
+    entries = _read_json(path, "manifest") if os.path.exists(path) else []
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError(f"manifest {path!r} is not a JSON list of objects")
     entries = [e for e in entries if e.get("command") != entry["command"]]
     entries.append(entry)
     with ckpt.replacing(path, "w", encoding="utf-8") as fh:
@@ -359,9 +348,7 @@ def cmd_train(args) -> int:
     embedder = make_embedder(config)
     provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
                 if model_config.constant_flow else None)
-    train_config = TrainConfig(seed=config["seed"], **config["train"])
-
-    result = train(params, corpus, impressions, train_config, embedder, provider)
+    result = train(params, corpus, impressions, train_config_from_run(config), embedder, provider)
     ckpt_path = os.path.join(out, "checkpoint.bin")
     tag = ckpt.save_checkpoint(ckpt_path, result.params)
     log_path = os.path.join(out, "train_log.csv")
@@ -465,7 +452,7 @@ def cmd_diagnose(args) -> int:
     _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
     mine = [imp for imp in impressions if imp.user_id == args.user]
     if not mine:
-        raise KeyError(f"unknown user {args.user!r}")
+        raise UnknownIdError(f"unknown user {args.user!r}")
     imp = max(mine, key=lambda i: i.timestamp)
     if not imp.history:
         raise data_mod.DataFormatError(f"user {args.user!r} has an empty history")
@@ -594,10 +581,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, TemplateError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (data_mod.DataFormatError, KeyError) as exc:
+    except (data_mod.DataFormatError, UnknownIdError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, CompletionError, OSError, ValueError) as exc:
+    except (TrainingError, CompletionError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

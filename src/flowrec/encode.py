@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .data import Article
-from .errors import ConfigError, byte_reader
+from .errors import ConfigError, UnknownIdError, byte_reader
 from .text import terms
 
 BN_EPS = 1e-5
@@ -63,7 +63,7 @@ class PrecomputedTextEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         if text not in self.table:
-            raise KeyError(f"no precomputed embedding for text {text[:50]!r}")
+            raise UnknownIdError(f"no precomputed embedding for text {text[:50]!r}")
         return self.table[text]
 
 

@@ -8,6 +8,10 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration (bad keys, dims, credentials)."""
 
 
+class UnknownIdError(KeyError):
+    """An id the data does not hold: a user, an article or an embedded text."""
+
+
 def byte_reader(fh, path):
     """``take(n, what)``: the next ``n`` bytes of the binary file ``fh``.
 

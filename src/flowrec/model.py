@@ -42,7 +42,7 @@ import numpy as np
 from .data import Article, Impression
 from .encode import FeatureSource, encode_features, init_encoder_tensors, xavier
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
-from .errors import ConfigError
+from .errors import ConfigError, UnknownIdError
 
 
 def sigmoid(z):
@@ -70,7 +70,6 @@ class ModelConfig:
     attr_hidden_dim: int = 64
     attr_out_dim: int = 64
     batch_norm: bool = True
-    dropout: float = 0.1
     instant_flow: bool = True
     constant_flow: bool = True
     flow_gate: bool = True
@@ -91,14 +90,15 @@ class ModelConfig:
         for name in ("embed_dim", "text_proj_dim", "attr_embed_dim", "attr_hidden_dim", "attr_out_dim"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
+        if len(set(self.attr_names)) != len(self.attr_names):
+            raise ConfigError(f"attr_names repeats a name: {self.attr_names}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
+        raw = {k: v for k, v in raw.items() if k != "dropout"}  # unread; older checkpoints carry it
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -424,7 +424,7 @@ class Scorer:
         vec = self._reps.get(article_id)
         if vec is None:
             if article_id not in self.corpus:
-                raise KeyError(f"unknown article id {article_id!r}")
+                raise UnknownIdError(f"unknown article id {article_id!r}")
             vec = encode_features(self.params, *self.features.article_features(article_id))
             self._reps[article_id] = vec
         return vec

@@ -28,7 +28,7 @@ from .checkpoint import ensure_version_tag, read_tensor_file, write_tensor_file
 from .data import Article
 from .encode import FeatureSource, encode_features
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
-from .errors import ConfigError
+from .errors import ConfigError, UnknownIdError
 from .model import ModelParams, score_candidates
 
 
@@ -41,7 +41,6 @@ MAX_BODY_BYTES = 1 << 20
 class UserRecord:
     user_id: str
     history: list[str]
-    attrs: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -238,7 +237,7 @@ def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResp
         raise ValueError("rank request has no candidates")
     missing = [a for a in request.candidate_ids if a not in store.row_of]
     if missing:
-        raise KeyError(f"unknown candidate id(s): {', '.join(missing)}")
+        raise UnknownIdError(f"unknown candidate id(s): {', '.join(missing)}")
 
     entry = store.users.get(request.user_id)
     if entry is None:

@@ -70,12 +70,14 @@ class TrainConfig:
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name, least in (("batch_size", 1), ("max_steps", 0), ("eval_every", 1), ("patience", 1),
+                            ("log_every", 1), ("neg_sample_ratio", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.max_steps < 0 or self.eval_every < 1 or self.patience < 1:
-            raise ConfigError("max_steps must be >= 0; eval_every and patience >= 1")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ConfigError("holdout_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

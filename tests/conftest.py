@@ -27,7 +27,6 @@ TOY_CONFIG = dict(
     attr_hidden_dim=3,
     attr_out_dim=2,
     batch_norm=False,
-    dropout=0.0,
 )
 
 

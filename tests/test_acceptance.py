@@ -74,7 +74,7 @@ class TestCriterion1Gradients:
             dict(batch_norm=False, dropout=0.0, instant_flow=False),
         ]
         for variant in variants:
-            dropout = variant.get("dropout", 0.0)
+            dropout = variant.pop("dropout", 0.0)
             # D = 2 + 2*3 = 8, history length <= 3
             cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=5,
                               text_proj_dim=3, attr_embed_dim=2, attr_hidden_dim=3,
@@ -169,7 +169,7 @@ class TestCriterion3AttentionInvariants:
         rng = np.random.default_rng(31)
         d = 6
         cfg = ModelConfig(attr_names=[], embed_dim=4, text_proj_dim=1, attr_embed_dim=1,
-                          attr_hidden_dim=1, attr_out_dim=4, batch_norm=False, dropout=0.0)
+                          attr_hidden_dim=1, attr_out_dim=4, batch_norm=False)
         params = ModelParams(config=cfg, vocabs={}, tensors={"attn_w": np.eye(d)})
         for trial in range(200):
             params.tensors["attn_w"] = rng.normal(size=(d, d))
@@ -205,7 +205,7 @@ def planted_world():
     ds = generate_synthetic(spec)
     cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=96, text_proj_dim=32,
                       attr_embed_dim=8, attr_hidden_dim=32, attr_out_dim=16,
-                      batch_norm=True, dropout=0.1)
+                      batch_norm=True)
     vocabs = build_vocabs(ds.articles, cfg.attr_names)
     embedder = HashedTextEmbedder(cfg.embed_dim)
     provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"],
@@ -251,7 +251,7 @@ class TestCriterion5AblationDirection:
         ds = generate_synthetic(spec)
         cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=96,
                           text_proj_dim=32, attr_embed_dim=8, attr_hidden_dim=32,
-                          attr_out_dim=16, batch_norm=True, dropout=0.1, **flags)
+                          attr_out_dim=16, batch_norm=True, **flags)
         vocabs = build_vocabs(ds.articles, cfg.attr_names)
         params = init_model_params(cfg, vocabs, seed=seed)
         embedder = HashedTextEmbedder(cfg.embed_dim)

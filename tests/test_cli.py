@@ -1,10 +1,22 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from flowrec.cli import _write_manifest, load_run_config, load_user_attrs, main
+from flowrec import data as data_mod
+from flowrec.cli import (
+    _write_manifest,
+    load_run_config,
+    load_user_attrs,
+    main,
+    model_config_from_run,
+    train_config_from_run,
+)
+from flowrec.encode import write_embedding_file
 from flowrec.errors import ConfigError
+from flowrec.model import ModelConfig
+from flowrec.train import TrainConfig
 
 NEWS = (
     "N1\tsports\tsoccer\tTitle A\tAbstract A\thttp://x\t[]\t[]\n"
@@ -93,6 +105,28 @@ class TestRunConfig:
         assert run("train", "--set", item, "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o") == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item,key", [
+        ("train.log_every=0", "log_every"),
+        ("train.neg_sample_ratio=-3", "neg_sample_ratio"),
+        ("train.holdout_fraction=2", "holdout_fraction"),
+        ('summarizer.article_template="nope"', "summarizer.article_template"),
+        ('summarizer.profile_template="nope"', "summarizer.profile_template"),
+        ('attrs=["category", "category"]', "attr_names"),
+        ("dims.embed_dim=0", "embed_dim"),
+    ])
+    def test_out_of_range_set_exits_one_before_data_is_read(self, tmp_path, capsys, item, key):
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(None, [item])
+        # The dataset does not exist: the run config is rejected before it is looked for.
+        assert run("train", "--set", item, "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert key in err and "d.jsonl" not in err
+
+    def test_defaults_are_those_of_model_and_train_config(self):
+        config = load_run_config(None)
+        assert model_config_from_run(config) == ModelConfig()
+        assert train_config_from_run(config) == TrainConfig()
+
     def test_numbers_take_integers_and_null_defaults_take_strings(self):
         config = load_run_config(None, ["train.learning_rate=1", "summarizer.cache_path=c.jsonl",
                                         "embedder.path=null"])
@@ -160,6 +194,36 @@ class TestIngest:
             _write_manifest(str(out), {"command": "zz", "stats": object()})
         assert (out / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl", "manifest.json"]
+
+
+    @pytest.mark.parametrize("text", ["[{bad", '{"a": 1}', "[1]"])
+    def test_bad_manifest_exits_one_and_is_left_as_it_was(self, mind_dir, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        code = run("ingest", "--format", "mind", "--news", mind_dir / "news.tsv",
+                   "--behaviors", mind_dir / "behaviors.tsv", "--out", out)
+        assert code == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert (out / "manifest.json").read_text() == text
+
+
+class TestExitCodes:
+    def test_a_bare_key_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        def broken(spec):
+            raise KeyError("not an id")
+        monkeypatch.setattr(data_mod, "generate_synthetic", broken)
+        assert run("synth", "--out", tmp_path / "o") == 3
+        assert "error: 'not an id'" in capsys.readouterr().err
+
+    def test_text_missing_from_the_embedding_file_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--out", out) == 0
+        emb = tmp_path / "emb.bin"
+        write_embedding_file(emb, {"some other text": np.ones(32)}, 32)
+        assert run("train", "--data", out / "dataset.jsonl", "--out", out, "--set", 'embedder.kind="precomputed"',
+                   "--set", f"embedder.path={json.dumps(str(emb))}", *sets()) == 2
+        assert "no precomputed embedding" in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -185,7 +185,7 @@ class TestAttributeEncoder:
         assert np.allclose(out[0], expected, rtol=1e-12)
 
     def test_dropout_train_varies_eval_does_not(self, toy_corpus):
-        cfg = ModelConfig(**{**TOY_CONFIG, "dropout": 0.5})
+        cfg = ModelConfig(**TOY_CONFIG)
         vocabs = build_vocabs(list(toy_corpus.values()), cfg.attr_names)
         params = init_model_params(cfg, vocabs, seed=1)
         idx = attr_index_row(vocabs, ["category"], {"category": "x"})[None, :]

@@ -7,7 +7,7 @@ from conftest import TOY_CONFIG, container_cuts, make_article, make_impression
 from flowrec import checkpoint
 from flowrec.checkpoint import load_checkpoint, save_checkpoint
 from flowrec.encode import HashedTextEmbedder, build_vocabs
-from flowrec.errors import ConfigError
+from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import (
     ModelConfig,
     ModelParams,
@@ -28,7 +28,7 @@ from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 def two_dim_params(head=None):
     """Hand-set parameters over 2-dim article reps (no encoder involved)."""
     cfg = ModelConfig(attr_names=[], embed_dim=2, text_proj_dim=1, attr_embed_dim=1,
-                      attr_hidden_dim=1, attr_out_dim=0, batch_norm=False, dropout=0.0)
+                      attr_hidden_dim=1, attr_out_dim=0, batch_norm=False)
     tensors = {
         "attn_w": np.eye(2),
         "profile_w": np.eye(2),
@@ -328,6 +328,15 @@ class TestAblationShapes:
         with pytest.raises(ConfigError):
             ModelConfig(**TOY_CONFIG, instant_flow=False, constant_flow=False).validate()
 
+    def test_repeated_attr_names_rejected(self):
+        # Both columns would share one embedding table, whose gradient the
+        # backward would then overwrite instead of sum.
+        cfg = ModelConfig(**{**TOY_CONFIG, "attr_names": ["category", "category"]})
+        with pytest.raises(ConfigError, match="attr_names repeats"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="attr_names repeats"):
+            init_model_params(cfg, {"category": {"x": 1}}, seed=0)
+
     def test_stale_head_rejected_on_validate(self):
         params = self.base()
         params.config = params.config.ablated(instant_flow=False)
@@ -356,6 +365,10 @@ class TestScorer:
         (scored,) = self._scorer(toy_corpus).score(imp)
         assert 0.0 < scored.probability < 1.0
         assert scored.attention.size == 0
+
+    def test_unknown_article_is_unknown_id_error(self, toy_corpus):
+        with pytest.raises(UnknownIdError, match="ghost"):
+            self._scorer(toy_corpus).rep("ghost")
 
     def test_no_candidates_rejected(self, toy_corpus):
         imp = make_impression("i1", candidates=[])

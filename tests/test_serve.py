@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import container_cuts, make_impression
+from flowrec.checkpoint import (
+    checkpoint_header,
+    content_digest,
+    load_checkpoint,
+    save_checkpoint,
+    write_tensor_file,
+)
 from flowrec.data import SyntheticSpec, generate_synthetic
 from flowrec.encode import HashedTextEmbedder, build_vocabs, encode_article
-from flowrec.errors import ConfigError
+from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import ModelConfig, Scorer, init_model_params
 from flowrec.serve import (
     MAX_BODY_BYTES,
@@ -27,6 +34,7 @@ from flowrec.serve import (
     users_from_impressions,
 )
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
+from flowrec.train import evaluate_params
 
 # Measured on the reference machine: p95 ~73 ms for 1,000 candidates at the
 # default dims; pinned with 2x slack.
@@ -163,6 +171,11 @@ class TestRank:
         with pytest.raises(KeyError, match="ghost-article"):
             rank(RankRequest("u0", ["ghost-article"]), store, params)
 
+    def test_unknown_candidate_is_unknown_id_error(self):
+        ds, params, _, _, store = self._ready()
+        with pytest.raises(UnknownIdError):
+            rank(RankRequest("u0", [ds.articles[0].article_id, "ghost-article"]), store, params)
+
     def test_unknown_user_cold_start(self):
         ds, params, _, _, store = self._ready()
         ids = [ds.articles[0].article_id]
@@ -179,6 +192,39 @@ class TestRank:
         ds, params, _, _, store = self._ready()
         with pytest.raises(ValueError):
             rank(RankRequest("u0", []), store, params)
+
+
+class TestOlderCheckpoint:
+    def test_model_dropout_key_loads_and_serves_under_the_stored_tag(self, tmp_path):
+        """Checkpoints once carried an unread ``dropout`` in their model config.
+        Such a file still loads, and evaluates and ranks under the tag stored in
+        it, with the scores of the same tensors saved without the key."""
+        ds, params, embedder, provider = small_world()
+        new_path, old_path = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(new_path, params)
+        header = checkpoint_header(params)
+        header["config"]["dropout"] = 0.1
+        stored = {name: t.astype(np.float32) for name, t in params.tensors.items()}
+        header["version_tag"] = old_tag = content_digest(header, stored)
+        write_tensor_file(old_path, header, stored)
+
+        old, new = load_checkpoint(old_path), load_checkpoint(new_path)
+        assert old.version_tag == old_tag != new.version_tag
+        assert old.config == new.config
+        old_report = evaluate_params(old, embedder, ds.corpus, ds.impressions, provider)
+        assert old_report.to_json() == evaluate_params(new, embedder, ds.corpus, ds.impressions,
+                                                       provider).to_json()
+
+        users = users_from_impressions(ds.impressions)
+        save_store(tmp_path / "old.store", precompute(old, embedder, ds.corpus, users, provider))
+        old_store = load_store(tmp_path / "old.store")
+        assert old_store.version_tag == old_tag
+        new_store = precompute(new, embedder, ds.corpus, users, provider)
+        ids = [a.article_id for a in ds.articles[:7]]
+        for uid in sorted(old_store.users)[:3]:
+            old_resp = rank(RankRequest(uid, ids), old_store, old)
+            assert old_resp.model_version == old_tag
+            assert old_resp.results == rank(RankRequest(uid, ids), new_store, new).results
 
 
 class TestHttp:

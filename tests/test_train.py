@@ -39,7 +39,7 @@ def toy_setup(seed=3, flags=None, batch_norm=False, dropout=0.0):
     corpus = ds.corpus
     cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=5, text_proj_dim=3,
                       attr_embed_dim=2, attr_hidden_dim=3, attr_out_dim=2,
-                      batch_norm=batch_norm, dropout=dropout, **(flags or {}))
+                      batch_norm=batch_norm, **(flags or {}))
     vocabs = build_vocabs(ds.articles, cfg.attr_names)
     params = init_model_params(cfg, vocabs, seed=11)
     provider = ProfileProvider(corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
@@ -231,7 +231,7 @@ def test_slot_layout_in_two_groups_matches_central_difference():
     ds = generate_synthetic(SyntheticSpec(n_users=4, n_articles=60, n_impressions=6, topic_count=3,
                                           seed=3, history_length=3, candidates_per_impression=3))
     cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=5, text_proj_dim=3,
-                      attr_embed_dim=2, attr_hidden_dim=3, attr_out_dim=2, batch_norm=False, dropout=0.0)
+                      attr_embed_dim=2, attr_hidden_dim=3, attr_out_dim=2, batch_norm=False)
     params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=11)
     provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
     feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
@@ -474,7 +474,7 @@ def quick_dataset(seed=7):
 def quick_model(ds, seed=0):
     cfg = ModelConfig(attr_names=["category"], embed_dim=32, text_proj_dim=8,
                       attr_embed_dim=4, attr_hidden_dim=8, attr_out_dim=4,
-                      batch_norm=True, dropout=0.1)
+                      batch_norm=True)
     vocabs = build_vocabs(ds.articles, cfg.attr_names)
     params = init_model_params(cfg, vocabs, seed=seed)
     embedder = HashedTextEmbedder(cfg.embed_dim)
