@@ -164,9 +164,17 @@ def load_checkpoint(path) -> ModelParams:
     if header.get("kind") != "checkpoint":
         raise ConfigError(f"{path} is not a model checkpoint")
     if header.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported checkpoint format version {header.get('format_version')}")
-    config = ModelConfig.from_dict(header["config"])
-    vocabs = {a: {tok: int(i) for tok, i in v.items()} for a, v in header["vocabs"].items()}
+        raise ConfigError(f"{path}: unsupported checkpoint format version {header.get('format_version')}")
+    config, vocabs = header.get("config"), header.get("vocabs")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: the header's model config is missing or not an object")
+    if not (isinstance(vocabs, dict) and all(
+            isinstance(v, dict) and all(type(i) is int for i in v.values()) for v in vocabs.values())):
+        raise ConfigError(f"{path}: the header's vocabs are missing or not {{attr: {{token: index}}}}")
+    try:
+        config = ModelConfig.from_dict(config)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     params = ModelParams(config=config, vocabs=vocabs, tensors=tensors,
                          version_tag=header.get("version_tag", ""))
     params.validate_shapes()

@@ -27,8 +27,7 @@ from . import data as data_mod
 from . import serve as serve_mod
 from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, build_vocabs
 from .errors import ConfigError, UnknownIdError
-from .metrics import evaluate_rankings
-from .model import ModelConfig, Scorer, constant_rep, init_model_params, instant_rep
+from .model import ModelConfig, Scorer, constant_rep, init_model_params
 from .summarize import (
     TEMPLATES,
     CompletionError,
@@ -40,7 +39,7 @@ from .summarize import (
     TemplateError,
     summarize_corpus,
 )
-from .train import TrainConfig, TrainingError, train
+from .train import TrainConfig, TrainingError, evaluate_params, train
 
 # The model and training sections take their defaults from ModelConfig and
 # TrainConfig: ModelConfig's integers are "dims", its booleans are "flags".
@@ -205,8 +204,18 @@ def load_user_attrs(path: str | None) -> dict:
     return raw
 
 
+def _read_manifest(out_dir: str) -> list[dict]:
+    path = os.path.join(out_dir, "manifest.json")
+    entries = _read_json(path, "manifest") if os.path.exists(path) else []
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError(f"manifest {path!r} is not a JSON list of objects")
+    return entries
+
+
 def _out_dir(args) -> str:
+    """``--out``, made if missing, with its manifest checked before anything is written."""
     os.makedirs(args.out, exist_ok=True)
+    _read_manifest(args.out)
     return args.out
 
 
@@ -216,14 +225,19 @@ def _write_manifest(out_dir: str, entry: dict) -> None:
     if "outputs" in entry:
         entry["outputs"] = {k: os.path.relpath(v, out_dir) for k, v in entry["outputs"].items()}
     path = os.path.join(out_dir, "manifest.json")
-    entries = _read_json(path, "manifest") if os.path.exists(path) else []
-    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise ConfigError(f"manifest {path!r} is not a JSON list of objects")
-    entries = [e for e in entries if e.get("command") != entry["command"]]
+    entries = [e for e in _read_manifest(out_dir) if e.get("command") != entry["command"]]
     entries.append(entry)
     with ckpt.replacing(path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _frozen_inputs(args, config: dict, corpus, constant_flow: bool):
+    """The text embedder and, with constant flow on, the profile provider."""
+    embedder = make_embedder(config)
+    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
+                if constant_flow else None)
+    return embedder, provider
 
 
 def _load_dataset(path: str):
@@ -345,9 +359,7 @@ def cmd_train(args) -> int:
               "raw bodies will be encoded (run the summarize command first)", file=sys.stderr)
     vocabs = build_vocabs(list(corpus.values()), model_config.attr_names)
     params = init_model_params(model_config, vocabs, seed=config["seed"])
-    embedder = make_embedder(config)
-    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
-                if model_config.constant_flow else None)
+    embedder, provider = _frozen_inputs(args, config, corpus, model_config.constant_flow)
     result = train(params, corpus, impressions, train_config_from_run(config), embedder, provider)
     ckpt_path = os.path.join(out, "checkpoint.bin")
     tag = ckpt.save_checkpoint(ckpt_path, result.params)
@@ -369,9 +381,8 @@ def cmd_eval(args) -> int:
     config, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
     if args.holdout:
         _, impressions = data_mod.split_by_time(impressions, config["train"]["holdout_fraction"])
-    scorer = Scorer(params, embedder, corpus, provider)
-    rankings = [([s.probability for s in scorer.score(imp)], imp.labels) for imp in impressions]
-    report = evaluate_rankings(rankings, include_global_auc=args.global_auc)
+    report = evaluate_params(params, embedder, corpus, impressions, provider,
+                             include_global_auc=args.global_auc)
     report.ablation_flags = {
         name: getattr(params.config, name)
         for name in ("instant_flow", "constant_flow", "flow_gate", "use_instruct_u", "use_summaries")
@@ -393,33 +404,17 @@ def _checkpoint_inputs(args):
     out = _out_dir(args)
     corpus, impressions = _load_dataset(args.data)
     params = ckpt.load_checkpoint(args.checkpoint)
-    embedder = make_embedder(config)
-    provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
-                if params.config.constant_flow else None)
+    embedder, provider = _frozen_inputs(args, config, corpus, params.config.constant_flow)
     return config, out, corpus, impressions, params, embedder, provider
 
 
-def _store_from_args(args, articles_only=False):
-    """Precompute the rep store for a checkpoint; returns the out dir and the store."""
-    _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
-    users = [] if articles_only else serve_mod.users_from_impressions(impressions)
-    return out, serve_mod.precompute(params, embedder, corpus, users, provider,
-                                     allow_partial=args.allow_partial)
-
-
-def cmd_encode(args) -> int:
-    out, store = _store_from_args(args, articles_only=True)
-    store_path = os.path.join(out, "article_reps.bin")
-    serve_mod.save_store(store_path, store)
-    print(json.dumps({"articles": len(store.article_ids), "errors": len(store.errors)}, sort_keys=True))
-    _write_manifest(out, {"command": "encode", "outputs": {"store": store_path},
-                          "stats": {"articles": len(store.article_ids)}})
-    return 0
-
-
 def cmd_precompute(args) -> int:
-    out, store = _store_from_args(args)
-    store_path = os.path.join(out, "store.bin")
+    """``precompute`` and ``encode``: the rep store of the users ``args.users_of``
+    picks from the impressions, written to ``args.store_file``."""
+    _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
+    store = serve_mod.precompute(params, embedder, corpus, args.users_of(impressions), provider,
+                                 allow_partial=args.allow_partial)
+    store_path = os.path.join(out, args.store_file)
     serve_mod.save_store(store_path, store)
     stats = {
         "articles": len(store.article_ids),
@@ -429,7 +424,7 @@ def cmd_precompute(args) -> int:
         "version_tag": store.version_tag,
     }
     print(json.dumps(stats, sort_keys=True))
-    _write_manifest(out, {"command": "precompute", "outputs": {"store": store_path}, "stats": stats})
+    _write_manifest(out, {"command": args.command, "outputs": {"store": store_path}, "stats": stats})
     return 0
 
 
@@ -454,12 +449,11 @@ def cmd_diagnose(args) -> int:
     if not mine:
         raise UnknownIdError(f"unknown user {args.user!r}")
     imp = max(mine, key=lambda i: i.timestamp)
-    if not imp.history:
-        raise data_mod.DataFormatError(f"user {args.user!r} has an empty history")
+    hist_ids = [a for a in imp.history if a in corpus]
+    if not hist_ids:
+        raise data_mod.DataFormatError(f"user {args.user!r} has no history in the dataset")
     scorer = Scorer(params, embedder, corpus, provider)
     scored = scorer.score(imp)
-
-    hist_ids = [a for a in imp.history if a in corpus]
     hist = np.stack([scorer.rep(a) for a in hist_ids])
     profile = scorer.features.profile_embedding(imp.user_id, hist_ids)
 
@@ -472,7 +466,7 @@ def cmd_diagnose(args) -> int:
         fh.write("candidate_index,candidate_id,step,history_article_id,alpha,cos_instant,cos_constant\n")
         for rank_idx, sc in enumerate(scored):
             cand_vec = scorer.rep(sc.article_id)
-            h_ins = instant_rep(params, cand_vec, hist)
+            h_ins = sc.attention @ hist if len(sc.attention) else np.zeros(params.config.article_dim)
             h_cons = (constant_rep(params, profile, cand_vec)
                       if params.config.constant_flow else np.zeros_like(h_ins))
             for step, hist_id in enumerate(hist_ids):
@@ -548,15 +542,14 @@ def build_parser() -> _Parser:
     p.add_argument("--global-auc", action="store_true", help="also report pooled AUC")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("encode", help="precompute article representations only")
-    common(p, checkpoint=True, user_attrs=True)
-    p.add_argument("--allow-partial", action="store_true")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("precompute", help="build the serving rep store (articles + users)")
-    common(p, checkpoint=True, user_attrs=True)
-    p.add_argument("--allow-partial", action="store_true")
-    p.set_defaults(func=cmd_precompute)
+    for name, users_of, store_file, help_text in (
+            ("encode", lambda impressions: [], "article_reps.bin", "precompute article representations only"),
+            ("precompute", serve_mod.users_from_impressions, "store.bin",
+             "build the serving rep store (articles + users)")):
+        p = sub.add_parser(name, help=help_text)
+        common(p, checkpoint=True, user_attrs=True)
+        p.add_argument("--allow-partial", action="store_true")
+        p.set_defaults(func=cmd_precompute, users_of=users_of, store_file=store_file)
 
     p = sub.add_parser("serve", help="run the rerank HTTP service")
     p.add_argument("--checkpoint", required=True)

@@ -29,10 +29,6 @@ class Article:
     summary: str | None = None
     attributes: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def category(self) -> str | None:
-        return self.attributes.get("category")
-
     def body_text(self, use_summary: bool) -> str:
         """The body slice the encoder should see."""
         if use_summary and self.summary is not None:

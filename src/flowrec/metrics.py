@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def _ranked_labels(scores: list[float], labels: list[int]) -> list[int]:
@@ -83,17 +83,7 @@ class EvalReport:
     ablation_flags: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "mrr": self.mrr,
-            "ndcg5": self.ndcg5,
-            "ndcg10": self.ndcg10,
-            "n_impressions": self.n_impressions,
-            "n_excluded": self.n_excluded,
-            "n_tie_impressions": self.n_tie_impressions,
-            "global_auc": self.global_auc,
-            "ablation_flags": self.ablation_flags,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -20,10 +20,8 @@ a state's logits match :func:`score_candidates` on that state alone up to
 rounding. :func:`flow_backward` returns the gradient of the history reps
 themselves, not of their keys. Parity contract, which gives serving
 bit-identical probabilities to evaluation:
-  * both build every article rep with the same single-row arithmetic,
-    :func:`flowrec.encode.encode_features`, from the same frozen inputs taken
-    from :class:`flowrec.encode.FeatureSource`; a rep taken from a batched
-    matrix product can differ in the last bits;
+  * serving's article reps are :meth:`Scorer.rep`'s: ``flowrec.serve.precompute``
+    takes every one of them from a :class:`Scorer`;
   * both pass :func:`score_candidates` the same history rows and the same
     candidate rows in the same order, so every product sees the same
     matrices; bit parity holds for those, not for reordered, regrouped or

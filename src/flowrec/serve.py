@@ -1,11 +1,11 @@
 """Offline precompute plus an online rerank service.
 
-``precompute`` walks the corpus and user list once with a checkpoint and a
-:class:`~flowrec.encode.FeatureSource` table, and snapshots one rep row per
-article and one profile row per user into a :class:`RepStore`. Reps are
-encoded one at a time, and ``rank`` hands the same history and candidate
-rows to the same batched :func:`~flowrec.model.score_candidates` as offline
-evaluation, so serving probabilities are bit-identical to evaluation ones.
+``precompute`` snapshots one rep row per article and one profile row per
+user into a :class:`RepStore`, taking both from a checkpoint's
+:class:`~flowrec.model.Scorer`, so serving reps are evaluation reps by
+construction. ``rank`` hands the same history and candidate rows to the same
+batched :func:`~flowrec.model.score_candidates` as offline evaluation, so
+serving probabilities are bit-identical to evaluation ones.
 
 The HTTP layer is a small JSON-over-HTTP server: ``POST /rank`` and
 ``GET /health``. Store and parameters are immutable after load; request
@@ -24,12 +24,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .checkpoint import ensure_version_tag, read_tensor_file, write_tensor_file
+from .checkpoint import FORMAT_VERSION, ensure_version_tag, read_tensor_file, write_tensor_file
 from .data import Article
-from .encode import FeatureSource, encode_features
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError, UnknownIdError
-from .model import ModelParams, score_candidates
+from .model import ModelParams, Scorer, score_candidates
 
 
 # The largest POST body read. A 1000-candidate /rank body is about 12 KB, so
@@ -81,15 +80,14 @@ def users_from_impressions(impressions) -> list[UserRecord]:
 def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
                users: list[UserRecord], profile_provider=None,
                allow_partial: bool = False) -> RepStore:
-    """Offline inference pass: encode every article and user in scope.
+    """Offline inference pass: each rep from :meth:`Scorer.rep`, each profile from its table.
 
     Articles missing a required summary become per-item errors; with
     ``allow_partial`` the store is still produced (flagged) without them,
     otherwise the error list is raised as one failure.
     """
-    params.validate_shapes()
-    cfg = params.config
-    feats = FeatureSource(params, corpus, embedder, profile_provider)
+    scorer = Scorer(params, embedder, corpus, profile_provider)
+    cfg, feats = params.config, scorer.features
     missing = {a for a, art in corpus.items() if cfg.use_summaries and art.body and art.summary is None}
     errors = [f"article {a}: summary required but missing" for a in corpus if a in missing]
     article_ids = [a for a in corpus if a not in missing]
@@ -98,7 +96,7 @@ def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
             f"precompute failed for {len(errors)} items "
             f"(first: {errors[0]}); pass allow_partial to keep going"
         )
-    reps = np.array([encode_features(params, *feats.article_features(a)) for a in article_ids])
+    reps = np.array([scorer.rep(a) for a in article_ids])
 
     histories = {u.user_id: [a for a in u.history if a in corpus and a not in missing] for u in users}
     prof_rows = feats.profile_rows([(uid, tuple(h)) for uid, h in histories.items()])
@@ -122,7 +120,7 @@ def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
 def save_store(path, store: RepStore) -> None:
     header = {
         "kind": "repstore",
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "version_tag": store.version_tag,
         "article_dim": store.article_dim,
         "embed_dim": store.embed_dim,
@@ -143,11 +141,26 @@ def save_store(path, store: RepStore) -> None:
 
 
 def load_store(path) -> RepStore:
+    """A saved :class:`RepStore`; a header or tensor not as :func:`save_store` writes it is a ConfigError."""
     header, tensors = read_tensor_file(path)
     if header.get("kind") != "repstore":
         raise ConfigError(f"{path} is not a rep store")
-    article_dim, embed_dim = int(header["article_dim"]), int(header["embed_dim"])
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ConfigError(f"{path}: unsupported rep store format version {header.get('format_version')}")
+    for key, kind in (("version_tag", str), ("article_dim", int), ("embed_dim", int),
+                      ("article_ids", list), ("users", dict)):
+        if type(header.get(key)) is not kind:
+            raise ConfigError(f"{path}: header key {key!r} is missing or not {kind.__name__}")
+    article_dim, embed_dim = header["article_dim"], header["embed_dim"]
     ids, user_meta = header["article_ids"], header["users"]
+    users_ok = all(isinstance(m, dict) and isinstance(m.get("history"), list)
+                   and isinstance(m.get("profile_text"), str) for m in user_meta.values())
+    if not (users_ok and all(isinstance(a, str) for a in ids)):
+        raise ConfigError(f"{path}: header 'article_ids' or 'users' is not as a rep store writes it")
+    shapes = {"article_reps": (len(ids), article_dim), "profile_embs": (len(user_meta), embed_dim)}
+    for name, shape in shapes.items():
+        if shape[0] and (name not in tensors or tensors[name].shape != shape):
+            raise ConfigError(f"{path}: tensor {name!r} is missing or not of shape {list(shape)}")
     embs = tensors["profile_embs"] if user_meta else np.zeros((0, embed_dim))
     return RepStore(
         version_tag=header["version_tag"],

@@ -298,8 +298,10 @@ class RemoteCompletionClient:
                     body = json.loads(response.read().decode("utf-8"))
                 return str(body["text"])
             except (urllib.error.URLError, KeyError, json.JSONDecodeError, TimeoutError) as exc:
-                if isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500:
-                    # The request itself was refused: sent again, it gets the same answer.
+                # A 4xx refuses the request itself: sent again, it gets the same answer.
+                # 408 (timeout) and 429 (rate limit) say the same request may succeed later.
+                refused = isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500
+                if refused and exc.code not in (408, 429):
                     raise CompletionError(f"remote completion refused with HTTP {exc.code}: {exc.reason}") from exc
                 last_error = exc
                 if attempt + 1 < self.retries:

@@ -44,6 +44,7 @@ from .model import (
 )
 
 PROB_CLAMP = 1e-7
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -376,9 +377,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(params: ModelParams) -> AdamState:
@@ -393,9 +391,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
               lr: float) -> ModelParams:
     """One bias-corrected Adam update, in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, grad in grads.items():
         if name not in state.m:
             raise ConfigError(f"gradient for unknown or frozen tensor {name!r}")
@@ -403,9 +400,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
             raise ConfigError(f"gradient shape mismatch for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - b1) * (grad - m)
-        v += (1.0 - b2) * (grad * grad - v)
-        params.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m += (1.0 - ADAM_BETA1) * (grad - m)
+        v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+        params.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params
 
 
@@ -445,11 +442,12 @@ class TrainResult:
 
 
 def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
-                    impressions: list[Impression], profile_provider=None):
+                    impressions: list[Impression], profile_provider=None,
+                    include_global_auc: bool = False):
     """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`)."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
     return evaluate_rankings([([s.probability for s in scorer.score(imp)], imp.labels)
-                              for imp in impressions])
+                              for imp in impressions], include_global_auc=include_global_auc)
 
 
 def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Impression],

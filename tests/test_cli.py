@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 from flowrec import data as data_mod
+from flowrec import serve as serve_mod
+from flowrec.checkpoint import load_checkpoint, read_tensor_file, write_tensor_file
 from flowrec.cli import (
     _write_manifest,
     load_run_config,
     load_user_attrs,
     main,
+    make_profile_provider,
     model_config_from_run,
     train_config_from_run,
 )
-from flowrec.encode import write_embedding_file
+from flowrec.encode import HashedTextEmbedder, write_embedding_file
 from flowrec.errors import ConfigError
-from flowrec.model import ModelConfig
+from flowrec.metrics import auc
+from flowrec.model import ModelConfig, Scorer, instant_rep
+from flowrec.serve import load_store
 from flowrec.train import TrainConfig
 
 NEWS = (
@@ -209,6 +214,16 @@ class TestIngest:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("text", ["[{bad", '{"a": 1}', "[1]"])
+    def test_bad_manifest_stops_synth_before_it_writes(self, tmp_path, capsys, text):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        assert run("synth", "--out", out) == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == text
+
     def test_a_bare_key_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def broken(spec):
             raise KeyError("not an id")
@@ -352,3 +367,130 @@ class TestPipeline:
         code = run("eval", "--data", out / "dataset.jsonl",
                    "--checkpoint", out / "checkpoint.bin", "--out", out, *sets(extra))
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A small summarized synthetic run with a trained checkpoint and its rep store."""
+    out = tmp_path_factory.mktemp("trained")
+    assert run("synth", "--rule", "topic-affinity", "--users", 6, "--articles", 25,
+               "--impressions", 40, "--seed", 9, "--out", out) == 0
+    assert run("summarize", "--data", out / "dataset.jsonl", "--out", out, *sets()) == 0
+    assert run("train", "--data", out / "dataset.jsonl", "--out", out, *sets()) == 0
+    assert run("precompute", "--data", out / "dataset.jsonl", "--checkpoint", out / "checkpoint.bin",
+               "--out", out, *sets()) == 0
+    return out
+
+
+def _first_user(data):
+    return json.loads(next(l for l in data.read_text().splitlines() if '"impression"' in l))["user"]
+
+
+def _rewrite(src, dst, garble):
+    """Write the container ``src`` to ``dst`` with its header and tensors passed through ``garble``."""
+    header, tensors = read_tensor_file(src)
+    write_tensor_file(dst, *garble(header, tensors))
+
+
+def _without(key):
+    return lambda h, t: ({k: v for k, v in h.items() if k != key}, t)
+
+
+GARBLED_CHECKPOINTS = {
+    "kind-and-version-only": lambda h, t: ({"kind": "checkpoint", "format_version": 1}, t),
+    "config-not-an-object": lambda h, t: ({**h, "config": [1]}, t),
+    "vocab-index-not-an-integer": lambda h, t: ({**h, "vocabs": {"category": {"news": "1"}}}, t),
+}
+
+GARBLED_STORES = {
+    "no-format-version": _without("format_version"),
+    "no-article-dim": _without("article_dim"),
+    "ids-without-reps": lambda h, t: (h, {k: v for k, v in t.items() if k != "article_reps"}),
+}
+
+
+class TestCheckpointCommands:
+    @pytest.mark.parametrize("flag", ["instant_flow", "constant_flow"])
+    def test_diagnose_with_one_flow_off(self, trained_run, tmp_path, flag):
+        data, extra = trained_run / "dataset.jsonl", (f"flags.{flag}=false",)
+        assert run("train", "--data", data, "--out", tmp_path, *sets(extra)) == 0
+        assert run("diagnose", "--data", data, "--checkpoint", tmp_path / "checkpoint.bin", "--out", tmp_path,
+                   "--user", _first_user(data), *sets(extra)) == 0
+        with open(tmp_path / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        off = "cos_instant" if flag == "instant_flow" else "cos_constant"
+        assert all(float(row[off]) == 0.0 for row in rows)
+        assert all((row["alpha"] == "") == (flag == "instant_flow") for row in rows)
+
+    def test_diagnose_cos_instant_is_that_of_instant_rep(self, trained_run, tmp_path):
+        data, ckpt = trained_run / "dataset.jsonl", trained_run / "checkpoint.bin"
+        user = _first_user(data)
+        assert run("diagnose", "--data", data, "--checkpoint", ckpt, "--out", tmp_path,
+                   "--user", user, *sets()) == 0
+        with open(tmp_path / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        dataset = data_mod.read_jsonl(str(data))
+        corpus = data_mod.build_corpus(dataset.articles)
+        imp = max((i for i in dataset.impressions if i.user_id == user), key=lambda i: i.timestamp)
+        params = load_checkpoint(ckpt)
+        scorer = Scorer(params, HashedTextEmbedder(32), corpus)
+        hist = np.stack([scorer.rep(a) for a in imp.history if a in corpus])
+        assert len(rows) == len(imp.candidates) * len(hist)
+        for row in rows:
+            h = instant_rep(params, scorer.rep(row["candidate_id"]), hist)
+            x = hist[int(row["step"])]
+            reference = x @ h / (np.linalg.norm(x) * np.linalg.norm(h))
+            assert abs(float(row["cos_instant"]) - reference) <= 1e-12
+
+    def test_encode_holds_the_reps_of_precompute(self, trained_run, tmp_path, capsys):
+        args = ("--data", trained_run / "dataset.jsonl", "--checkpoint", trained_run / "checkpoint.bin",
+                "--out", tmp_path, *sets())
+        assert run("encode", *args) == 0
+        encode_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert run("precompute", *args) == 0
+        articles, full = load_store(tmp_path / "article_reps.bin"), load_store(tmp_path / "store.bin")
+        assert articles.article_ids == full.article_ids
+        assert np.array_equal(articles.reps, full.reps)
+        assert articles.users == {} and full.users
+        assert encode_stats["users"] == 0 and encode_stats["articles"] == len(full.article_ids)
+        manifest = {e["command"]: e for e in json.loads((tmp_path / "manifest.json").read_text())}
+        assert manifest["encode"]["stats"] == encode_stats
+        assert manifest["encode"]["outputs"] == {"store": "article_reps.bin"}
+
+    def test_eval_global_auc_is_the_pooled_auc(self, trained_run, tmp_path):
+        data, ckpt = trained_run / "dataset.jsonl", trained_run / "checkpoint.bin"
+        reports = []
+        for option in ((), ("--global-auc",)):
+            assert run("eval", "--data", data, "--checkpoint", ckpt, "--out", tmp_path, *option, *sets()) == 0
+            reports.append(json.loads((tmp_path / "eval_report.json").read_text()))
+        plain, pooled = reports
+        dataset = data_mod.read_jsonl(str(data))
+        corpus = data_mod.build_corpus(dataset.articles)
+        provider = make_profile_provider(load_run_config(None, SMALL_OVERRIDES), corpus)
+        scorer = Scorer(load_checkpoint(ckpt), HashedTextEmbedder(32), corpus, provider)
+        scores, labels = [], []
+        for imp in dataset.impressions:
+            scores += [s.probability for s in scorer.score(imp)]
+            labels += imp.labels
+        assert plain.pop("global_auc") is None
+        assert pooled.pop("global_auc") == auc(scores, labels)
+        assert pooled == plain
+
+    @pytest.mark.parametrize("garble", GARBLED_CHECKPOINTS.values(), ids=GARBLED_CHECKPOINTS)
+    def test_garbled_checkpoint_header_exits_one(self, trained_run, tmp_path, capsys, garble):
+        path = tmp_path / "checkpoint.bin"
+        _rewrite(trained_run / "checkpoint.bin", path, garble)
+        assert run("eval", "--data", trained_run / "dataset.jsonl", "--checkpoint", path,
+                   "--out", tmp_path, *sets()) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("garble", GARBLED_STORES.values(), ids=GARBLED_STORES)
+    def test_garbled_store_header_exits_one(self, trained_run, tmp_path, capsys, monkeypatch, garble):
+        def not_reached(*args):
+            raise AssertionError("the garbled store was loaded")
+        monkeypatch.setattr(serve_mod, "create_server", not_reached)
+        path = tmp_path / "store.bin"
+        _rewrite(trained_run / "store.bin", path, garble)
+        assert run("serve", "--checkpoint", trained_run / "checkpoint.bin", "--store", path, "--port", 0) == 1
+        assert str(path) in capsys.readouterr().err

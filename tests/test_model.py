@@ -442,6 +442,25 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=r"tensor .*'s data needs \d+ bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("garble,message", [
+        (lambda h: {"kind": "checkpoint", "format_version": 1}, "model config is missing"),
+        (lambda h: {**h, "config": [1]}, "model config is missing or not an object"),
+        (lambda h: {**h, "config": {**h["config"], "heads": 2}}, "unknown model config keys"),
+        (lambda h: {k: v for k, v in h.items() if k != "vocabs"}, "vocabs are missing"),
+        (lambda h: {**h, "vocabs": [1]}, "vocabs are missing or not"),
+        (lambda h: {**h, "vocabs": {"category": {"x": 1.5}}}, "vocabs are missing or not"),
+        (lambda h: {**h, "format_version": 2}, "unsupported checkpoint format version 2"),
+    ], ids=["kind-and-version-only", "config-a-list", "unknown-config-key", "no-vocabs",
+            "vocabs-a-list", "index-not-an-integer", "format-version-2"])
+    def test_garbled_header_is_config_error_naming_the_file(self, tmp_path, toy_corpus, garble, message):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        checkpoint.write_tensor_file(path, garble(checkpoint.checkpoint_header(params)), params.tensors)
+        with pytest.raises(ConfigError, match=message) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_failed_write_leaves_previous_file(self, tmp_path, toy_corpus, monkeypatch):
         cfg = ModelConfig(**TOY_CONFIG)
         params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)

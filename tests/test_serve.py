@@ -14,6 +14,7 @@ from flowrec.checkpoint import (
     checkpoint_header,
     content_digest,
     load_checkpoint,
+    read_tensor_file,
     save_checkpoint,
     write_tensor_file,
 )
@@ -121,6 +122,34 @@ class TestStoreFile:
         path.write_bytes(raw[:container_cuts(raw)[part]])
         with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
             load_store(path)
+
+    @pytest.mark.parametrize("garble,message", [
+        (lambda h, t: ({k: v for k, v in h.items() if k != "format_version"}, t), "format version None"),
+        (lambda h, t: ({k: v for k, v in h.items() if k != "article_dim"}, t), "'article_dim' is missing"),
+        (lambda h, t: ({**h, "article_dim": "8"}, t), "'article_dim' is missing or not int"),
+        (lambda h, t: ({**h, "embed_dim": True}, t), "'embed_dim' is missing or not int"),
+        (lambda h, t: ({k: v for k, v in h.items() if k != "version_tag"}, t), "'version_tag' is missing"),
+        (lambda h, t: ({**h, "users": []}, t), "'users' is missing or not dict"),
+        (lambda h, t: ({**h, "article_ids": [1] * len(h["article_ids"])}, t), "'article_ids' or 'users'"),
+        (lambda h, t: ({**h, "users": {u: {"history": m["history"]} for u, m in h["users"].items()}}, t),
+         "'article_ids' or 'users'"),
+        (lambda h, t: (h, {"profile_embs": t["profile_embs"]}), "'article_reps' is missing"),
+        (lambda h, t: (h, {**t, "article_reps": t["article_reps"][1:]}), r"'article_reps' .* shape \[40, "),
+        (lambda h, t: (h, {"article_reps": t["article_reps"]}), "'profile_embs' is missing"),
+        (lambda h, t: (h, {**t, "profile_embs": t["profile_embs"][:, :-1]}),
+         r"'profile_embs' .* shape \[8, 32\]"),
+    ], ids=["no-format-version", "no-article-dim", "article-dim-a-string", "embed-dim-a-bool",
+            "no-version-tag", "users-a-list", "ids-not-strings", "user-without-profile-text",
+            "no-article-reps", "reps-row-short", "no-profile-embs", "profile-embs-column-short"])
+    def test_garbled_store_is_config_error_naming_the_file(self, tmp_path, garble, message):
+        ds, params, embedder, provider = small_world()
+        path = tmp_path / "store.bin"
+        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
+                                    provider))
+        write_tensor_file(path, *garble(*read_tensor_file(path)))
+        with pytest.raises(ConfigError, match=message) as err:
+            load_store(path)
+        assert str(path) in str(err.value)
 
 
 class TestRank:

@@ -277,7 +277,8 @@ class TestRemoteClient:
             summarize_article(article, TEMPLATES["article_summary_mind"], client)
         assert err.value.article_id == "a77"
 
-    @pytest.mark.parametrize("status,attempts", [(400, 1), (401, 1), (404, 1), (500, 3), (503, 3)])
+    @pytest.mark.parametrize("status,attempts", [(400, 1), (401, 1), (404, 1), (408, 3), (429, 3),
+                                                (500, 3), (503, 3)])
     def test_client_errors_are_not_retried(self, monkeypatch, status, attempts):
         handler = type("Handler", (_StatusHandler,), {"status": status, "hits": 0})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
