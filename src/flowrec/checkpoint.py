@@ -10,6 +10,9 @@ the same container with float64 payloads so precomputed representations are
 bit-identical to freshly encoded ones. A checkpoint's ``version_tag`` is
 the SHA-256 of its header (minus the tag itself) and tensor bytes, so any
 artifact built from it can be matched to exactly that parameter snapshot.
+
+:func:`read_artifact` is the one header reader of both loaders, this
+module's :func:`load_checkpoint` and ``flowrec.serve.load_store``.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ConfigError(f"{path}: unreadable name of tensor {i} ({exc})") from None
             code, ndim = struct.unpack("<BB", take(2, f"tensor {name!r}'s dtype"))
             if code not in _DTYPES:
-                raise ConfigError(f"tensor {name!r} has unknown dtype code {code}")
+                raise ConfigError(f"{path}: tensor {name!r} has unknown dtype code {code}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}'s shape"))
             size = math.prod(shape)  # Python ints: a garbled shape cannot wrap to a short read
             raw = take(int(_DTYPES[code][-1]) * size, f"tensor {name!r}'s data")
@@ -159,23 +162,30 @@ def save_checkpoint(path, params: ModelParams) -> str:
     return tag
 
 
-def load_checkpoint(path) -> ModelParams:
+CHECKPOINT_KEYS = {"config": dict, "vocabs": dict, "version_tag": str}
+
+
+def read_artifact(path, kind: str, keys: dict[str, type]) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and tensors of a container of this ``kind`` and format version whose
+    header holds every key of ``keys`` with its type; otherwise a ConfigError naming the file."""
     header, tensors = read_tensor_file(path)
-    if header.get("kind") != "checkpoint":
-        raise ConfigError(f"{path} is not a model checkpoint")
+    if header.get("kind") != kind:
+        raise ConfigError(f"{path} is not a {kind} file (kind {header.get('kind')!r})")
     if header.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint format version {header.get('format_version')}")
-    config, vocabs = header.get("config"), header.get("vocabs")
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: the header's model config is missing or not an object")
-    if not (isinstance(vocabs, dict) and all(
-            isinstance(v, dict) and all(type(i) is int for i in v.values()) for v in vocabs.values())):
-        raise ConfigError(f"{path}: the header's vocabs are missing or not {{attr: {{token: index}}}}")
+        raise ConfigError(f"{path}: unsupported {kind} format version {header.get('format_version')}")
+    for key, want in keys.items():
+        if type(header.get(key)) is not want:
+            raise ConfigError(f"{path}: header key {key!r} is missing or not {want.__name__}")
+    return header, tensors
+
+
+def load_checkpoint(path) -> ModelParams:
+    """A saved checkpoint, checked once, here, against the layout its config and vocabs give."""
+    header, tensors = read_artifact(path, "checkpoint", CHECKPOINT_KEYS)
     try:
-        config = ModelConfig.from_dict(config)
+        params = ModelParams(config=ModelConfig.from_dict(header["config"]), vocabs=header["vocabs"],
+                             tensors=tensors, version_tag=header["version_tag"])
+        params.validate_shapes()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    params = ModelParams(config=config, vocabs=vocabs, tensors=tensors,
-                         version_tag=header.get("version_tag", ""))
-    params.validate_shapes()
     return params

@@ -17,6 +17,7 @@ import argparse
 import copy
 import json
 import os
+import signal
 import sys
 from dataclasses import asdict
 
@@ -154,12 +155,7 @@ def make_embedder(config: dict):
     if emb["kind"] == "precomputed":
         if not emb["path"]:
             raise ConfigError("precomputed embedder needs embedder.path")
-        embedder = PrecomputedTextEmbedder.from_file(emb["path"])
-        if embedder.dim != config["dims"]["embed_dim"]:
-            raise ConfigError(
-                f"precomputed embeddings have dim {embedder.dim}, config says {config['dims']['embed_dim']}"
-            )
-        return embedder
+        return PrecomputedTextEmbedder.from_file(emb["path"])  # its dim is checked by FeatureSource
     raise ConfigError(f"unknown embedder kind {emb['kind']!r}")
 
 
@@ -433,6 +429,7 @@ def cmd_serve(args) -> int:
     store = serve_mod.load_store(args.store)
     server = serve_mod.create_server(store, params, args.host, args.port)
     actual_port = server.server_address[1]
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # SIGTERM shuts down as Ctrl-C does
     print(f"serving on http://{args.host}:{actual_port} (model {store.version_tag[:12]})", flush=True)
     try:
         server.serve_forever()

@@ -138,36 +138,6 @@ def attr_index_row(vocabs: dict[str, dict[str, int]], attr_names: list[str],
     )
 
 
-def xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    """Xavier-uniform ``(fan_out, fan_in)`` matrix drawn from ``rng``."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-
-def init_encoder_tensors(rng: np.random.Generator, vocabs: dict[str, dict[str, int]],
-                         attr_names: list[str], attr_embed_dim: int, attr_hidden_dim: int,
-                         attr_out_dim: int, embed_dim: int, text_proj_dim: int,
-                         batch_norm: bool) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for name in attr_names:
-        tensors[f"attr_embed/{name}"] = 0.1 * rng.standard_normal((len(vocabs[name]) + 1, attr_embed_dim))
-    concat_dim = len(attr_names) * attr_embed_dim
-    tensors["attr_w1"] = xavier(rng, attr_hidden_dim, concat_dim)
-    tensors["attr_b1"] = np.zeros(attr_hidden_dim)
-    tensors["attr_w2"] = xavier(rng, attr_out_dim, attr_hidden_dim)
-    tensors["attr_b2"] = np.zeros(attr_out_dim)
-    if batch_norm:
-        tensors["bn_gamma"] = np.ones(attr_hidden_dim)
-        tensors["bn_beta"] = np.zeros(attr_hidden_dim)
-        tensors["bn_mean"] = np.zeros(attr_hidden_dim)   # running stat, not trained
-        tensors["bn_var"] = np.ones(attr_hidden_dim)     # running stat, not trained
-    tensors["title_w"] = xavier(rng, text_proj_dim, embed_dim)
-    tensors["title_b"] = np.zeros(text_proj_dim)
-    tensors["body_w"] = xavier(rng, text_proj_dim, embed_dim)
-    tensors["body_b"] = np.zeros(text_proj_dim)
-    return tensors
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward pieces
 # ---------------------------------------------------------------------------
@@ -207,8 +177,6 @@ def encode_attributes_batch(params, idx: np.ndarray, mode: str = "eval",
     cache["y"] = y
 
     if mode == "train" and dropout > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode dropout requires an rng")
         mask = rng.random(act.shape) >= dropout
         act_d = act * mask / (1.0 - dropout)
         cache["mask"] = mask
@@ -260,10 +228,7 @@ def attributes_backward(params, cache: dict, grad_out: np.ndarray) -> dict[str, 
 def project_text(params, vec: np.ndarray, which: str) -> np.ndarray:
     """Trainable affine map from the frozen embedding space (title or body)."""
     t = params.tensors
-    w, b = t[f"{which}_w"], t[f"{which}_b"]
-    if vec.shape[-1] != w.shape[1]:
-        raise ConfigError(f"{which} projection expects dim {w.shape[1]}, got {vec.shape[-1]}")
-    return vec @ w.T + b
+    return vec @ t[f"{which}_w"].T + t[f"{which}_b"]
 
 
 def encode_features(params, title_emb: np.ndarray, body_emb: np.ndarray,
@@ -315,11 +280,14 @@ class FeatureSource:
     a text shared by several new rows is embedded once for all of them.
     The profile rows are the run's only profile memo: the profile provider
     keeps none, so each ``(user_id, history)`` reaches it once, here.
-    Arrays may carry spare rows past the last one in use.
+    Arrays may carry spare rows past the last one in use. The embedder's
+    width is checked here, where frozen text features enter the model.
     """
 
     def __init__(self, params, corpus: dict[str, Article], embedder, profile_provider=None):
         cfg = params.config
+        if embedder.dim != cfg.embed_dim:
+            raise ConfigError(f"text embedder dim {embedder.dim} is not the model's embed_dim {cfg.embed_dim}")
         self.config = cfg
         self.vocabs = params.vocabs
         self.corpus = corpus

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Article, Impression
-from .encode import FeatureSource, encode_features, init_encoder_tensors, xavier
+from .encode import FeatureSource, encode_features
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError, UnknownIdError
 
@@ -97,10 +97,14 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
         raw = {k: v for k, v in raw.items() if k != "dropout"}  # unread; older checkpoints carry it
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        defaults = cls().to_dict()
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        mistyped = sorted(k for k, v in raw.items() if type(v) is not type(defaults[k])
+                          or (k == "attr_names" and not all(type(a) is str for a in v)))
+        if mistyped:
+            raise ConfigError(f"model config keys {mistyped} are not of the types ModelConfig gives them")
         return cls(**raw)
 
     def ablated(self, **flags) -> "ModelConfig":
@@ -133,20 +137,58 @@ class ModelParams:
         )
 
     def validate_shapes(self) -> None:
-        cfg = self.config
-        d = cfg.article_dim
-        head = self.tensors["head_w"]
-        expected = cfg.user_dim + d
-        if head.shape != (expected,):
-            raise ConfigError(f"head expects shape ({expected},) for these flags, got {head.shape}")
-        if cfg.instant_flow and self.tensors["attn_w"].shape != (d, d):
-            raise ConfigError(f"attention matrix must be ({d}, {d}), got {self.tensors['attn_w'].shape}")
-        if cfg.constant_flow and self.tensors["profile_w"].shape != (d, cfg.embed_dim):
-            raise ConfigError("profile projection shape does not match embed/article dims")
+        """Check the config, the vocabs, then every tensor's name and shape
+        against :func:`model_layout`; run once, on checkpoint load."""
+        self.config.validate()
+        for name in dict.fromkeys([*self.config.attr_names, *self.vocabs]):
+            vocab = self.vocabs.get(name)
+            if not (isinstance(vocab, dict) and all(type(i) is int for i in vocab.values())
+                    and set(vocab.values()) == set(range(1, len(vocab) + 1))):
+                raise ConfigError(f"vocab {name!r} is missing or does not number its tokens 1..n")
+        want = {n: shape for n, (_, shape) in model_layout(self.config, self.vocabs).items()}
+        have = {n: t.shape for n, t in self.tensors.items()}
+        wrong = [n for n in {**want, **have} if want.get(n) != have.get(n)]
+        if wrong:
+            raise ConfigError("tensors not as this config and these vocabs lay them out: " + "; ".join(
+                f"{n!r} is {have.get(n, 'missing')}, expected {want.get(n, 'no such tensor')}"
+                for n in wrong))
+
+
+def model_layout(config: ModelConfig, vocabs: dict[str, dict[str, int]]) -> dict[str, tuple[str, tuple]]:
+    """Every tensor of a model: its initializer and shape, in the order they are drawn.
+
+    The one statement of the layout: :func:`init_model_params` draws from it
+    and :meth:`ModelParams.validate_shapes` checks loaded tensors against it.
+    """
+    h, p, e, d = config.attr_hidden_dim, config.text_proj_dim, config.embed_dim, config.article_dim
+    layout = {f"attr_embed/{n}": ("normal", (len(vocabs[n]) + 1, config.attr_embed_dim))
+              for n in config.attr_names}
+    layout["attr_w1"] = ("xavier", (h, len(config.attr_names) * config.attr_embed_dim))
+    layout["attr_b1"] = ("zeros", (h,))
+    layout["attr_w2"] = ("xavier", (config.attr_out_dim, h))
+    layout["attr_b2"] = ("zeros", (config.attr_out_dim,))
+    if config.batch_norm:  # bn_mean and bn_var are running statistics, never trained
+        layout.update(bn_gamma=("ones", (h,)), bn_beta=("zeros", (h,)),
+                      bn_mean=("zeros", (h,)), bn_var=("ones", (h,)))
+    for which in ("title", "body"):
+        layout[f"{which}_w"], layout[f"{which}_b"] = ("xavier", (p, e)), ("zeros", (p,))
+    if config.instant_flow:
+        layout["attn_w"] = ("near_identity", (d, d))
+    if config.constant_flow:
+        layout["profile_w"], layout["profile_b"] = ("xavier", (d, e)), ("zeros", (d,))
+    layout["head_w"], layout["head_b"] = ("xavier", (config.user_dim + d,)), ("zeros", (1,))
+    return layout
+
+
+def xavier(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Xavier-uniform ``(fan_out, fan_in)`` matrix, or ``(fan_in,)`` row, drawn from ``rng``."""
+    fan_out, fan_in = shape if len(shape) == 2 else (1, *shape)
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def init_model_params(config: ModelConfig, vocabs: dict[str, dict[str, int]], seed: int = 0) -> ModelParams:
-    """Fresh trainable parameters.
+    """Fresh parameters laid out by :func:`model_layout`.
 
     The attention matrix starts at identity plus small noise so history
     attention begins near cosine similarity; projections and the head are
@@ -154,19 +196,11 @@ def init_model_params(config: ModelConfig, vocabs: dict[str, dict[str, int]], se
     """
     config.validate()
     rng = np.random.default_rng(seed)
-    tensors = init_encoder_tensors(
-        rng, vocabs, config.attr_names, config.attr_embed_dim, config.attr_hidden_dim,
-        config.attr_out_dim, config.embed_dim, config.text_proj_dim, config.batch_norm,
-    )
-    d = config.article_dim
-    if config.instant_flow:
-        tensors["attn_w"] = np.eye(d) + 0.01 * rng.standard_normal((d, d))
-    if config.constant_flow:
-        tensors["profile_w"] = xavier(rng, d, config.embed_dim)
-        tensors["profile_b"] = np.zeros(d)
-    tensors["head_w"] = xavier(rng, 1, config.user_dim + d)[0]
-    tensors["head_b"] = np.zeros(1)
-    return ModelParams(config=config, vocabs=vocabs, tensors=tensors)
+    draw = {"normal": lambda s: 0.1 * rng.standard_normal(s), "xavier": lambda s: xavier(rng, s),
+            "near_identity": lambda s: np.eye(s[0]) + 0.01 * rng.standard_normal(s),
+            "zeros": np.zeros, "ones": np.ones}
+    return ModelParams(config=config, vocabs=vocabs, tensors={
+        n: draw[kind](shape) for n, (kind, shape) in model_layout(config, vocabs).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +212,6 @@ def init_model_params(config: ModelConfig, vocabs: dict[str, dict[str, int]], se
 
 def attention_weights(params: ModelParams, cand_vec: np.ndarray, hist: np.ndarray) -> np.ndarray:
     """Softmax over bilinear scores candidate . W . history_i (max-subtracted)."""
-    if hist.shape[0] == 0:
-        raise ValueError("attention_weights needs at least one history row")
     scores = hist @ (params.tensors["attn_w"].T @ cand_vec)
     return softmax(scores)
 
@@ -247,11 +279,6 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
     cfg, t = params.config, params.tensors
     d = cfg.article_dim
     w = t["head_w"]
-    if len(w) != (1 + cfg.instant_flow + cfg.constant_flow) * d:
-        raise ConfigError(
-            f"head expects input dim {len(w)}, got {(1 + cfg.instant_flow + cfg.constant_flow) * d}; "
-            "checkpoint flags and parameters disagree"
-        )
     n_states, n_cands = cands.shape[:2]
     w_cand = w[None, -d:]  # one row per state once the gate folds a profile in
     z = np.full((n_states, n_cands), t["head_b"][0])
@@ -411,7 +438,6 @@ class Scorer:
 
     def __init__(self, params: ModelParams, embedder, corpus: dict[str, Article],
                  profile_provider=None):
-        params.validate_shapes()
         self.params = params
         self.corpus = corpus
         self.features = (embedder if isinstance(embedder, FeatureSource)

@@ -24,7 +24,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .checkpoint import FORMAT_VERSION, ensure_version_tag, read_tensor_file, write_tensor_file
+from .checkpoint import FORMAT_VERSION, ensure_version_tag, read_artifact, write_tensor_file
 from .data import Article
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError, UnknownIdError
@@ -140,23 +140,20 @@ def save_store(path, store: RepStore) -> None:
     write_tensor_file(path, header, tensors)
 
 
+STORE_KEYS = {"version_tag": str, "article_dim": int, "embed_dim": int, "article_ids": list,
+              "users": dict, "partial": bool, "errors": list}
+
+
 def load_store(path) -> RepStore:
     """A saved :class:`RepStore`; a header or tensor not as :func:`save_store` writes it is a ConfigError."""
-    header, tensors = read_tensor_file(path)
-    if header.get("kind") != "repstore":
-        raise ConfigError(f"{path} is not a rep store")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"{path}: unsupported rep store format version {header.get('format_version')}")
-    for key, kind in (("version_tag", str), ("article_dim", int), ("embed_dim", int),
-                      ("article_ids", list), ("users", dict)):
-        if type(header.get(key)) is not kind:
-            raise ConfigError(f"{path}: header key {key!r} is missing or not {kind.__name__}")
+    header, tensors = read_artifact(path, "repstore", STORE_KEYS)
     article_dim, embed_dim = header["article_dim"], header["embed_dim"]
     ids, user_meta = header["article_ids"], header["users"]
     users_ok = all(isinstance(m, dict) and isinstance(m.get("history"), list)
                    and isinstance(m.get("profile_text"), str) for m in user_meta.values())
-    if not (users_ok and all(isinstance(a, str) for a in ids)):
-        raise ConfigError(f"{path}: header 'article_ids' or 'users' is not as a rep store writes it")
+    if not (users_ok and all(isinstance(a, str) for a in [*ids, *header["errors"], *(
+            a for m in user_meta.values() for a in m["history"])])):
+        raise ConfigError(f"{path}: header 'errors', 'article_ids' or 'users' is not as a rep store writes it")
     shapes = {"article_reps": (len(ids), article_dim), "profile_embs": (len(user_meta), embed_dim)}
     for name, shape in shapes.items():
         if shape[0] and (name not in tensors or tensors[name].shape != shape):
@@ -173,8 +170,8 @@ def load_store(path) -> RepStore:
             for i, (uid, meta) in enumerate(user_meta.items())
         },
         profile_embs=embs,
-        partial=bool(header.get("partial", False)),
-        errors=list(header.get("errors", [])),
+        partial=header["partial"],
+        errors=header["errors"],
     )
 
 

@@ -396,8 +396,6 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     for name, grad in grads.items():
         if name not in state.m:
             raise ConfigError(f"gradient for unknown or frozen tensor {name!r}")
-        if grad.shape != state.m[name].shape:
-            raise ConfigError(f"gradient shape mismatch for {name!r}")
         m = state.m[name]
         v = state.v[name]
         m += (1.0 - ADAM_BETA1) * (grad - m)

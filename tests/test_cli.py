@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -396,20 +400,46 @@ def _without(key):
     return lambda h, t: ({k: v for k, v in h.items() if k != key}, t)
 
 
+def _category_index_999(h, t):
+    """The first token of the category vocab given an index past the vocab's end."""
+    vocab = dict(h["vocabs"]["category"])
+    vocab[next(iter(vocab))] = 999
+    return {**h, "vocabs": {**h["vocabs"], "category": vocab}}, t
+
+
+# Each garbled file, and the tensor or header key its error must name.
 GARBLED_CHECKPOINTS = {
-    "kind-and-version-only": lambda h, t: ({"kind": "checkpoint", "format_version": 1}, t),
-    "config-not-an-object": lambda h, t: ({**h, "config": [1]}, t),
-    "vocab-index-not-an-integer": lambda h, t: ({**h, "vocabs": {"category": {"news": "1"}}}, t),
+    "kind-and-version-only": (lambda h, t: ({"kind": "checkpoint", "format_version": 1}, t), "'config'"),
+    "config-not-an-object": (lambda h, t: ({**h, "config": [1]}, t), "'config'"),
+    "vocab-index-not-an-integer": (lambda h, t: ({**h, "vocabs": {"category": {"news": "1"}}}, t), "'category'"),
+    "vocab-index-999": (_category_index_999, "'category'"),
+    "no-title-w": (lambda h, t: (h, {k: v for k, v in t.items() if k != "title_w"}), "'title_w'"),
+    "attr-w1-misshapen": (lambda h, t: (h, {**t, "attr_w1": t["attr_w1"][:, :-1]}), "'attr_w1'"),
+    "extra-tensor": (lambda h, t: (h, {**t, "extra": np.zeros(3)}), "'extra'"),
 }
 
 GARBLED_STORES = {
-    "no-format-version": _without("format_version"),
-    "no-article-dim": _without("article_dim"),
-    "ids-without-reps": lambda h, t: (h, {k: v for k, v in t.items() if k != "article_reps"}),
+    "no-format-version": (_without("format_version"), "format version None"),
+    "no-article-dim": (_without("article_dim"), "'article_dim'"),
+    "ids-without-reps": (lambda h, t: (h, {k: v for k, v in t.items() if k != "article_reps"}), "'article_reps'"),
+    "errors-a-number": (lambda h, t: ({**h, "errors": 5}, t), "'errors'"),
 }
 
 
 class TestCheckpointCommands:
+    def test_serve_exits_zero_on_sigterm(self, trained_run):
+        src = os.path.dirname(os.path.dirname(data_mod.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cmd = [sys.executable, "-m", "flowrec", "serve", "--checkpoint", str(trained_run / "checkpoint.bin"),
+               "--store", str(trained_run / "store.bin"), "--port", "0"]
+        with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as server:
+            try:
+                assert server.stdout.readline().startswith("serving on http://127.0.0.1:")
+                server.send_signal(signal.SIGTERM)
+                assert server.wait(timeout=30) == 0, server.stderr.read()
+            finally:
+                server.kill()  # does nothing once the server has exited
+
     @pytest.mark.parametrize("flag", ["instant_flow", "constant_flow"])
     def test_diagnose_with_one_flow_off(self, trained_run, tmp_path, flag):
         data, extra = trained_run / "dataset.jsonl", (f"flags.{flag}=false",)
@@ -477,20 +507,22 @@ class TestCheckpointCommands:
         assert pooled.pop("global_auc") == auc(scores, labels)
         assert pooled == plain
 
-    @pytest.mark.parametrize("garble", GARBLED_CHECKPOINTS.values(), ids=GARBLED_CHECKPOINTS)
-    def test_garbled_checkpoint_header_exits_one(self, trained_run, tmp_path, capsys, garble):
+    @pytest.mark.parametrize("garble,named", GARBLED_CHECKPOINTS.values(), ids=GARBLED_CHECKPOINTS)
+    def test_garbled_checkpoint_header_exits_one(self, trained_run, tmp_path, capsys, garble, named):
         path = tmp_path / "checkpoint.bin"
         _rewrite(trained_run / "checkpoint.bin", path, garble)
         assert run("eval", "--data", trained_run / "dataset.jsonl", "--checkpoint", path,
                    "--out", tmp_path, *sets()) == 1
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
 
-    @pytest.mark.parametrize("garble", GARBLED_STORES.values(), ids=GARBLED_STORES)
-    def test_garbled_store_header_exits_one(self, trained_run, tmp_path, capsys, monkeypatch, garble):
+    @pytest.mark.parametrize("garble,named", GARBLED_STORES.values(), ids=GARBLED_STORES)
+    def test_garbled_store_header_exits_one(self, trained_run, tmp_path, capsys, monkeypatch, garble, named):
         def not_reached(*args):
             raise AssertionError("the garbled store was loaded")
         monkeypatch.setattr(serve_mod, "create_server", not_reached)
         path = tmp_path / "store.bin"
         _rewrite(trained_run / "store.bin", path, garble)
         assert run("serve", "--checkpoint", trained_run / "checkpoint.bin", "--store", path, "--port", 0) == 1
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err

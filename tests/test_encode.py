@@ -165,9 +165,10 @@ class TestProjection:
                     for i in range(w.shape[0])]
         assert np.allclose(project_text(toy_params, vec, "title"), expected, rtol=1e-12)
 
-    def test_dimension_mismatch_rejected(self, toy_params):
-        with pytest.raises(ConfigError):
-            project_text(toy_params, np.zeros(TOY_CONFIG["embed_dim"] + 1), "title")
+    def test_dimension_mismatch_rejected(self, toy_params, toy_corpus):
+        """An embedder of the wrong width is stopped where it enters: the feature table."""
+        with pytest.raises(ConfigError, match="dim 6 is not the model's embed_dim 5"):
+            FeatureSource(toy_params, toy_corpus, HashedTextEmbedder(TOY_CONFIG["embed_dim"] + 1))
 
 
 class TestAttributeEncoder:

@@ -190,11 +190,15 @@ class TestScore:
         assert 0.0 < scored.probability < 1.0
         assert (1.0 - scored.probability) + scored.probability == 1.0
 
-    def test_head_shape_mismatch_rejected(self):
-        params = two_dim_params(head=[1.0, 2.0, 3.0])  # wrong length
-        with pytest.raises(ConfigError):
-            score_candidates(params, ["c"], [np.array([1.0, 1.0])],
-                             np.zeros((0, 2)), np.array([0.0, 0.0]))
+    def test_head_shape_mismatch_rejected(self, tmp_path):
+        """A head of the wrong length is stopped where it enters: on checkpoint load."""
+        params = init_model_params(ModelConfig(**TOY_CONFIG), {"category": {"x": 1}}, seed=0)
+        params.tensors["head_w"] = params.tensors["head_w"][:-1]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        with pytest.raises(ConfigError, match=r"'head_w' is \(23,\), expected \(24,\)") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 def paper_params(seed=0, **flags):
@@ -443,20 +447,28 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("garble,message", [
-        (lambda h: {"kind": "checkpoint", "format_version": 1}, "model config is missing"),
-        (lambda h: {**h, "config": [1]}, "model config is missing or not an object"),
+        (lambda h: {"kind": "checkpoint", "format_version": 1}, "header key 'config' is missing"),
+        (lambda h: {**h, "config": [1]}, "'config' is missing or not dict"),
         (lambda h: {**h, "config": {**h["config"], "heads": 2}}, "unknown model config keys"),
-        (lambda h: {k: v for k, v in h.items() if k != "vocabs"}, "vocabs are missing"),
-        (lambda h: {**h, "vocabs": [1]}, "vocabs are missing or not"),
-        (lambda h: {**h, "vocabs": {"category": {"x": 1.5}}}, "vocabs are missing or not"),
+        (lambda h: {k: v for k, v in h.items() if k != "vocabs"}, "'vocabs' is missing"),
+        (lambda h: {**h, "vocabs": [1]}, "'vocabs' is missing or not dict"),
+        (lambda h: {**h, "vocabs": {"category": {"x": 1.5}}}, "vocab 'category' .* tokens 1..n"),
         (lambda h: {**h, "format_version": 2}, "unsupported checkpoint format version 2"),
+        (lambda h: {**h, "version_tag": 7}, "'version_tag' is missing or not str"),
+        (lambda h: {**h, "config": {**h["config"], "embed_dim": "5"}}, r"keys \['embed_dim'\] are not"),
+        (lambda h: {**h, "config": {**h["config"], "attr_names": [["category"]]}}, r"\['attr_names'\]"),
+        (lambda h: {**h, "vocabs": {}}, "vocab 'category' is missing"),
+        (lambda h: {**h, "vocabs": {"category": {"x": 1, "y": 1}}}, "vocab 'category' .* tokens 1..n"),
     ], ids=["kind-and-version-only", "config-a-list", "unknown-config-key", "no-vocabs",
-            "vocabs-a-list", "index-not-an-integer", "format-version-2"])
+            "vocabs-a-list", "index-not-an-integer", "format-version-2", "version-tag-a-number",
+            "config-dim-a-string", "attr-name-a-list", "attr-without-vocab", "index-repeated"])
     def test_garbled_header_is_config_error_naming_the_file(self, tmp_path, toy_corpus, garble, message):
         cfg = ModelConfig(**TOY_CONFIG)
         params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
         path = tmp_path / "model.ckpt"
-        checkpoint.write_tensor_file(path, garble(checkpoint.checkpoint_header(params)), params.tensors)
+        save_checkpoint(path, params)
+        header, tensors = checkpoint.read_tensor_file(path)
+        checkpoint.write_tensor_file(path, garble(header), tensors)
         with pytest.raises(ConfigError, match=message) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)

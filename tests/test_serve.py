@@ -138,9 +138,17 @@ class TestStoreFile:
         (lambda h, t: (h, {"article_reps": t["article_reps"]}), "'profile_embs' is missing"),
         (lambda h, t: (h, {**t, "profile_embs": t["profile_embs"][:, :-1]}),
          r"'profile_embs' .* shape \[8, 32\]"),
+        (lambda h, t: ({**h, "errors": 5}, t), "'errors' is missing or not list"),
+        (lambda h, t: ({**h, "errors": [5]}, t), "'errors', 'article_ids' or 'users'"),
+        (lambda h, t: ({**h, "partial": 0}, t), "'partial' is missing or not bool"),
+        (lambda h, t: ({**h, "users": {u: {**m, "history": [[1]]} for u, m in h["users"].items()}}, t),
+         "'errors', 'article_ids' or 'users'"),
+        (lambda h, t: ({**h, "kind": "checkpoint"}, t), "is not a repstore file"),
     ], ids=["no-format-version", "no-article-dim", "article-dim-a-string", "embed-dim-a-bool",
             "no-version-tag", "users-a-list", "ids-not-strings", "user-without-profile-text",
-            "no-article-reps", "reps-row-short", "no-profile-embs", "profile-embs-column-short"])
+            "no-article-reps", "reps-row-short", "no-profile-embs", "profile-embs-column-short",
+            "errors-a-number", "error-not-a-string", "partial-a-number", "history-entry-a-list",
+            "kind-checkpoint"])
     def test_garbled_store_is_config_error_naming_the_file(self, tmp_path, garble, message):
         ds, params, embedder, provider = small_world()
         path = tmp_path / "store.bin"
