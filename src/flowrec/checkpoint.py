@@ -20,14 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import secrets
 import struct
-from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import ConfigError, byte_reader
+from .errors import ConfigError, byte_reader, replacing
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"FRTENS01"
@@ -53,28 +50,6 @@ def content_digest(header: dict, tensors: dict[str, np.ndarray]) -> str:
     for name in sorted(tensors):
         digest.update(_tensor_bytes(name, tensors[name]))
     return digest.hexdigest()
-
-
-@contextmanager
-def replacing(path, mode: str = "wb", **kwargs):
-    """Write ``path`` through a temporary file in its directory (``mode`` is
-    ``"wb"`` or ``"w"``).
-
-    The file replaces ``path`` in one ``os.replace`` once the block ends
-    cleanly. If the block raises, the temporary file is removed and ``path``
-    is left as it was, so a reader never sees a half-written file.
-    """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "x" + mode.lstrip("w"), **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def write_tensor_file(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -180,7 +155,8 @@ def read_artifact(path, kind: str, keys: dict[str, type]) -> tuple[dict, dict[st
 
 
 def load_checkpoint(path) -> ModelParams:
-    """A saved checkpoint, checked once, here, against the layout its config and vocabs give."""
+    """A saved checkpoint, checked once, here: against the layout its config and
+    vocabs give, then its ``version_tag`` against the digest of what was read."""
     header, tensors = read_artifact(path, "checkpoint", CHECKPOINT_KEYS)
     try:
         params = ModelParams(config=ModelConfig.from_dict(header["config"]), vocabs=header["vocabs"],
@@ -188,4 +164,7 @@ def load_checkpoint(path) -> ModelParams:
         params.validate_shapes()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    untagged = {k: v for k, v in header.items() if k != "version_tag"}
+    if content_digest(untagged, _as_float32(tensors)) != params.version_tag:
+        raise ConfigError(f"{path}: its content does not match its version_tag (the file was altered)")
     return params

@@ -27,7 +27,7 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from . import serve as serve_mod
 from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, build_vocabs
-from .errors import ConfigError, UnknownIdError
+from .errors import ConfigError, UnknownIdError, replacing
 from .model import ModelConfig, Scorer, constant_rep, init_model_params
 from .summarize import (
     TEMPLATES,
@@ -223,7 +223,7 @@ def _write_manifest(out_dir: str, entry: dict) -> None:
     path = os.path.join(out_dir, "manifest.json")
     entries = [e for e in _read_manifest(out_dir) if e.get("command") != entry["command"]]
     entries.append(entry)
-    with ckpt.replacing(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -261,12 +261,12 @@ def cmd_synth(args) -> int:
     data_path = os.path.join(out, "dataset.jsonl")
     data_mod.write_jsonl(data_path, dataset.articles, dataset.impressions)
     truth_path = os.path.join(out, "truth.json")
-    with open(truth_path, "w", encoding="utf-8") as fh:
+    with replacing(truth_path, "w", encoding="utf-8") as fh:
         json.dump(dataset.truth, fh, sort_keys=True)
     outputs = {"dataset": data_path, "truth": truth_path}
     if "user_attrs" in dataset.truth:
         attrs_path = os.path.join(out, "user_attrs.json")
-        with open(attrs_path, "w", encoding="utf-8") as fh:
+        with replacing(attrs_path, "w", encoding="utf-8") as fh:
             json.dump(dataset.truth["user_attrs"], fh, sort_keys=True)
         outputs["user_attrs"] = attrs_path
     print(f"users={spec.n_users} articles={spec.n_articles} impressions={spec.n_impressions} rule={spec.click_rule}")
@@ -384,7 +384,7 @@ def cmd_eval(args) -> int:
         for name in ("instant_flow", "constant_flow", "flow_gate", "use_instruct_u", "use_summaries")
     }
     report_path = os.path.join(out, "eval_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with replacing(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     print(report.to_json())
     _write_manifest(out, {"command": "eval", "outputs": {"report": report_path},
@@ -430,8 +430,8 @@ def cmd_serve(args) -> int:
     server = serve_mod.create_server(store, params, args.host, args.port)
     actual_port = server.server_address[1]
     signal.signal(signal.SIGTERM, signal.default_int_handler)  # SIGTERM shuts down as Ctrl-C does
-    print(f"serving on http://{args.host}:{actual_port} (model {store.version_tag[:12]})", flush=True)
-    try:
+    try:  # a signal sent as soon as the banner is read may arrive before print returns
+        print(f"serving on http://{args.host}:{actual_port} (model {store.version_tag[:12]})", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -459,7 +459,7 @@ def cmd_diagnose(args) -> int:
         return float(x @ y / (nx * ny)) if nx > 0 and ny > 0 else 0.0
 
     path = os.path.join(out, "diagnostics.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write("candidate_index,candidate_id,step,history_article_id,alpha,cos_instant,cos_constant\n")
         for rank_idx, sc in enumerate(scored):
             cand_vec = scorer.rep(sc.article_id)

@@ -16,6 +16,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import replacing
+
 
 class DataFormatError(ValueError):
     """Raised for unrecoverable dataset-level problems (not per-record ones)."""
@@ -166,55 +168,58 @@ def parse_mind_behaviors(lines: Iterable[str]) -> ParseResult:
 # Canonical JSONL interchange format
 # ---------------------------------------------------------------------------
 
-def parse_jsonl(lines: Iterable[str]) -> ParseResult:
+def parse_jsonl(lines: Iterable[str | bytes]) -> ParseResult:
     """Parse the canonical one-object-per-line format.
 
-    Records carry ``kind: "article"`` or ``kind: "impression"``; anything
-    else is a record-level error.
+    Records carry ``kind: "article"`` or ``kind: "impression"``. A line that
+    is not UTF-8 or not a JSON object, a record of another kind, and a record
+    with a field missing or of the wrong type are record-level errors.
     """
     out = ParseResult()
     seen: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            out.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
-            continue
-        kind = rec.get("kind")
-        try:
+            text = line.decode("utf-8") if isinstance(line, bytes) else line
+            if not text.strip():
+                continue
+            rec = json.loads(text)
+            if not isinstance(rec, dict):
+                raise ValueError("a record must be a JSON object")
+            kind = rec.get("kind")
             if kind == "article":
-                if rec["id"] in seen:
-                    raise ValueError(f"duplicate article id {rec['id']!r}")
-                seen.add(rec["id"])
-                out.articles.append(
-                    Article(
-                        article_id=str(rec["id"]),
-                        title=str(rec["title"]),
-                        body=str(rec.get("body", "")),
-                        summary=rec.get("summary"),
-                        attributes={str(k): str(v) for k, v in rec.get("attributes", {}).items()},
-                    )
-                )
+                article_id, attributes, summary = str(rec["id"]), rec.get("attributes", {}), rec.get("summary")
+                if not isinstance(attributes, dict):
+                    raise ValueError("attributes must be an object")
+                if not isinstance(summary, (str, type(None))):
+                    raise ValueError("summary must be a string or null")
+                if article_id in seen:
+                    raise ValueError(f"duplicate article id {article_id!r}")
+                seen.add(article_id)
+                out.articles.append(Article(article_id, str(rec["title"]), str(rec.get("body", "")), summary,
+                                            {str(k): str(v) for k, v in attributes.items()}))
             elif kind == "impression":
-                candidates = [(str(a), int(y)) for a, y in rec["candidates"]]
-                if any(y not in (0, 1) for _, y in candidates):
+                history, candidates, timestamp = rec.get("history", []), rec["candidates"], rec.get("timestamp", 0)
+                if not isinstance(history, list):
+                    raise ValueError("history must be a list")
+                if not (isinstance(candidates, list) and candidates
+                        and all(isinstance(c, list) and len(c) == 2 for c in candidates)):
+                    raise ValueError("candidates must be a non-empty list of [id, label] pairs")
+                if any(type(y) is not int or y not in (0, 1) for _, y in candidates):
                     raise ValueError("labels must be 0 or 1")
-                out.impressions.append(
-                    Impression(
-                        impression_id=str(rec["id"]),
-                        user_id=str(rec["user"]),
-                        timestamp=int(rec.get("timestamp", 0)),
-                        history=[str(h) for h in rec.get("history", [])],
-                        candidates=candidates,
-                    )
-                )
+                if type(timestamp) is not int:
+                    raise ValueError("timestamp must be an integer")
+                out.impressions.append(Impression(str(rec["id"]), str(rec["user"]), timestamp,
+                                                  [str(h) for h in history], [(str(a), y) for a, y in candidates]))
             else:
                 raise ValueError(f"unknown kind {kind!r}")
-        except (KeyError, ValueError, TypeError) as exc:
-            msg = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            out.errors.append(ParseError(line_no, msg))
+        except json.JSONDecodeError as exc:
+            out.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
+        except UnicodeDecodeError as exc:
+            out.errors.append(ParseError(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}"))
+        except KeyError as exc:
+            out.errors.append(ParseError(line_no, f"missing field {exc}"))
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            out.errors.append(ParseError(line_no, str(exc)))
     return out
 
 
@@ -251,13 +256,14 @@ def serialize_jsonl(articles: Iterable[Article], impressions: Iterable[Impressio
 
 
 def write_jsonl(path, articles: Iterable[Article], impressions: Iterable[Impression]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the records to ``path``; an error partway leaves an existing file untouched."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         for line in serialize_jsonl(articles, impressions):
             fh.write(line + "\n")
 
 
 def read_jsonl(path) -> ParseResult:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # each line is decoded on its own: one that is not UTF-8 is its error
         return parse_jsonl(fh)
 
 

@@ -7,7 +7,9 @@ a file of precomputed vectors produced by any external sentence encoder.
 
 The final article representation is the concatenation
 ``[attr_vec | title_vec | body_vec]`` with width ``attr_out_dim +
-2 * text_proj_dim``. :class:`FeatureSource` is the run's frozen-feature table.
+2 * text_proj_dim``: :func:`article_reps` lays it out and
+:func:`article_reps_backward` splits its gradient. :class:`FeatureSource` is
+the run's frozen-feature table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import struct
 import numpy as np
 
 from .data import Article
-from .errors import ConfigError, UnknownIdError, byte_reader
+from .errors import ConfigError, UnknownIdError, byte_reader, replacing
 from .text import terms
 
 BN_EPS = 1e-5
@@ -70,7 +72,7 @@ class PrecomputedTextEmbedder:
 def write_embedding_file(path, table: dict[str, np.ndarray], dim: int) -> None:
     """Binary layout: u32 count, u32 dim, then per record u32 id-length,
     id bytes (UTF-8), float32[dim]; everything little-endian."""
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(struct.pack("<II", len(table), dim))
         for key, vec in table.items():
             raw = key.encode("utf-8")
@@ -151,18 +153,15 @@ def encode_attributes_batch(params, idx: np.ndarray, mode: str = "eval",
     :func:`attributes_backward`. Batch norm uses batch statistics in train
     mode (and updates the running averages) and running statistics in eval.
     """
-    t = params.tensors
-    cfg = params.config
-    n = idx.shape[0]
+    cfg, t = params.config, params.tensors
     cols = [t[f"attr_embed/{name}"][idx[:, k]] for k, name in enumerate(cfg.attr_names)]
-    x = np.concatenate(cols, axis=1) if cols else np.zeros((n, 0))
+    x = np.concatenate(cols, axis=1) if cols else np.zeros((len(idx), 0))
     u1 = x @ t["attr_w1"].T + t["attr_b1"]
 
-    cache: dict = {"idx": idx, "x": x, "u1": u1, "mode": mode, "dropout": dropout}
+    cache: dict = {"idx": idx, "x": x, "mode": mode, "dropout": dropout, "mask": None}
     if cfg.batch_norm:
         if mode == "train":
-            mu = u1.mean(axis=0)
-            var = u1.var(axis=0)
+            mu, var = u1.mean(axis=0), u1.var(axis=0)
             t["bn_mean"][...] = (1 - BN_MOMENTUM) * t["bn_mean"] + BN_MOMENTUM * mu
             t["bn_var"][...] = (1 - BN_MOMENTUM) * t["bn_var"] + BN_MOMENTUM * var
         else:
@@ -175,25 +174,17 @@ def encode_attributes_batch(params, idx: np.ndarray, mode: str = "eval",
         y = u1
     act = np.maximum(y, 0.0)
     cache["y"] = y
-
     if mode == "train" and dropout > 0.0:
-        mask = rng.random(act.shape) >= dropout
-        act_d = act * mask / (1.0 - dropout)
-        cache["mask"] = mask
-    else:
-        act_d = act
-        cache["mask"] = None
-    cache["act_d"] = act_d
-    return act_d @ t["attr_w2"].T + t["attr_b2"], cache
+        cache["mask"] = rng.random(act.shape) >= dropout
+        act = act * cache["mask"] / (1.0 - dropout)
+    cache["act_d"] = act
+    return act @ t["attr_w2"].T + t["attr_b2"], cache
 
 
 def attributes_backward(params, cache: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the attribute encoder; untouched vocabulary rows stay zero."""
-    t = params.tensors
-    cfg = params.config
-    grads: dict[str, np.ndarray] = {}
-    grads["attr_w2"] = grad_out.T @ cache["act_d"]
-    grads["attr_b2"] = grad_out.sum(axis=0)
+    cfg, t = params.config, params.tensors
+    grads = {"attr_w2": grad_out.T @ cache["act_d"], "attr_b2": grad_out.sum(axis=0)}
     g_act_d = grad_out @ t["attr_w2"]
     if cache["mask"] is not None:
         g_act = g_act_d * cache["mask"] / (1.0 - cache["dropout"])
@@ -225,10 +216,29 @@ def attributes_backward(params, cache: dict, grad_out: np.ndarray) -> dict[str, 
     return grads
 
 
-def project_text(params, vec: np.ndarray, which: str) -> np.ndarray:
-    """Trainable affine map from the frozen embedding space (title or body)."""
+def article_reps(params, h_attr: np.ndarray, title: np.ndarray, body: np.ndarray,
+                 rows) -> np.ndarray:
+    """``[attr_vec | title_vec | body_vec]`` of the articles ``rows``: their
+    attribute vectors ``h_attr`` beside the trainable affine maps of their
+    frozen embeddings ``title[rows]`` and ``body[rows]``."""
     t = params.tensors
-    return vec @ t[f"{which}_w"].T + t[f"{which}_b"]
+    return np.concatenate([
+        h_attr, title[rows] @ t["title_w"].T + t["title_b"], body[rows] @ t["body_w"].T + t["body_b"],
+    ], axis=1)
+
+
+def article_reps_backward(params, g_reps: np.ndarray, title: np.ndarray, body: np.ndarray,
+                          rows) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Backward of :func:`article_reps` for the gradient ``g_reps`` of its output.
+
+    Returns the gradient of ``h_attr`` and those of the text projections. The
+    frozen rows are gathered again here, one table at a time, rather than
+    kept from the forward.
+    """
+    a, p = params.config.attr_out_dim, params.config.text_proj_dim
+    g_title, g_body = g_reps[:, a:a + p], g_reps[:, a + p:]
+    return g_reps[:, :a], {"title_w": g_title.T @ title[rows], "title_b": g_title.sum(axis=0),
+                           "body_w": g_body.T @ body[rows], "body_b": g_body.sum(axis=0)}
 
 
 def encode_features(params, title_emb: np.ndarray, body_emb: np.ndarray,
@@ -239,9 +249,7 @@ def encode_features(params, title_emb: np.ndarray, body_emb: np.ndarray,
     so the same frozen inputs always give the same bits.
     """
     h_a, _ = encode_attributes_batch(params, idx[None, :])
-    return np.concatenate([
-        h_a[0], project_text(params, title_emb, "title"), project_text(params, body_emb, "body"),
-    ])
+    return article_reps(params, h_a, title_emb[None, :], body_emb[None, :], [0])[0]
 
 
 def encode_article(params, embedder, article: Article) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""Exceptions shared across modules, and the bounded reader of binary files
-that turns a file cut short into one of them."""
+"""Exceptions shared across modules, the bounded reader of binary files that
+turns a file cut short into one of them, and the writer that replaces a file
+whole or not at all."""
 
 import os
+import secrets
+from contextlib import contextmanager, suppress
 
 
 class ConfigError(ValueError):
@@ -28,3 +31,25 @@ def byte_reader(fh, path):
         return fh.read(n)
 
     return take
+
+
+@contextmanager
+def replacing(path, mode: str = "wb", **kwargs):
+    """Write ``path`` through a temporary file in its directory (``mode`` is
+    ``"wb"`` or ``"w"``).
+
+    The file replaces ``path`` in one ``os.replace`` once the block ends
+    cleanly. If the block raises, the temporary file is removed and ``path``
+    is left as it was, so a reader never sees a half-written file.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x" + mode.lstrip("w"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

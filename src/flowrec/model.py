@@ -17,9 +17,13 @@ no padding. Training makes one :func:`flow_forward` / :func:`flow_backward`
 call per batch, with every user state of the batch padded into it; a padded
 history slot is masked out of the softmax and gets exactly zero attention, so
 a state's logits match :func:`score_candidates` on that state alone up to
-rounding. :func:`flow_backward` returns the gradient of the history reps
-themselves, not of their keys. Parity contract, which gives serving
-bit-identical probabilities to evaluation:
+rounding. Both take the same inputs: candidate reps, history reps with each
+state's row indices, and frozen profile embeddings. The forward projects
+keys, head reads and profile queries itself; the backward returns the
+gradients of the candidate and history reps and a dict of the flow's tensor
+gradients, as ``flowrec.encode.attributes_backward`` returns the attribute
+encoder's. Parity contract, which gives serving bit-identical probabilities
+to evaluation:
   * serving's article reps are :meth:`Scorer.rep`'s: ``flowrec.serve.precompute``
     takes every one of them from a :class:`Scorer`;
   * both pass :func:`score_candidates` the same history rows and the same
@@ -233,48 +237,26 @@ def constant_rep(params: ModelParams, profile_emb: np.ndarray, cand_vec: np.ndar
     return q * cand_vec if params.config.flow_gate else q
 
 
-def state_projections(params: ModelParams, hist: np.ndarray,
-                      profile_embs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What :func:`flow_forward` reads of user states: linear maps of their inputs.
-
-    History reps ``hist[L, d]`` map to ``[L, d + 1]`` rows: the attention key
-    ``k_l = W·h_l`` (a candidate ``c`` scores history row ``l`` as ``c·k_l``)
-    and, in the last column, the head's read of the rep, ``h_l·w_instant``.
-    Frozen profile embeddings ``profile_embs[U, E]`` map to the projected
-    profiles ``q = P·e + b``. Each output row depends on its input row alone,
-    so training projects a whole batch at once and gathers rows per user
-    state. A disabled flow's outputs have no columns.
-    """
-    cfg, t = params.config, params.tensors
-    hist_proj = np.zeros((len(hist), 0))
-    if cfg.instant_flow:
-        hist_proj = np.empty((len(hist), cfg.article_dim + 1))
-        np.matmul(hist, t["attn_w"].T, out=hist_proj[:, :-1])
-        np.matmul(hist, t["head_w"][:cfg.article_dim], out=hist_proj[:, -1])
-    queries = (profile_embs @ t["profile_w"].T + t["profile_b"] if cfg.constant_flow
-               else np.zeros((len(profile_embs), 0)))
-    return hist_proj, queries
-
-
-def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
-                 hist_idx: np.ndarray, queries: np.ndarray,
-                 mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+def flow_forward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist_idx: np.ndarray,
+                 profile_embs: np.ndarray, mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Logits ``z[S, M]`` of ``S`` user states with up to ``M`` candidates each.
 
-    State ``s`` scores the candidate reps ``cands[s, :, :]``. It enters through
-    its :func:`state_projections`: its history is the rows ``hist_idx[s]`` of
-    ``hist_proj`` (the keys and head reads of every history row of the call)
-    and its profile is ``queries[s]``. ``mask[S, L]`` marks the history slots
-    in use when histories are padded to one length ``L``; a padded slot gets
-    exactly zero attention, and a state without history attends to nothing.
-    Candidate ``i`` attends with ``alpha_i = softmax(c_i·Kᵀ)``; its instant
-    flow reaches the head as ``alpha_i·head_reads``, which is
-    ``(alpha_i·hist)·w_instant``. Each candidate's scores, softmax and head
-    reads are reductions over its own row, and the head is read one slice per
-    flow: ``[instant | constant | candidate]``, without the slices of
-    disabled flows. Returns the logits and the cache :func:`flow_backward`
-    reads; ``cache["alpha"][s, i]`` holds candidate ``(s, i)``'s attention
-    weights, empty without history or instant flow.
+    State ``s`` scores the candidate reps ``cands[s, :, :]`` against its
+    history, the rows ``hist_idx[s]`` of the reps ``hist[n_rows, d]``, and
+    its frozen profile embedding ``profile_embs[s]``. ``mask[S, L]`` marks
+    the history slots in use when histories are padded to one length ``L``;
+    a padded slot gets exactly zero attention, and a state without history
+    attends to nothing. Each history row is projected once, to its attention
+    key ``k = W·h`` and the head's read of it, ``h·w_instant``; the projection
+    is freed once the states' keys are gathered from it. Candidate ``i``
+    attends with ``alpha_i = softmax(c_i·Kᵀ)`` and its instant flow reaches
+    the head as ``alpha_i·head_reads``, which is ``(alpha_i·hist)·w_instant``.
+    The profile enters as the query ``q = P·e + b``. Each candidate's scores,
+    softmax and head reads are reductions over its own row, and the head is
+    read one slice per flow: ``[instant | constant | candidate]``, without
+    the slices of disabled flows. Returns the logits and the cache
+    :func:`flow_backward` reads; ``cache["alpha"][s, i]`` holds candidate
+    ``(s, i)``'s attention weights, empty without history or instant flow.
     """
     cfg, t = params.config, params.tensors
     d = cfg.article_dim
@@ -284,7 +266,11 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
     z = np.full((n_states, n_cands), t["head_b"][0])
     cache: dict = {"alpha": np.zeros((n_states, n_cands, 0)), "z_instant": None}
     if cfg.instant_flow and hist_idx.shape[1]:
+        hist_proj = np.empty((len(hist), d + 1))  # [keys | head read] of every history row
+        np.matmul(hist, t["attn_w"].T, out=hist_proj[:, :-1])
+        np.matmul(hist, w[:d], out=hist_proj[:, -1])
         keys = hist_proj[hist_idx]  # [S, L, d + 1], freed on return
+        del hist_proj
         # One product per candidate row, so a row's bits do not depend on its position.
         scores = np.matmul(cands[:, :, None, :], keys[:, None, :, :-1].swapaxes(-1, -2))[:, :, 0]
         valid = True if mask is None else mask[:, None, :]
@@ -295,6 +281,7 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
         cache["z_instant"] = np.einsum("sml,sl->sm", alpha, keys[:, :, -1])
         z += cache["z_instant"]
     if cfg.constant_flow:
+        queries = cache["queries"] = profile_embs @ t["profile_w"].T + t["profile_b"]
         w_cons = w[-2 * d:-d]
         if cfg.flow_gate:
             w_cand = w_cand + queries * w_cons  # (q * c)·w_cons folded into the candidate's read
@@ -305,16 +292,17 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist_proj: np.ndarray,
     return z, cache
 
 
-def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray,
-                  hist_idx: np.ndarray, queries: np.ndarray, cache: dict, g_z: np.ndarray,
-                  grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`flow_forward` for the loss gradient ``g_z[S, M]`` of its logits.
+def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist_idx: np.ndarray,
+                  profile_embs: np.ndarray, cache: dict,
+                  g_z: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Backward of :func:`flow_forward`, given its inputs and cache, for the
+    loss gradient ``g_z[S, M]`` of its logits.
 
-    ``hist[n_rows, d]`` holds the history reps the forward's keys and head
-    reads were projected from. A padded candidate slot must carry a zero
-    ``g_z``. Adds the attention and head gradients into ``grads`` and returns
-    the gradients of ``cands``, ``hist`` and ``queries``. An article twice in
-    one history, or in many states' histories, sums its gradients into its row.
+    A padded candidate slot must carry a zero ``g_z``. Returns the gradients
+    of ``cands`` and ``hist`` and those of the flow's tensors: the head, the
+    attention matrix with instant flow on, and the profile projection with
+    constant flow on. An article twice in one history, or in many states'
+    histories, sums its gradients into its row.
 
     The attention backward works in candidate space: with
     ``U[s, i] = sum_l g_scores[s, i, l] h_{hist_idx[s, l]}`` the score
@@ -325,22 +313,23 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray,
     """
     cfg, t = params.config, params.tensors
     n_states, n_cands, d = cands.shape
-    w, g_w = t["head_w"], grads["head_w"]
+    w, g_w = t["head_w"], np.zeros_like(t["head_w"])
     g_sums = np.einsum("sm,smd->sd", g_z, cands)  # per state: sum_i g_z[s, i] c[s, i]
     g_totals = g_z.sum(axis=1)
-    g_w[-d:] += g_sums.sum(axis=0)
-    grads["head_b"] += g_totals.sum()
+    g_w[-d:] = g_sums.sum(axis=0)
+    grads = {"head_w": g_w, "head_b": np.array([g_totals.sum()])}
     g_cands = g_z[:, :, None] * cache["w_cand"][:, None, :]
-    g_queries = np.zeros_like(queries)
     if cache["z_instant"] is None:
         g_hist = np.zeros_like(hist)
+        if cfg.instant_flow:  # no state has history: the attention passes no gradient
+            grads["attn_w"] = np.zeros_like(t["attn_w"])
     else:
         alpha, attn_w = cache["alpha"], t["attn_w"]
         head_reads = (hist @ w[:d])[hist_idx]  # as the forward read them from its keys' last column
         g_scores = alpha * (g_z[:, :, None] * (head_reads[:, None, :] - cache["z_instant"][:, :, None]))
         g_heads = np.bincount(hist_idx.ravel(), np.einsum("sm,sml->sl", g_z, alpha).ravel(),
                               minlength=len(hist))
-        g_w[:d] += g_heads @ hist
+        g_w[:d] = g_heads @ hist
         g_hist = np.outer(g_heads, w[:d])
         live = np.flatnonzero(g_z)  # the candidate slots that pass a gradient, padding left out
         c = cands.reshape(-1, d)[live]
@@ -362,17 +351,19 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray,
                             minlength=len(hist) * len(live)).reshape(len(hist), len(live))
             u = G.T @ hist
             g_hist += G @ cw
-        grads["attn_w"] += c.T @ u
+        grads["attn_w"] = c.T @ u
         g_cands.reshape(-1, d)[live] += u @ attn_w.T
     if cfg.constant_flow:
-        w_cons = w[-2 * d:-d]
+        queries, w_cons = cache["queries"], w[-2 * d:-d]
         if cfg.flow_gate:
-            g_w[-2 * d:-d] += np.einsum("sd,sd->d", queries, g_sums)
+            g_w[-2 * d:-d] = np.einsum("sd,sd->d", queries, g_sums)
             g_queries = w_cons * g_sums
         else:
-            g_w[-2 * d:-d] += g_totals @ queries
+            g_w[-2 * d:-d] = g_totals @ queries
             g_queries = g_totals[:, None] * w_cons
-    return g_cands, g_hist, g_queries
+        grads["profile_w"] = g_queries.T @ profile_embs
+        grads["profile_b"] = g_queries.sum(axis=0)
+    return g_cands, g_hist, grads
 
 
 def slot_groups(n_rows: int, n_states: int, n_slots: int, hist_len: int, d: int) -> int:
@@ -423,8 +414,7 @@ def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
     The one scoring call of evaluation and serving: a single :func:`flow_forward`.
     """
     cands = np.asarray(cand_vecs, dtype=np.float64).reshape(1, len(article_ids), params.config.article_dim)
-    hist_proj, queries = state_projections(params, hist, profile_emb[None, :])
-    z, cache = flow_forward(params, cands, hist_proj, np.arange(len(hist))[None, :], queries)
+    z, cache = flow_forward(params, cands, hist, np.arange(len(hist))[None, :], profile_emb[None, :])
     return [ScoredCandidate(a, p, alpha)
             for a, p, alpha in zip(article_ids, sigmoid(z[0]).tolist(), cache["alpha"][0])]
 

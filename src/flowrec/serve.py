@@ -306,6 +306,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive: one connection carries many requests, so every request's
     # body is read in full before the reply, or the connection is closed.
     protocol_version = "HTTP/1.1"
+    # A reply goes out as headers, then body; with Nagle's algorithm the body
+    # would wait on a reused connection for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def _reply(self, status: int, payload: dict) -> None:
         raw = json.dumps(payload).encode("utf-8")

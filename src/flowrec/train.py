@@ -10,13 +10,17 @@ and validation reads. ``train()`` resolves its examples to integers once
 (:class:`ExampleIndex`), and each step builds its batch from the example ids
 it takes with numpy alone (:func:`_gather`): article rows in order of first
 appearance, and user states, ``(user_id, history)``, padded into one block of
-candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask. The
-batch encodes its rows once, projects every row and profile once
-(:func:`~flowrec.model.state_projections`), and one
-:func:`~flowrec.model.flow_forward` call scores it, with the same flow
-arithmetic that evaluation and serving score with. The projected keys are
-freed when the forward returns: one :func:`~flowrec.model.flow_backward`
-call takes the reps themselves and returns their gradient. A list of
+candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask.
+A step only composes layers whose forward and backward live beside each
+other: the attribute encoder
+(:func:`~flowrec.encode.encode_attributes_batch` /
+:func:`~flowrec.encode.attributes_backward`), the rep layout
+(:func:`~flowrec.encode.article_reps` /
+:func:`~flowrec.encode.article_reps_backward`) and the flows
+(:func:`~flowrec.model.flow_forward` / :func:`~flowrec.model.flow_backward`),
+the same flow arithmetic that evaluation and serving score with. Each
+backward returns its tensors' gradients; the step scatters the candidates'
+rep gradient into the batch's rows and touches no tensor itself. A list of
 :class:`TrainExample` is indexed on the spot and runs the same code.
 A central finite-difference gradient oracle is included so analytic
 gradients can always be cross-checked.
@@ -30,8 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Article, Impression, split_by_time
-from .encode import FeatureSource, attributes_backward, encode_attributes_batch
-from .errors import ConfigError
+from .encode import (
+    FeatureSource,
+    article_reps,
+    article_reps_backward,
+    attributes_backward,
+    encode_attributes_batch,
+)
+from .errors import ConfigError, replacing
 from .metrics import evaluate_rankings
 from .model import (
     ModelParams,
@@ -40,7 +50,6 @@ from .model import (
     flow_forward,
     scatter_add,
     sigmoid,
-    state_projections,
 )
 
 PROB_CLAMP = 1e-7
@@ -155,8 +164,10 @@ class IndexedBatch:
     index: ExampleIndex
     take: np.ndarray
 
-    def examples(self) -> list[TrainExample]:
-        return [self.index.examples[j] for j in self.take]
+    def triples(self) -> list[tuple[str, str, int]]:
+        """``(user_id, candidate_id, label)`` of each example, as a :class:`TrainingError` dump lists them."""
+        examples = self.index.examples
+        return [(examples[j].user_id, examples[j].candidate_id, examples[j].label) for j in self.take]
 
 
 def _indexed(batch: list[TrainExample] | IndexedBatch, feats: FeatureSource) -> IndexedBatch:
@@ -228,36 +239,27 @@ def _gather(batch: IndexedBatch, feats: FeatureSource, instant_flow: bool) -> di
 
 def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
-    cfg = params.config
-    t = params.tensors
-    g = _gather(_indexed(batch, feats), feats, cfg.instant_flow)
+    g = _gather(_indexed(batch, feats), feats, params.config.instant_flow)
     rows = g["rows"]
-    profile_embs = feats.profiles[g["prof_rows"]]
-
     h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
                                                  dropout=dropout)
-    reps = np.concatenate([
-        h_attr,
-        feats.title[rows] @ t["title_w"].T + t["title_b"],
-        feats.body[rows] @ t["body_w"].T + t["body_b"],
-    ], axis=1)
-
-    hist_proj, queries = state_projections(params, reps, profile_embs)
+    reps = article_reps(params, h_attr, feats.title, feats.body, rows)
     # All user states in one flow call, padded: state s holds its examples in candidate
     # slots s·width + i and its history rows in hist_idx[s, :len(history)].
     hist_idx, slots, cand_rows, labels = g["hist_idx"], g["slots"], g["cand_rows"], g["labels"]
     cands = np.zeros((len(hist_idx) * g["width"], reps.shape[1]))
     cands[slots] = reps[cand_rows]
     cands = cands.reshape(len(hist_idx), g["width"], reps.shape[1])
-    z, flow = flow_forward(params, cands, hist_proj, hist_idx, queries, g["mask"])
+    profile_embs = feats.profiles[g["prof_rows"]]
+    z, flow = flow_forward(params, cands, reps, hist_idx, profile_embs, g["mask"])
 
     probs = sigmoid(z.reshape(-1)[slots])
     pc = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = float(np.mean(-(labels * np.log(pc) + (1 - labels) * np.log(1.0 - pc))))
     cache = {
         "rows": rows, "reps": reps, "attr_cache": attr_cache, "profile_embs": profile_embs,
-        "queries": queries, "labels": labels, "cand_rows": cand_rows,
-        "cands": cands, "hist_idx": hist_idx, "slots": slots, "flow": flow,
+        "labels": labels, "cand_rows": cand_rows, "cands": cands, "hist_idx": hist_idx,
+        "slots": slots, "flow": flow,
     }
     return loss, probs, cache
 
@@ -284,61 +286,31 @@ def backward_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch
     ``(user_id, candidate_id, label)``; a gradient's dump also names the
     tensors.
     """
-    cfg = params.config
-    t = params.tensors
     batch = _indexed(batch, feats)
     loss, probs, cache = _forward(params, batch, feats, mode, rng, dropout)
     if not np.isfinite(loss):
-        raise TrainingError(
-            "non-finite loss",
-            dump={
-                "loss": loss,
-                "probs": probs.tolist(),
-                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch.examples()],
-            },
-        )
+        raise TrainingError("non-finite loss",
+                            dump={"loss": loss, "probs": probs.tolist(), "examples": batch.triples()})
 
-    reps, cand_rows, queries, slots = cache["reps"], cache["cand_rows"], cache["queries"], cache["slots"]
+    reps, slots = cache["reps"], cache["slots"]
     # cands and flow are dropped once the flow backward has read them, before the peak below.
     cands, flow = cache.pop("cands"), cache.pop("flow")
-    grads: dict[str, np.ndarray] = {
-        name: np.zeros_like(t[name]) for name in ("head_w", "head_b")
-    }
-    if cfg.instant_flow:
-        grads["attn_w"] = np.zeros_like(t["attn_w"])
-
     # A clamped example sits on a locally flat loss and passes no gradient.
     live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
     g_z = np.zeros(cands.shape[:2])  # padded candidate slots pass no gradient
     g_z.reshape(-1)[slots] = np.where(live, (probs - cache["labels"]) / len(probs), 0.0)
-    g_cands, g_reps, g_queries = flow_backward(params, cands, reps, cache["hist_idx"], queries, flow,
-                                               g_z, grads)
+    g_cands, g_reps, grads = flow_backward(params, cands, reps, cache["hist_idx"], cache["profile_embs"],
+                                           flow, g_z)
     g_cands = g_cands.reshape(-1, reps.shape[1])[slots]
     del cands, flow
-    if cfg.constant_flow:  # the profile projection's backward
-        grads["profile_w"] = g_queries.T @ cache["profile_embs"]
-        grads["profile_b"] = g_queries.sum(axis=0)
-    scatter_add(g_reps, cand_rows, g_cands)
-
-    a, p_dim = cfg.attr_out_dim, cfg.text_proj_dim
-    g_attr, g_title, g_body = g_reps[:, :a], g_reps[:, a:a + p_dim], g_reps[:, a + p_dim:]
-    # The frozen text rows are gathered again here rather than kept from the forward.
-    grads["title_w"] = g_title.T @ feats.title[cache["rows"]]
-    grads["title_b"] = g_title.sum(axis=0)
-    grads["body_w"] = g_body.T @ feats.body[cache["rows"]]
-    grads["body_b"] = g_body.sum(axis=0)
+    scatter_add(g_reps, cache["cand_rows"], g_cands)
+    g_attr, rep_grads = article_reps_backward(params, g_reps, feats.title, feats.body, cache["rows"])
+    grads.update(rep_grads)
     grads.update(attributes_backward(params, cache["attr_cache"], g_attr))
-    counts = {name: int(np.count_nonzero(~np.isfinite(g))) for name, g in grads.items()}
-    bad = {name: n for name, n in counts.items() if n}
+    bad = {name: n for name, g in grads.items() if (n := int(np.count_nonzero(~np.isfinite(g))))}
     if bad:
-        raise TrainingError(
-            f"non-finite gradient in {', '.join(sorted(bad))}",
-            dump={
-                "loss": loss,
-                "nonfinite_gradients": bad,
-                "examples": [(ex.user_id, ex.candidate_id, ex.label) for ex in batch.examples()],
-            },
-        )
+        raise TrainingError(f"non-finite gradient in {', '.join(sorted(bad))}",
+                            dump={"loss": loss, "nonfinite_gradients": bad, "examples": batch.triples()})
     return loss, grads
 
 
@@ -433,7 +405,7 @@ class TrainResult:
     steps_run: int = 0
 
     def write_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w", encoding="utf-8") as fh:
             fh.write(LOG_HEADER + "\n")
             for row in self.log:
                 fh.write(row.as_csv() + "\n")

@@ -217,6 +217,19 @@ class TestIngest:
         assert (out / "manifest.json").read_text() == text
 
 
+    def test_bad_jsonl_records_are_rejected_not_fatal(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--out", out) == 0
+        raw = tmp_path / "raw.jsonl"
+        raw.write_bytes((out / "dataset.jsonl").read_bytes() + b'{"kind": "\xff"}\n'
+                        + b'{"kind": "impression", "id": "i", "user": "u", "candidates": []}\n')
+        assert run("ingest", "--format", "jsonl", "--input", raw, "--out", tmp_path / "in") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["rejected_records"] == 2
+        assert "not UTF-8" in captured.err and "non-empty list" in captured.err
+        assert (tmp_path / "in" / "dataset.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("text", ["[{bad", '{"a": 1}', "[1]"])
     def test_bad_manifest_stops_synth_before_it_writes(self, tmp_path, capsys, text):
@@ -246,6 +259,23 @@ class TestExitCodes:
 
 
 class TestPipeline:
+    def test_failed_summarize_write_leaves_the_dataset_it_read(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--out", out) == 0
+        before = (out / "dataset.jsonl").read_bytes()
+        real = data_mod.serialize_jsonl
+
+        def fail_partway(articles, impressions):
+            for i, line in enumerate(real(articles, impressions)):
+                if i == 5:
+                    raise OSError("disk full")
+                yield line
+
+        monkeypatch.setattr(data_mod, "serialize_jsonl", fail_partway)
+        assert run("summarize", "--data", out / "dataset.jsonl", "--out", out, *sets()) == 3
+        assert (out / "dataset.jsonl").read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_synth_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -416,6 +446,7 @@ GARBLED_CHECKPOINTS = {
     "no-title-w": (lambda h, t: (h, {k: v for k, v in t.items() if k != "title_w"}), "'title_w'"),
     "attr-w1-misshapen": (lambda h, t: (h, {**t, "attr_w1": t["attr_w1"][:, :-1]}), "'attr_w1'"),
     "extra-tensor": (lambda h, t: (h, {**t, "extra": np.zeros(3)}), "'extra'"),
+    "head-b-edited": (lambda h, t: (h, {**t, "head_b": t["head_b"] + 1.0}), "version_tag"),
 }
 
 GARBLED_STORES = {

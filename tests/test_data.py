@@ -1,7 +1,10 @@
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrec.data import (
     DataFormatError,
@@ -11,6 +14,7 @@ from flowrec.data import (
     parse_jsonl,
     parse_mind_behaviors,
     parse_mind_news,
+    read_jsonl,
     serialize_jsonl,
     split_by_time,
     subsample_users,
@@ -121,6 +125,71 @@ class TestJsonl:
                                           "body": "b", "summary": "s"})])
         line = list(serialize_jsonl(result.articles, []))[0]
         assert parse_jsonl([line]).articles[0].summary == "s"
+
+
+ARTICLE = {"kind": "article", "id": "a1", "title": "t", "body": "b", "summary": "s", "attributes": {"c": "x"}}
+IMPRESSION = {"kind": "impression", "id": "i1", "user": "u", "timestamp": 3, "history": ["a1"],
+              "candidates": [["a1", 1]]}
+
+# Each record once parsed to a wrong value or raised out of parse_jsonl.
+BAD_RECORDS = {
+    "list-line": ([ARTICLE], "must be a JSON object"),
+    "string-line": ("article", "must be a JSON object"),
+    "attributes-a-list": ({**ARTICLE, "attributes": ["c"]}, "attributes must be an object"),
+    "summary-a-number": ({**ARTICLE, "summary": 3}, "summary must be"),
+    "no-candidates": ({**IMPRESSION, "candidates": []}, "non-empty list"),
+    "candidate-not-a-pair": ({**IMPRESSION, "candidates": [["a1", 1, 0]]}, r"\[id, label\] pairs"),
+    "label-a-fraction": ({**IMPRESSION, "candidates": [["a1", 0.7]]}, "labels must be 0 or 1"),
+    "label-a-string": ({**IMPRESSION, "candidates": [["a1", "1"]]}, "labels must be 0 or 1"),
+    "history-a-string": ({**IMPRESSION, "history": "abc"}, "history must be a list"),
+    "timestamp-a-float": ({**IMPRESSION, "timestamp": 1.5}, "timestamp must be an integer"),
+    "timestamp-infinite": ({**IMPRESSION, "timestamp": math.inf}, "timestamp must be an integer"),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def near(record):
+    """Records like ``record`` with each field kept, dropped or replaced by an arbitrary value."""
+    return st.fixed_dictionaries({}, optional={k: st.just(v) | JSON_VALUES for k, v in record.items()})
+
+
+class TestJsonlRecordErrors:
+    @pytest.mark.parametrize("record,message", BAD_RECORDS.values(), ids=BAD_RECORDS)
+    def test_bad_record_is_one_error(self, record, message):
+        result = parse_jsonl([json.dumps(ARTICLE), json.dumps(record)])
+        assert len(result.articles) == 1 and not result.impressions
+        (error,) = result.errors
+        assert error.line_no == 2
+        assert re.search(message, error.message)
+
+    def test_line_not_utf8_is_an_error(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(json.dumps(ARTICLE).encode() + b"\n" + b'{"kind": "\xff"}\n\n'
+                         + json.dumps(IMPRESSION).encode() + b"\n")
+        result = read_jsonl(path)
+        assert len(result.articles) == len(result.impressions) == 1
+        (error,) = result.errors
+        assert error.line_no == 2 and "not UTF-8" in error.message
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(near(ARTICLE).map(json.dumps) | near(IMPRESSION).map(json.dumps)
+                    | JSON_VALUES.map(json.dumps) | st.text(max_size=20) | st.binary(max_size=20), max_size=8))
+    def test_every_non_blank_line_is_a_record_or_an_error(self, lines):
+        def blank(line):
+            try:
+                return not (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+            except UnicodeDecodeError:
+                return False
+
+        result = parse_jsonl(lines)
+        assert len(result.articles) + len(result.impressions) + len(result.errors) == sum(
+            not blank(line) for line in lines)
+        assert len({e.line_no for e in result.errors}) == len(result.errors)
 
 
 class TestCorpusUtilities:

@@ -9,11 +9,11 @@ from flowrec.encode import (
     FeatureSource,
     HashedTextEmbedder,
     PrecomputedTextEmbedder,
+    article_reps,
     attr_index_row,
     build_vocabs,
     encode_article,
     encode_attributes_batch,
-    project_text,
     read_embedding_file,
     write_embedding_file,
 )
@@ -138,11 +138,18 @@ class TestFeatureSourceProfiles:
         assert np.array_equal(feats.profiles[first[0]], feats.profiles[first[1]])
 
 
+def projected(params, vec, which):
+    """The ``which`` slice of :func:`article_reps` of one article whose title and body embed as ``vec``."""
+    a, p = params.config.attr_out_dim, params.config.text_proj_dim
+    rep = article_reps(params, np.zeros((1, a)), vec[None, :], vec[None, :], [0])[0]
+    return rep[a:a + p] if which == "title" else rep[a + p:]
+
+
 class TestProjection:
     def test_zero_weights_zero_output(self, toy_params):
         toy_params.tensors["title_w"][...] = 0.0
         toy_params.tensors["title_b"][...] = 0.0
-        out = project_text(toy_params, np.ones(TOY_CONFIG["embed_dim"]), "title")
+        out = projected(toy_params, np.ones(TOY_CONFIG["embed_dim"]), "title")
         assert not out.any()
 
     def test_identity_projection_passes_through(self, toy_corpus):
@@ -152,7 +159,7 @@ class TestProjection:
         params.tensors["body_w"] = np.eye(3)
         params.tensors["body_b"] = np.zeros(3)
         vec = np.array([0.25, -1.5, 3.0])
-        assert np.array_equal(project_text(params, vec, "body"), vec)
+        assert np.array_equal(projected(params, vec, "body"), vec)
 
     def test_random_projection_matches_dense_oracle(self, toy_params):
         rng = np.random.default_rng(3)
@@ -163,7 +170,7 @@ class TestProjection:
         # independent evaluation with explicit loops
         expected = [sum(w[i][j] * vec[j] for j in range(len(vec))) + b[i]
                     for i in range(w.shape[0])]
-        assert np.allclose(project_text(toy_params, vec, "title"), expected, rtol=1e-12)
+        assert np.allclose(projected(toy_params, vec, "title"), expected, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self, toy_params, toy_corpus):
         """An embedder of the wrong width is stopped where it enters: the feature table."""
@@ -262,8 +269,9 @@ class TestEncodeArticle:
 
         idx = attr_index_row(toy_params.vocabs, ["category"], article.attributes)[None, :]
         attr_expected, _ = encode_attributes_batch(toy_params, idx)
-        title_expected = project_text(toy_params, embedder.embed("alpha beta"), "title")
-        body_expected = project_text(toy_params, embedder.embed("gamma delta epsilon."), "body")
+        t = toy_params.tensors
+        title_expected = embedder.embed("alpha beta") @ t["title_w"].T + t["title_b"]
+        body_expected = embedder.embed("gamma delta epsilon.") @ t["body_w"].T + t["body_b"]
         assert np.array_equal(rep,
                               np.concatenate([attr_expected[0], title_expected, body_expected]))
 

@@ -20,7 +20,6 @@ from flowrec.model import (
     instant_rep,
     score_candidates,
     slot_groups,
-    state_projections,
 )
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 
@@ -287,10 +286,9 @@ class TestFlowBackward:
         g_z = rng.normal(size=(n_states, n_cands))
         g_z[2, 1:] = 0.0  # padded candidate slots
         assert slot_groups(n_rows, n_states, np.count_nonzero(g_z), hist_len, d) == group
-        hist_proj, queries = state_projections(params, hist, np.zeros((n_states, 0)))
-        _, cache = flow_forward(params, cands, hist_proj, hist_idx, queries, mask)
-        grads = {"attn_w": np.zeros((d, d)), "head_w": np.zeros(2 * d), "head_b": np.zeros(1)}
-        g_cands, g_hist, _ = flow_backward(params, cands, hist, hist_idx, queries, cache, g_z, grads)
+        profile_embs = np.zeros((n_states, 0))  # constant flow is off
+        _, cache = flow_forward(params, cands, hist, hist_idx, profile_embs, mask)
+        g_cands, g_hist, grads = flow_backward(params, cands, hist, hist_idx, profile_embs, cache, g_z)
 
         W, w_ins, w_cand = params.tensors["attn_w"], params.tensors["head_w"][:d], params.tensors["head_w"][d:]
         want_w, want_cands, want_hist = np.zeros((d, d)), np.zeros_like(cands), np.zeros_like(hist)
@@ -470,6 +468,31 @@ class TestCheckpoint:
         header, tensors = checkpoint.read_tensor_file(path)
         checkpoint.write_tensor_file(path, garble(header), tensors)
         with pytest.raises(ConfigError, match=message) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_flipped_tensor_byte_is_config_error_naming_the_file(self, tmp_path, toy_corpus):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # the last tensor's last byte: still a finite float32, of the right shape
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="does not match its version_tag") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_edited_header_is_config_error_naming_the_file(self, tmp_path, toy_corpus):
+        """A flag that changes no tensor's shape, edited in place, still changes the content."""
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        header, tensors = checkpoint.read_tensor_file(path)
+        header["config"]["use_summaries"] = not header["config"]["use_summaries"]
+        checkpoint.write_tensor_file(path, header, tensors)
+        with pytest.raises(ConfigError, match="does not match its version_tag") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 

@@ -396,6 +396,26 @@ class TestRankValidation:
         assert replies == [(200, 11, True), (404, 11, False), (200, 11, True)]
         assert socks[0] is not None and socks.count(socks[0]) == 3  # one connection for all three
 
+    def test_keep_alive_replies_are_not_held_back(self, served):
+        """A reply goes out as headers, then body. Under Nagle's algorithm the body
+        waits on a reused connection for the client's delayed ACK, about 40 ms."""
+        ds, _, port = served
+        body = json.dumps({"user_id": ds.impressions[0].user_id,
+                           "candidates": [a.article_id for a in ds.articles]}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            times = []
+            for _ in range(15):
+                t0 = time.perf_counter()
+                conn.request("POST", "/rank", body=body, headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                times.append((time.perf_counter() - t0) * 1000.0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert np.median(times) < 20.0, f"median {np.median(times):.1f} ms on one connection"
+
     def test_unreadable_content_length_is_400_and_closes(self, served):
         _, _, port = served
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
