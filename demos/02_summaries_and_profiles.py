@@ -31,17 +31,18 @@ body = (
 article = Article("a1", title="Static analysis grows up", body=body,
                   attributes={"category": "tech"})
 
-workdir = Path(tempfile.mkdtemp(prefix="flowrec-demo-"))
-cache = SummaryCache(workdir / "summary_cache.jsonl")
-client = StubCompletionClient(summary_budget=24, lead_sentences=2)
+with tempfile.TemporaryDirectory(prefix="flowrec-demo-") as workdir:
+    cache = SummaryCache(Path(workdir) / "summary_cache.jsonl")
+    client = StubCompletionClient(summary_budget=24, lead_sentences=2)
 
-summary = summarize_article(article, TEMPLATES["article_summary_mind"], client, cache)
-print(f"body: {word_count(body)} words -> summary: {word_count(summary)} words")
-print(f"  {summary}\n")
+    summary = summarize_article(article, TEMPLATES["article_summary_mind"], client, cache)
+    print(f"body: {word_count(body)} words -> summary: {word_count(summary)} words")
+    print(f"  {summary}\n")
 
-summary_again = summarize_article(article, TEMPLATES["article_summary_mind"], client, cache)
-print(f"second call hit the cache (client calls: {client.calls}), identical: "
-      f"{summary == summary_again}\n")
+    summary_again = summarize_article(article, TEMPLATES["article_summary_mind"], client, cache)
+    print(f"second call hit the cache (client calls: {client.calls}), identical: "
+          f"{summary == summary_again}")
+    print(f"cache file: {cache.path} (removed with its directory)\n")
 
 # Profile text for a user's click history. The provider keeps no memo: in
 # training, evaluation and precompute the frozen-feature table asks it once
@@ -61,4 +62,3 @@ provider = ProfileProvider(corpus, TEMPLATES["user_profile_ata"],
                                               "organization": "tools team",
                                               "skill": "llvm"}})
 print(f"attribute-aware profile: {provider.profile_text('u1', ['h1', 'h2', 'h3'])}")
-print(f"\ncache file: {cache.path}")

@@ -34,19 +34,19 @@ config = ModelConfig(attr_names=["category", "engagement"], embed_dim=48, text_p
                      use_summaries=False)
 vocabs = build_vocabs(dataset.articles, config.attr_names)
 
-workdir = Path(tempfile.mkdtemp(prefix="flowrec-demo-"))
-ckpt_path = workdir / "model.ckpt"
-save_checkpoint(ckpt_path, init_model_params(config, vocabs, seed=5))
-params = load_checkpoint(ckpt_path)
-print(f"checkpoint version: {params.version_tag[:16]}...")
-
 embedder = HashedTextEmbedder(config.embed_dim)
 provider = ProfileProvider(dataset.corpus, TEMPLATES["user_profile_mind"],
                            StubCompletionClient())
-store = precompute(params, embedder, dataset.corpus,
-                   users_from_impressions(dataset.impressions), provider)
-save_store(workdir / "store.bin", store)
-store = load_store(workdir / "store.bin")
+# Both files are read back in full, so the directory can go once they are loaded.
+with tempfile.TemporaryDirectory(prefix="flowrec-demo-") as tmp:
+    workdir = Path(tmp)
+    save_checkpoint(workdir / "model.ckpt", init_model_params(config, vocabs, seed=5))
+    params = load_checkpoint(workdir / "model.ckpt")
+    print(f"checkpoint version: {params.version_tag[:16]}...")
+    store = precompute(params, embedder, dataset.corpus,
+                       users_from_impressions(dataset.impressions), provider)
+    save_store(workdir / "store.bin", store)
+    store = load_store(workdir / "store.bin")
 print(f"store: {len(store.article_ids)} article reps, {len(store.users)} user entries")
 
 user_id = dataset.impressions[0].user_id

@@ -7,6 +7,8 @@ Subcommands wire the pipeline end to end::
 plus ``encode`` (article representations only) and ``diagnose`` (per-user
 attention and similarity dumps). Runs are driven by one declarative JSON
 config file; individual values can be overridden with ``--set key.path=value``.
+An article without a summary is encoded from its raw body by every command,
+and each command that encodes articles warns once with their count.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 runtime failure.
 """
@@ -228,11 +230,16 @@ def _write_manifest(out_dir: str, entry: dict) -> None:
         fh.write("\n")
 
 
-def _frozen_inputs(args, config: dict, corpus, constant_flow: bool):
-    """The text embedder and, with constant flow on, the profile provider."""
+def _frozen_inputs(args, config: dict, corpus, model_config: ModelConfig):
+    """The text embedder and, with constant flow on, the profile provider; with
+    ``use_summaries`` on, one warning counts the articles encoded from a raw body."""
+    unsummarized = sum(bool(a.body) and a.summary is None for a in corpus.values())
+    if model_config.use_summaries and unsummarized:
+        print(f"warning: {unsummarized} of {len(corpus)} articles have a body but no summary; "
+              "their raw bodies are encoded (run the summarize command first)", file=sys.stderr)
     embedder = make_embedder(config)
     provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
-                if constant_flow else None)
+                if model_config.constant_flow else None)
     return embedder, provider
 
 
@@ -282,9 +289,9 @@ def cmd_ingest(args) -> int:
         for path in (args.news, args.behaviors):
             if not os.path.exists(path):
                 raise ConfigError(f"input file {path!r} does not exist")
-        with open(args.news, "r", encoding="utf-8") as fh:
+        with open(args.news, "rb") as fh:  # each line is decoded on its own, as in read_jsonl
             news = data_mod.parse_mind_news(fh)
-        with open(args.behaviors, "r", encoding="utf-8") as fh:
+        with open(args.behaviors, "rb") as fh:
             behaviors = data_mod.parse_mind_behaviors(fh)
         articles, impressions = news.articles, behaviors.impressions
         errors = news.errors + behaviors.errors
@@ -350,12 +357,9 @@ def cmd_train(args) -> int:
     if not impressions:
         raise data_mod.DataFormatError("dataset has no impressions to train on")
     model_config = model_config_from_run(config)
-    if model_config.use_summaries and not any(a.summary for a in corpus.values()):
-        print("warning: use_summaries is on but no article carries a summary; "
-              "raw bodies will be encoded (run the summarize command first)", file=sys.stderr)
     vocabs = build_vocabs(list(corpus.values()), model_config.attr_names)
     params = init_model_params(model_config, vocabs, seed=config["seed"])
-    embedder, provider = _frozen_inputs(args, config, corpus, model_config.constant_flow)
+    embedder, provider = _frozen_inputs(args, config, corpus, model_config)
     result = train(params, corpus, impressions, train_config_from_run(config), embedder, provider)
     ckpt_path = os.path.join(out, "checkpoint.bin")
     tag = ckpt.save_checkpoint(ckpt_path, result.params)
@@ -400,7 +404,7 @@ def _checkpoint_inputs(args):
     out = _out_dir(args)
     corpus, impressions = _load_dataset(args.data)
     params = ckpt.load_checkpoint(args.checkpoint)
-    embedder, provider = _frozen_inputs(args, config, corpus, params.config.constant_flow)
+    embedder, provider = _frozen_inputs(args, config, corpus, params.config)
     return config, out, corpus, impressions, params, embedder, provider
 
 
@@ -408,15 +412,12 @@ def cmd_precompute(args) -> int:
     """``precompute`` and ``encode``: the rep store of the users ``args.users_of``
     picks from the impressions, written to ``args.store_file``."""
     _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
-    store = serve_mod.precompute(params, embedder, corpus, args.users_of(impressions), provider,
-                                 allow_partial=args.allow_partial)
+    store = serve_mod.precompute(params, embedder, corpus, args.users_of(impressions), provider)
     store_path = os.path.join(out, args.store_file)
     serve_mod.save_store(store_path, store)
     stats = {
         "articles": len(store.article_ids),
         "users": len(store.users),
-        "partial": store.partial,
-        "errors": len(store.errors),
         "version_tag": store.version_tag,
     }
     print(json.dumps(stats, sort_keys=True))
@@ -525,7 +526,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("summarize", help="attach summarized bodies to every article")
+    p = sub.add_parser("summarize",
+                       help="attach summarized bodies to every article (a failed one keeps its raw body)")
     common(p)
     p.set_defaults(func=cmd_summarize)
 
@@ -540,12 +542,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     for name, users_of, store_file, help_text in (
-            ("encode", lambda impressions: [], "article_reps.bin", "precompute article representations only"),
+            ("encode", lambda impressions: [], "article_reps.bin", "precompute every article's rep only"),
             ("precompute", serve_mod.users_from_impressions, "store.bin",
-             "build the serving rep store (articles + users)")):
+             "build the serving rep store (every article + each user's latest history)")):
         p = sub.add_parser(name, help=help_text)
         common(p, checkpoint=True, user_attrs=True)
-        p.add_argument("--allow-partial", action="store_true")
         p.set_defaults(func=cmd_precompute, users_of=users_of, store_file=store_file)
 
     p = sub.add_parser("serve", help="run the rerank HTTP service")

@@ -1,8 +1,9 @@
 """Corpus ingestion: MIND-style TSV logs, a canonical JSONL interchange
 format, and seeded synthetic datasets with planted click rules.
 
-Parsers are record-level fault tolerant: a malformed line is reported with
-its line number and parsing continues. Totals therefore always satisfy
+Parsers are record-level fault tolerant: each line is decoded on its own,
+and a line that is not UTF-8 or is malformed is reported with its line
+number while parsing continues. Totals therefore always satisfy
 ``len(records) + len(errors) == non-blank input lines``.
 """
 
@@ -12,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -86,82 +87,77 @@ def _parse_timestamp(raw: str) -> int:
     raise ValueError(f"unrecognized timestamp {raw!r}")
 
 
-def parse_mind_news(lines: Iterable[str]) -> ParseResult:
+def _parse_lines(lines: Iterable[str | bytes], parse: Callable[[str], Article | Impression]) -> ParseResult:
+    """The records ``parse`` makes of each non-blank line, decoded on its own and
+    without its line end. A line that is not UTF-8, or that ``parse`` rejects
+    with a ValueError or KeyError, becomes one :class:`ParseError` with its number."""
+    out = ParseResult()
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            text = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
+            if text.strip():
+                rec = parse(text)
+                (out.articles if isinstance(rec, Article) else out.impressions).append(rec)
+        except UnicodeDecodeError as exc:
+            out.errors.append(ParseError(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}"))
+        except json.JSONDecodeError as exc:
+            out.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
+        except KeyError as exc:
+            out.errors.append(ParseError(line_no, f"missing field {exc}"))
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            out.errors.append(ParseError(line_no, str(exc)))
+    return out
+
+
+def parse_mind_news(lines: Iterable[str | bytes]) -> ParseResult:
     """Parse news TSV lines: id, category, subcategory, title, abstract, ...
 
     The abstract column is kept as the article body; url and entity columns
     are ignored. Duplicate ids are rejected per record, first one wins.
     """
-    out = ParseResult()
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
+
+    def parse(line: str) -> Article:
         fields = line.split("\t")
         if len(fields) < 5:
-            out.errors.append(ParseError(line_no, f"expected >= 5 tab-separated fields, got {len(fields)}"))
-            continue
+            raise ValueError(f"expected >= 5 tab-separated fields, got {len(fields)}")
         article_id, category, subcategory, title, abstract = fields[:5]
         if not article_id:
-            out.errors.append(ParseError(line_no, "empty article id"))
-            continue
+            raise ValueError("empty article id")
         if article_id in seen:
-            out.errors.append(ParseError(line_no, f"duplicate article id {article_id!r}"))
-            continue
+            raise ValueError(f"duplicate article id {article_id!r}")
         if not title:
-            out.errors.append(ParseError(line_no, f"article {article_id!r} has an empty title"))
-            continue
+            raise ValueError(f"article {article_id!r} has an empty title")
         seen.add(article_id)
-        out.articles.append(
-            Article(
-                article_id=article_id,
-                title=title,
-                body=abstract,
-                attributes={"category": category, "subcategory": subcategory},
-            )
-        )
-    return out
+        return Article(article_id, title, abstract, attributes={"category": category, "subcategory": subcategory})
+
+    return _parse_lines(lines, parse)
 
 
-def parse_mind_behaviors(lines: Iterable[str]) -> ParseResult:
+def _parse_behavior(line: str) -> Impression:
+    fields = line.split("\t")
+    if len(fields) < 5:
+        raise ValueError(f"expected 5 tab-separated fields, got {len(fields)}")
+    imp_id, user_id, raw_time, raw_history, raw_candidates = fields[:5]
+    timestamp = _parse_timestamp(raw_time)
+    candidates: list[tuple[str, int]] = []
+    for token in raw_candidates.split():
+        art_id, dash, label = token.rpartition("-")
+        if not dash or label not in ("0", "1") or not art_id:
+            raise ValueError(f"candidate token {token!r} must look like '<id>-0' or '<id>-1'")
+        candidates.append((art_id, int(label)))
+    if not candidates:
+        raise ValueError("impression has no candidates")
+    return Impression(imp_id, user_id, timestamp, raw_history.split(), candidates)
+
+
+def parse_mind_behaviors(lines: Iterable[str | bytes]) -> ParseResult:
     """Parse behavior TSV lines: id, user, time, history, labeled candidates.
 
     History is consumed as given (oldest first). Candidate tokens must end
     in ``-0`` or ``-1``.
     """
-    out = ParseResult()
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 5:
-            out.errors.append(ParseError(line_no, f"expected 5 tab-separated fields, got {len(fields)}"))
-            continue
-        imp_id, user_id, raw_time, raw_history, raw_candidates = fields[:5]
-        try:
-            timestamp = _parse_timestamp(raw_time)
-        except ValueError as exc:
-            out.errors.append(ParseError(line_no, str(exc)))
-            continue
-        history = raw_history.split() if raw_history.strip() else []
-        candidates: list[tuple[str, int]] = []
-        bad = None
-        for token in raw_candidates.split():
-            art_id, dash, label = token.rpartition("-")
-            if not dash or label not in ("0", "1") or not art_id:
-                bad = f"candidate token {token!r} must look like '<id>-0' or '<id>-1'"
-                break
-            candidates.append((art_id, int(label)))
-        if bad:
-            out.errors.append(ParseError(line_no, bad))
-            continue
-        if not candidates:
-            out.errors.append(ParseError(line_no, "impression has no candidates"))
-            continue
-        out.impressions.append(Impression(imp_id, user_id, timestamp, history, candidates))
-    return out
+    return _parse_lines(lines, _parse_behavior)
 
 
 # ---------------------------------------------------------------------------
@@ -175,52 +171,40 @@ def parse_jsonl(lines: Iterable[str | bytes]) -> ParseResult:
     is not UTF-8 or not a JSON object, a record of another kind, and a record
     with a field missing or of the wrong type are record-level errors.
     """
-    out = ParseResult()
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            text = line.decode("utf-8") if isinstance(line, bytes) else line
-            if not text.strip():
-                continue
-            rec = json.loads(text)
-            if not isinstance(rec, dict):
-                raise ValueError("a record must be a JSON object")
-            kind = rec.get("kind")
-            if kind == "article":
-                article_id, attributes, summary = str(rec["id"]), rec.get("attributes", {}), rec.get("summary")
-                if not isinstance(attributes, dict):
-                    raise ValueError("attributes must be an object")
-                if not isinstance(summary, (str, type(None))):
-                    raise ValueError("summary must be a string or null")
-                if article_id in seen:
-                    raise ValueError(f"duplicate article id {article_id!r}")
-                seen.add(article_id)
-                out.articles.append(Article(article_id, str(rec["title"]), str(rec.get("body", "")), summary,
-                                            {str(k): str(v) for k, v in attributes.items()}))
-            elif kind == "impression":
-                history, candidates, timestamp = rec.get("history", []), rec["candidates"], rec.get("timestamp", 0)
-                if not isinstance(history, list):
-                    raise ValueError("history must be a list")
-                if not (isinstance(candidates, list) and candidates
-                        and all(isinstance(c, list) and len(c) == 2 for c in candidates)):
-                    raise ValueError("candidates must be a non-empty list of [id, label] pairs")
-                if any(type(y) is not int or y not in (0, 1) for _, y in candidates):
-                    raise ValueError("labels must be 0 or 1")
-                if type(timestamp) is not int:
-                    raise ValueError("timestamp must be an integer")
-                out.impressions.append(Impression(str(rec["id"]), str(rec["user"]), timestamp,
-                                                  [str(h) for h in history], [(str(a), y) for a, y in candidates]))
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-        except json.JSONDecodeError as exc:
-            out.errors.append(ParseError(line_no, f"invalid JSON: {exc.msg}"))
-        except UnicodeDecodeError as exc:
-            out.errors.append(ParseError(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}"))
-        except KeyError as exc:
-            out.errors.append(ParseError(line_no, f"missing field {exc}"))
-        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-            out.errors.append(ParseError(line_no, str(exc)))
-    return out
+
+    def parse(line: str) -> Article | Impression:
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError("a record must be a JSON object")
+        kind = rec.get("kind")
+        if kind == "article":
+            article_id, attributes, summary = str(rec["id"]), rec.get("attributes", {}), rec.get("summary")
+            if not isinstance(attributes, dict):
+                raise ValueError("attributes must be an object")
+            if not isinstance(summary, (str, type(None))):
+                raise ValueError("summary must be a string or null")
+            if article_id in seen:
+                raise ValueError(f"duplicate article id {article_id!r}")
+            seen.add(article_id)
+            return Article(article_id, str(rec["title"]), str(rec.get("body", "")), summary,
+                           {str(k): str(v) for k, v in attributes.items()})
+        if kind == "impression":
+            history, candidates, timestamp = rec.get("history", []), rec["candidates"], rec.get("timestamp", 0)
+            if not isinstance(history, list):
+                raise ValueError("history must be a list")
+            if not (isinstance(candidates, list) and candidates
+                    and all(isinstance(c, list) and len(c) == 2 for c in candidates)):
+                raise ValueError("candidates must be a non-empty list of [id, label] pairs")
+            if any(type(y) is not int or y not in (0, 1) for _, y in candidates):
+                raise ValueError("labels must be 0 or 1")
+            if type(timestamp) is not int:
+                raise ValueError("timestamp must be an integer")
+            return Impression(str(rec["id"]), str(rec["user"]), timestamp,
+                              [str(h) for h in history], [(str(a), y) for a, y in candidates])
+        raise ValueError(f"unknown kind {kind!r}")
+
+    return _parse_lines(lines, parse)
 
 
 def article_to_json(article: Article) -> str:

@@ -1,11 +1,13 @@
 """Offline precompute plus an online rerank service.
 
-``precompute`` snapshots one rep row per article and one profile row per
-user into a :class:`RepStore`, taking both from a checkpoint's
+``precompute`` snapshots one rep row per corpus article and one profile row
+per user into a :class:`RepStore`, taking both from a checkpoint's
 :class:`~flowrec.model.Scorer`, so serving reps are evaluation reps by
-construction. ``rank`` hands the same history and candidate rows to the same
-batched :func:`~flowrec.model.score_candidates` as offline evaluation, so
-serving probabilities are bit-identical to evaluation ones.
+construction; an article without a summary is encoded from its raw body, as
+in every other stage (:meth:`~flowrec.data.Article.body_text`). ``rank``
+hands the same history and candidate rows to the same batched
+:func:`~flowrec.model.score_candidates` as offline evaluation, so serving
+probabilities are bit-identical to evaluation ones.
 
 The HTTP layer is a small JSON-over-HTTP server: ``POST /rank`` and
 ``GET /health``. Store and parameters are immutable after load; request
@@ -19,7 +21,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -60,8 +62,6 @@ class RepStore:
     reps: np.ndarray
     users: dict[str, UserEntry]
     profile_embs: np.ndarray
-    partial: bool = False
-    errors: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.row_of = {a: i for i, a in enumerate(self.article_ids)}
@@ -78,27 +78,15 @@ def users_from_impressions(impressions) -> list[UserRecord]:
 
 
 def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
-               users: list[UserRecord], profile_provider=None,
-               allow_partial: bool = False) -> RepStore:
-    """Offline inference pass: each rep from :meth:`Scorer.rep`, each profile from its table.
-
-    Articles missing a required summary become per-item errors; with
-    ``allow_partial`` the store is still produced (flagged) without them,
-    otherwise the error list is raised as one failure.
-    """
+               users: list[UserRecord], profile_provider=None) -> RepStore:
+    """Offline inference pass over every corpus article and each user's in-corpus history:
+    each rep from :meth:`Scorer.rep`, each profile from its table."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
     cfg, feats = params.config, scorer.features
-    missing = {a for a, art in corpus.items() if cfg.use_summaries and art.body and art.summary is None}
-    errors = [f"article {a}: summary required but missing" for a in corpus if a in missing]
-    article_ids = [a for a in corpus if a not in missing]
-    if errors and not allow_partial:
-        raise ConfigError(
-            f"precompute failed for {len(errors)} items "
-            f"(first: {errors[0]}); pass allow_partial to keep going"
-        )
+    article_ids = list(corpus)
     reps = np.array([scorer.rep(a) for a in article_ids])
 
-    histories = {u.user_id: [a for a in u.history if a in corpus and a not in missing] for u in users}
+    histories = {u.user_id: [a for a in u.history if a in corpus] for u in users}
     prof_rows = feats.profile_rows([(uid, tuple(h)) for uid, h in histories.items()])
     profile_embs = feats.profiles[prof_rows]
     return RepStore(
@@ -112,8 +100,6 @@ def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
             for i, ((uid, h), r) in enumerate(zip(histories.items(), prof_rows))
         },
         profile_embs=profile_embs,
-        partial=bool(errors),
-        errors=errors,
     )
 
 
@@ -129,8 +115,6 @@ def save_store(path, store: RepStore) -> None:
             uid: {"history": e.history, "profile_text": e.profile_text}
             for uid, e in store.users.items()
         },
-        "partial": store.partial,
-        "errors": store.errors,
     }
     tensors = {}
     if store.article_ids:
@@ -140,20 +124,25 @@ def save_store(path, store: RepStore) -> None:
     write_tensor_file(path, header, tensors)
 
 
-STORE_KEYS = {"version_tag": str, "article_dim": int, "embed_dim": int, "article_ids": list,
-              "users": dict, "partial": bool, "errors": list}
+STORE_KEYS = {"version_tag": str, "article_dim": int, "embed_dim": int, "article_ids": list, "users": dict}
 
 
 def load_store(path) -> RepStore:
-    """A saved :class:`RepStore`; a header or tensor not as :func:`save_store` writes it is a ConfigError."""
+    """A saved :class:`RepStore`; a header or tensor not as :func:`save_store` writes it is a ConfigError.
+    Its article ids are distinct and every history names one of them, so :func:`rank` needs no filter."""
     header, tensors = read_artifact(path, "repstore", STORE_KEYS)
     article_dim, embed_dim = header["article_dim"], header["embed_dim"]
     ids, user_meta = header["article_ids"], header["users"]
     users_ok = all(isinstance(m, dict) and isinstance(m.get("history"), list)
                    and isinstance(m.get("profile_text"), str) for m in user_meta.values())
-    if not (users_ok and all(isinstance(a, str) for a in [*ids, *header["errors"], *(
+    if not (users_ok and all(isinstance(a, str) for a in [*ids, *(
             a for m in user_meta.values() for a in m["history"])])):
-        raise ConfigError(f"{path}: header 'errors', 'article_ids' or 'users' is not as a rep store writes it")
+        raise ConfigError(f"{path}: header 'article_ids' or 'users' is not as a rep store writes it")
+    stored = set(ids)
+    if len(stored) != len(ids):
+        raise ConfigError(f"{path}: header 'article_ids' repeats an id")
+    if not all(stored.issuperset(m["history"]) for m in user_meta.values()):
+        raise ConfigError(f"{path}: a history in header 'users' names an article not in 'article_ids'")
     shapes = {"article_reps": (len(ids), article_dim), "profile_embs": (len(user_meta), embed_dim)}
     for name, shape in shapes.items():
         if shape[0] and (name not in tensors or tensors[name].shape != shape):
@@ -170,8 +159,6 @@ def load_store(path) -> RepStore:
             for i, (uid, meta) in enumerate(user_meta.items())
         },
         profile_embs=embs,
-        partial=header["partial"],
-        errors=header["errors"],
     )
 
 
@@ -254,7 +241,7 @@ def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResp
         hist_rows = []
         profile = np.zeros(store.embed_dim)
     else:
-        hist_rows = [store.row_of[a] for a in entry.history if a in store.row_of]
+        hist_rows = [store.row_of[a] for a in entry.history]
         profile = entry.profile_emb
     with _candidate_block(store.reps, [store.row_of[a] for a in request.candidate_ids]) as cands:
         # The scored candidates keep no view of the block.
@@ -297,8 +284,8 @@ class RankService:
 
     def handle_health(self) -> dict:
         store = self.store
-        return {"status": "ok", "model_version": store.version_tag, "partial": store.partial,
-                "n_errors": len(store.errors), "n_articles": len(store.article_ids), "n_users": len(store.users)}
+        return {"status": "ok", "model_version": store.version_tag,
+                "n_articles": len(store.article_ids), "n_users": len(store.users)}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -368,6 +355,7 @@ def serve_in_thread(store: RepStore, params: ModelParams, host: str = "127.0.0.1
                     port: int = 0) -> tuple[ThreadingHTTPServer, threading.Thread]:
     """Start the service on a background thread (port 0 picks a free port)."""
     server = create_server(store, params, host, port)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: shutdown() waits for serve_forever's next poll (0.5 s by default).
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     return server, thread

@@ -228,21 +228,13 @@ class ReplayCompletionClient:
 
     def __init__(self, fixture_path):
         self.calls = 0
-        self._by_key: dict[str, str] = {}
-        self._by_sha: dict[str, str] = {}
-        for rec in _read_cache_file(fixture_path)[0]:
-            self._by_key[rec["key"]] = rec["completion"]
-            if "prompt_sha" in rec:
-                self._by_sha[rec["prompt_sha"]] = rec["completion"]
+        self._by_key = {rec["key"]: rec["completion"] for rec in _read_cache_file(fixture_path)[0]}
 
     def complete(self, template_name: str, prompt: str, context: dict) -> str:
         self.calls += 1
         key = completion_key(template_name, prompt)
         if key in self._by_key:
             return self._by_key[key]
-        sha = prompt_sha(prompt)
-        if sha in self._by_sha:
-            return self._by_sha[sha]
         raise CompletionError(f"no recorded completion for prompt (key {key[:12]}...)")
 
 

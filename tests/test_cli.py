@@ -217,6 +217,15 @@ class TestIngest:
         assert (out / "manifest.json").read_text() == text
 
 
+    def test_mind_line_not_utf8_is_rejected_not_fatal(self, mind_dir, tmp_path, capsys):
+        (mind_dir / "news.tsv").write_bytes(NEWS.encode() + b"N4\tnews\ttech\tTitle \xff\tAbstract\tu\t[]\t[]\n")
+        assert run("ingest", "--format", "mind", "--news", mind_dir / "news.tsv",
+                   "--behaviors", mind_dir / "behaviors.tsv", "--out", tmp_path / "out") == 0
+        captured = capsys.readouterr()
+        stats = json.loads(captured.out.strip().splitlines()[-1])
+        assert stats["rejected_records"] == 1 and stats["articles"] == 3
+        assert "line 4: not UTF-8" in captured.err
+
     def test_bad_jsonl_records_are_rejected_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--out", out) == 0
@@ -453,7 +462,10 @@ GARBLED_STORES = {
     "no-format-version": (_without("format_version"), "format version None"),
     "no-article-dim": (_without("article_dim"), "'article_dim'"),
     "ids-without-reps": (lambda h, t: (h, {k: v for k, v in t.items() if k != "article_reps"}), "'article_reps'"),
-    "errors-a-number": (lambda h, t: ({**h, "errors": 5}, t), "'errors'"),
+    "id-repeated": (lambda h, t: ({**h, "article_ids": h["article_ids"][:-1] + h["article_ids"][:1]}, t),
+                    "'article_ids'"),
+    "history-id-not-stored": (lambda h, t: ({**h, "users": {u: {**m, "history": ["ghost"]}
+                                                             for u, m in h["users"].items()}}, t), "'users'"),
 }
 
 
@@ -518,6 +530,33 @@ class TestCheckpointCommands:
         manifest = {e["command"]: e for e in json.loads((tmp_path / "manifest.json").read_text())}
         assert manifest["encode"]["stats"] == encode_stats
         assert manifest["encode"]["outputs"] == {"store": "article_reps.bin"}
+
+    def test_precompute_keeps_an_article_without_a_summary(self, trained_run, tmp_path, capsys):
+        # summarize tolerates a failed completion: that article is stored, encoded
+        # from its raw body, and served with the scores evaluation gives it.
+        dataset = data_mod.read_jsonl(str(trained_run / "dataset.jsonl"))
+        latest = serve_mod.users_from_impressions(dataset.impressions)[0]
+        corpus = data_mod.build_corpus(dataset.articles)
+        unsummarized = latest.history[-1]
+        corpus[unsummarized].summary = None
+        data = tmp_path / "dataset.jsonl"
+        data_mod.write_jsonl(data, dataset.articles, dataset.impressions)
+        args = ("--data", data, "--checkpoint", trained_run / "checkpoint.bin", "--out", tmp_path, *sets())
+        capsys.readouterr()
+        assert run("precompute", *args, "--allow-partial") == 1
+        assert run("precompute", *args) == 0
+        assert f"warning: 1 of {len(corpus)} articles have a body but no summary" in capsys.readouterr().err
+
+        store, params = load_store(tmp_path / "store.bin"), load_checkpoint(trained_run / "checkpoint.bin")
+        assert store.article_ids == list(corpus)
+        assert store.users[latest.user_id].history == latest.history
+        provider = make_profile_provider(load_run_config(None, SMALL_OVERRIDES), corpus)
+        scorer = Scorer(params, HashedTextEmbedder(32), corpus, provider)
+        ids = [unsummarized, *(a for a in list(corpus)[:7] if a != unsummarized)]
+        imp = data_mod.Impression("p", latest.user_id, 0, latest.history, [(a, 0) for a in ids])
+        offline = {s.article_id: s.probability for s in scorer.score(imp)}
+        online = serve_mod.rank(serve_mod.RankRequest(latest.user_id, ids), store, params)
+        assert dict(online.results) == offline  # bit-identical
 
     def test_eval_global_auc_is_the_pooled_auc(self, trained_run, tmp_path):
         data, ckpt = trained_run / "dataset.jsonl", trained_run / "checkpoint.bin"

@@ -82,6 +82,15 @@ class TestMindBehaviors:
         assert result.impressions[0].history == ["N3", "N1", "N2"]
 
 
+@pytest.mark.parametrize("parse,line", [(parse_mind_news, NEWS_LINE), (parse_mind_behaviors, BEHAVIOR_LINE)],
+                         ids=["news", "behaviors"])
+def test_mind_line_not_utf8_is_one_error(parse, line):
+    result = parse([line.encode() + b"\n", b"\n", line.encode().replace(b"1", b"\xff") + b"\n"])
+    assert len(result.articles) + len(result.impressions) == 1
+    (error,) = result.errors
+    assert error.line_no == 3 and "not UTF-8" in error.message
+
+
 class TestJsonl:
     def test_article_record(self):
         line = json.dumps({"kind": "article", "id": "a1", "title": "t", "body": "b",
@@ -152,6 +161,10 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 
+# Fields of which tab-joined lists are sometimes MIND records.
+MIND_FIELDS = (st.sampled_from(["N1", "U1", "0", "11/11/2019 9:05:58 AM", "N1 N2", "N1-1 N2-0", ""])
+               | st.text(max_size=6))
+
 
 def near(record):
     """Records like ``record`` with each field kept, dropped or replaced by an arbitrary value."""
@@ -180,16 +193,28 @@ class TestJsonlRecordErrors:
     @given(st.lists(near(ARTICLE).map(json.dumps) | near(IMPRESSION).map(json.dumps)
                     | JSON_VALUES.map(json.dumps) | st.text(max_size=20) | st.binary(max_size=20), max_size=8))
     def test_every_non_blank_line_is_a_record_or_an_error(self, lines):
-        def blank(line):
-            try:
-                return not (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
-            except UnicodeDecodeError:
-                return False
+        assert_every_non_blank_line_is_a_record_or_an_error(parse_jsonl, lines)
 
-        result = parse_jsonl(lines)
-        assert len(result.articles) + len(result.impressions) + len(result.errors) == sum(
-            not blank(line) for line in lines)
-        assert len({e.line_no for e in result.errors}) == len(result.errors)
+
+def assert_every_non_blank_line_is_a_record_or_an_error(parse, lines):
+    def blank(line):
+        try:
+            return not (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+        except UnicodeDecodeError:
+            return False
+
+    result = parse(lines)
+    assert len(result.articles) + len(result.impressions) + len(result.errors) == sum(
+        not blank(line) for line in lines)
+    assert len({e.line_no for e in result.errors}) == len(result.errors)
+
+
+@pytest.mark.parametrize("parse", [parse_mind_news, parse_mind_behaviors], ids=["news", "behaviors"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.sampled_from([NEWS_LINE, BEHAVIOR_LINE]) | st.text(max_size=20) | st.binary(max_size=20)
+                | st.lists(MIND_FIELDS, max_size=7).map("\t".join), max_size=8))
+def test_every_non_blank_mind_line_is_a_record_or_an_error(parse, lines):
+    assert_every_non_blank_line_is_a_record_or_an_error(parse, lines)
 
 
 class TestCorpusUtilities:

@@ -34,7 +34,7 @@ from flowrec.serve import (
     serve_in_thread,
     users_from_impressions,
 )
-from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
+from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient, summarize_corpus
 from flowrec.train import evaluate_params
 
 # Measured on the reference machine: p95 ~73 ms for 1,000 candidates at the
@@ -77,15 +77,25 @@ class TestPrecompute:
         direct = encode_article(params, embedder, ds.corpus[art_id])
         assert np.array_equal(store.reps[store.row_of[art_id]], direct)
 
-    def test_missing_summary_is_item_error(self):
-        ds, params, embedder, _ = small_world()
-        params.config = params.config.ablated(use_summaries=True)
-        with pytest.raises(ConfigError):
-            precompute(params, embedder, ds.corpus, [])
-        store = precompute(params, embedder, ds.corpus, [], allow_partial=True)
-        assert store.partial
-        assert len(store.errors) == len(ds.corpus)
-        assert store.article_ids == []
+    def test_missing_summary_is_encoded_from_the_body(self):
+        # summarize tolerates a failed completion; precompute keeps that article,
+        # encoded from its raw body as evaluation encodes it.
+        ds, params, embedder, provider = small_world()
+        params = init_model_params(params.config.ablated(use_summaries=True), params.vocabs, seed=3)
+        summaries, _ = summarize_corpus(ds.articles, TEMPLATES["article_summary_mind"], StubCompletionClient())
+        users = users_from_impressions(ds.impressions)
+        user = next(u for u in users if u.history)
+        unsummarized = user.history[-1]
+        for art in ds.articles:
+            art.summary = None if art.article_id == unsummarized else summaries[art.article_id]
+        store = precompute(params, embedder, ds.corpus, users, provider)
+        assert store.article_ids == list(ds.corpus)
+        assert store.users[user.user_id].history == user.history
+
+        ids = [unsummarized] + [a.article_id for a in ds.articles[:6] if a.article_id != unsummarized]
+        imp = make_impression("p", user=user.user_id, history=user.history, candidates=[(a, 0) for a in ids])
+        offline = {s.article_id: s.probability for s in Scorer(params, embedder, ds.corpus, provider).score(imp)}
+        assert dict(rank(RankRequest(user.user_id, ids), store, params).results) == offline  # bit-identical
 
     def test_users_from_impressions_latest_history(self):
         imps = [make_impression("i1", user="u", history=["a"], timestamp=1),
@@ -138,17 +148,17 @@ class TestStoreFile:
         (lambda h, t: (h, {"article_reps": t["article_reps"]}), "'profile_embs' is missing"),
         (lambda h, t: (h, {**t, "profile_embs": t["profile_embs"][:, :-1]}),
          r"'profile_embs' .* shape \[8, 32\]"),
-        (lambda h, t: ({**h, "errors": 5}, t), "'errors' is missing or not list"),
-        (lambda h, t: ({**h, "errors": [5]}, t), "'errors', 'article_ids' or 'users'"),
-        (lambda h, t: ({**h, "partial": 0}, t), "'partial' is missing or not bool"),
         (lambda h, t: ({**h, "users": {u: {**m, "history": [[1]]} for u, m in h["users"].items()}}, t),
-         "'errors', 'article_ids' or 'users'"),
+         "'article_ids' or 'users'"),
+        (lambda h, t: ({**h, "article_ids": h["article_ids"][:-1] + h["article_ids"][:1]}, t),
+         "'article_ids' repeats an id"),
+        (lambda h, t: ({**h, "users": {u: {**m, "history": [*m["history"], "ghost"]} for u, m in h["users"].items()}},
+                       t), "'users' names an article not in 'article_ids'"),
         (lambda h, t: ({**h, "kind": "checkpoint"}, t), "is not a repstore file"),
     ], ids=["no-format-version", "no-article-dim", "article-dim-a-string", "embed-dim-a-bool",
             "no-version-tag", "users-a-list", "ids-not-strings", "user-without-profile-text",
             "no-article-reps", "reps-row-short", "no-profile-embs", "profile-embs-column-short",
-            "errors-a-number", "error-not-a-string", "partial-a-number", "history-entry-a-list",
-            "kind-checkpoint"])
+            "history-entry-a-list", "id-repeated", "history-id-not-stored", "kind-checkpoint"])
     def test_garbled_store_is_config_error_naming_the_file(self, tmp_path, garble, message):
         ds, params, embedder, provider = small_world()
         path = tmp_path / "store.bin"
@@ -274,8 +284,7 @@ class TestHttp:
             port = server.server_address[1]
             with urllib.request.urlopen(f"http://127.0.0.1:{port}/health") as resp:
                 health = json.loads(resp.read())
-            assert health == {"status": "ok", "model_version": store.version_tag, "partial": False,
-                              "n_errors": 0, "n_articles": len(ds.articles),
+            assert health == {"status": "ok", "model_version": store.version_tag, "n_articles": len(ds.articles),
                               "n_users": len(users_from_impressions(ds.impressions))}
 
             uid = ds.impressions[0].user_id

@@ -249,7 +249,7 @@ class TestRemoteClient:
 
     def test_wire_format(self, monkeypatch):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _FakeCompletionHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         try:
             port = server.server_address[1]
@@ -282,7 +282,7 @@ class TestRemoteClient:
     def test_client_errors_are_not_retried(self, monkeypatch, status, attempts):
         handler = type("Handler", (_StatusHandler,), {"status": status, "hits": 0})
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         try:
             monkeypatch.setenv(ENDPOINT_ENV, f"http://127.0.0.1:{server.server_address[1]}/v1/chat")
