@@ -443,16 +443,15 @@ def cmd_serve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
-    mine = [imp for imp in impressions if imp.user_id == args.user]
-    if not mine:
+    imp = serve_mod.latest_impressions(impressions).get(args.user)
+    if imp is None:
         raise UnknownIdError(f"unknown user {args.user!r}")
-    imp = max(mine, key=lambda i: i.timestamp)
-    hist_ids = [a for a in imp.history if a in corpus]
+    hist_ids = data_mod.in_corpus(corpus, imp.history)
     if not hist_ids:
         raise data_mod.DataFormatError(f"user {args.user!r} has no history in the dataset")
     scorer = Scorer(params, embedder, corpus, provider)
     scored = scorer.score(imp)
-    hist = np.stack([scorer.rep(a) for a in hist_ids])
+    hist = scorer.reps[scorer.features.rows(hist_ids)]
     profile = scorer.features.profile_embedding(imp.user_id, hist_ids)
 
     def cosine(x, y):

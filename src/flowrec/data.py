@@ -277,6 +277,13 @@ def unresolved_ids(corpus: dict[str, Article], impressions: Iterable[Impression]
     return missing
 
 
+def in_corpus(corpus, items, id_of=None) -> list:
+    """The ``items`` whose article id (the item, or ``id_of(item)``) is a key of
+    ``corpus``, in order: the one offline rule for an id outside the corpus, in
+    a history or among an impression's candidates, is that it is dropped."""
+    return [x for x in items if (x if id_of is None else id_of(x)) in corpus]
+
+
 def subsample_users(impressions: list[Impression], n_users: int, seed: int) -> list[Impression]:
     """Keep the impressions of a seeded random subset of users.
 

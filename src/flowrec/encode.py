@@ -280,16 +280,16 @@ def _reserve(table: np.ndarray, used: int, rows: int) -> np.ndarray:
 class FeatureSource:
     """The frozen-feature table that training, evaluation and precompute read.
 
-    Article ``row_of[article_id]`` holds the text embeddings ``title[r]`` and
-    ``body[r]`` and the attribute indices ``attr_idx[r]``; profile
-    ``profile_row_of[(user_id, history)]`` holds ``profiles[r]`` and
-    ``profile_texts[r]``. A row is computed when first asked for, the only
-    time text reaches the embedder, and is written straight into its array;
-    a text shared by several new rows is embedded once for all of them.
-    The profile rows are the run's only profile memo: the profile provider
-    keeps none, so each ``(user_id, history)`` reaches it once, here.
-    Arrays may carry spare rows past the last one in use. The embedder's
-    width is checked here, where frozen text features enter the model.
+    Row ``r`` is the corpus's ``r``-th article, ``row_of[article_id]``: its
+    text embeddings ``title[r]`` and ``body[r]`` and its attribute indices
+    ``attr_idx[r]``, all filled on construction, the only time article text
+    reaches the embedder; a text shared by several rows is embedded once.
+    Profile ``profile_row_of[(user_id, history)]`` holds ``profiles[r]`` and
+    ``profile_texts[r]``, computed when first asked for; the profile rows
+    are the run's only profile memo: the profile provider keeps none, so
+    each ``(user_id, history)`` reaches it once, here. ``profiles`` may
+    carry spare rows past the last one in use. The embedder's width is
+    checked here, where frozen text features enter the model.
     """
 
     def __init__(self, params, corpus: dict[str, Article], embedder, profile_provider=None):
@@ -297,37 +297,31 @@ class FeatureSource:
         if embedder.dim != cfg.embed_dim:
             raise ConfigError(f"text embedder dim {embedder.dim} is not the model's embed_dim {cfg.embed_dim}")
         self.config = cfg
-        self.vocabs = params.vocabs
-        self.corpus = corpus
         self.embedder = embedder
         self.profile_provider = profile_provider
-        self.row_of: dict[str, int] = {}
-        self.title = np.zeros((0, embedder.dim))
-        self.body = np.zeros((0, embedder.dim))
-        self.attr_idx = np.zeros((0, len(cfg.attr_names)), dtype=np.int64)
+        self.row_of = {a: r for r, a in enumerate(corpus)}
+        self.title = np.zeros((len(corpus), embedder.dim))
+        self.body = np.zeros((len(corpus), embedder.dim))
+        self.attr_idx = np.zeros((len(corpus), len(cfg.attr_names)), dtype=np.int64)
+        slots: dict[str, list[tuple[np.ndarray, int]]] = {}
+        for r, a in enumerate(corpus.values()):
+            slots.setdefault(a.title, []).append((self.title, r))
+            slots.setdefault(a.body_text(cfg.use_summaries), []).append((self.body, r))
+            self.attr_idx[r] = attr_index_row(params.vocabs, cfg.attr_names, a.attributes)
+        for text, where in slots.items():  # each distinct text is embedded once
+            vec = embedder.embed(text)
+            for table, r in where:
+                table[r] = vec
         self.profile_row_of: dict[tuple[str, tuple[str, ...]], int] = {}
         self.profiles = np.zeros((1, embedder.dim))
         self.profile_texts = [""]
 
     def rows(self, article_ids) -> np.ndarray:
-        """Table rows of ``article_ids``, adding rows for articles not seen yet."""
-        new = [a for a in dict.fromkeys(article_ids) if a not in self.row_of]
-        if new:
-            cfg, articles = self.config, [self.corpus[a] for a in new]
-            n, end = len(self.row_of), len(self.row_of) + len(new)
-            self.title, self.body, self.attr_idx = (
-                _reserve(t, n, end) for t in (self.title, self.body, self.attr_idx))
-            slots: dict[str, list[tuple[np.ndarray, int]]] = {}
-            for r, a in enumerate(articles, n):
-                slots.setdefault(a.title, []).append((self.title, r))
-                slots.setdefault(a.body_text(cfg.use_summaries), []).append((self.body, r))
-                self.attr_idx[r] = attr_index_row(self.vocabs, cfg.attr_names, a.attributes)
-            for text, where in slots.items():  # each distinct text is embedded once
-                vec = self.embedder.embed(text)
-                for table, r in where:
-                    table[r] = vec
-            self.row_of.update(zip(new, range(n, end)))
-        return np.array([self.row_of[a] for a in article_ids], dtype=np.int64)
+        """Table rows of ``article_ids``; an id not in the corpus raises :class:`UnknownIdError`."""
+        try:
+            return np.array([self.row_of[a] for a in article_ids], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownIdError(f"unknown article id {exc.args[0]!r}") from None
 
     def article_features(self, article_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(title_emb, body_emb, attr_idx)`` of one article."""

@@ -24,8 +24,9 @@ gradients of the candidate and history reps and a dict of the flow's tensor
 gradients, as ``flowrec.encode.attributes_backward`` returns the attribute
 encoder's. Parity contract, which gives serving bit-identical probabilities
 to evaluation:
-  * serving's article reps are :meth:`Scorer.rep`'s: ``flowrec.serve.precompute``
-    takes every one of them from a :class:`Scorer`;
+  * serving's reps are :attr:`Scorer.reps`, saved as they are by
+    ``flowrec.serve.precompute``: one row per corpus article, in the rows of
+    the frozen-feature table;
   * both pass :func:`score_candidates` the same history rows and the same
     candidate rows in the same order, so every product sees the same
     matrices; bit parity holds for those, not for reordered, regrouped or
@@ -41,10 +42,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Article, Impression
+from .data import Article, Impression, in_corpus
 from .encode import FeatureSource, encode_features
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
-from .errors import ConfigError, UnknownIdError
+from .errors import ConfigError
 
 
 def sigmoid(z):
@@ -92,6 +93,8 @@ class ModelConfig:
         for name in ("embed_dim", "text_proj_dim", "attr_embed_dim", "attr_hidden_dim", "attr_out_dim"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if not all(type(a) is str for a in self.attr_names):
+            raise ConfigError("model config keys ['attr_names'] are not of the types ModelConfig gives them")
         if len(set(self.attr_names)) != len(self.attr_names):
             raise ConfigError(f"attr_names repeats a name: {self.attr_names}")
 
@@ -105,8 +108,7 @@ class ModelConfig:
         unknown = set(raw) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        mistyped = sorted(k for k, v in raw.items() if type(v) is not type(defaults[k])
-                          or (k == "attr_names" and not all(type(a) is str for a in v)))
+        mistyped = sorted(k for k, v in raw.items() if type(v) is not type(defaults[k]))
         if mistyped:
             raise ConfigError(f"model config keys {mistyped} are not of the types ModelConfig gives them")
         return cls(**raw)
@@ -420,34 +422,36 @@ def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
 
 
 class Scorer:
-    """Evaluation-path scorer; encodes article reps on first use and keeps them.
+    """Evaluation-path scorer over one rep per corpus article, encoded on construction.
 
     ``embedder`` is a text embedder to build a :class:`FeatureSource` from,
-    or an existing table: training passes its own to validation.
+    or an existing table: training passes its own to validation. ``reps[r]``
+    is the eval-mode rep of the table's row ``r``, each from the one-row
+    :func:`encode_features`.
     """
 
     def __init__(self, params: ModelParams, embedder, corpus: dict[str, Article],
                  profile_provider=None):
         self.params = params
-        self.corpus = corpus
-        self.features = (embedder if isinstance(embedder, FeatureSource)
-                         else FeatureSource(params, corpus, embedder, profile_provider))
-        self._reps: dict[str, np.ndarray] = {}
+        self.features = feats = (embedder if isinstance(embedder, FeatureSource)
+                                 else FeatureSource(params, corpus, embedder, profile_provider))
+        self.reps = np.array([encode_features(params, *feats.article_features(a)) for a in feats.row_of]
+                             ).reshape(len(feats.row_of), params.config.article_dim)
 
     def rep(self, article_id: str) -> np.ndarray:
-        vec = self._reps.get(article_id)
-        if vec is None:
-            if article_id not in self.corpus:
-                raise UnknownIdError(f"unknown article id {article_id!r}")
-            vec = encode_features(self.params, *self.features.article_features(article_id))
-            self._reps[article_id] = vec
-        return vec
+        (row,) = self.features.rows([article_id])
+        return self.reps[row]
 
     def score(self, impression: Impression) -> list[ScoredCandidate]:
+        """Scores of the impression's candidates against its history, each id outside the
+        corpus dropped (:func:`~flowrec.data.in_corpus`): no known candidate, no scores."""
         if not impression.candidates:
             raise ValueError(f"impression {impression.impression_id!r} has no candidates")
-        hist_ids = [a for a in impression.history if a in self.corpus]
-        hist = np.array([self.rep(a) for a in hist_ids]).reshape(len(hist_ids), self.params.config.article_dim)
-        profile = self.features.profile_embedding(impression.user_id, hist_ids)
-        ids = [a for a, _ in impression.candidates]
-        return score_candidates(self.params, ids, [self.rep(a) for a in ids], hist, profile)
+        feats = self.features
+        hist_ids = in_corpus(feats.row_of, impression.history)
+        ids = in_corpus(feats.row_of, [a for a, _ in impression.candidates])
+        if not ids:
+            return []
+        profile = feats.profile_embedding(impression.user_id, hist_ids)
+        return score_candidates(self.params, ids, self.reps[feats.rows(ids)],
+                                self.reps[feats.rows(hist_ids)], profile)

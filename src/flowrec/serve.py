@@ -1,11 +1,12 @@
 """Offline precompute plus an online rerank service.
 
-``precompute`` snapshots one rep row per corpus article and one profile row
-per user into a :class:`RepStore`, taking both from a checkpoint's
-:class:`~flowrec.model.Scorer`, so serving reps are evaluation reps by
-construction; an article without a summary is encoded from its raw body, as
-in every other stage (:meth:`~flowrec.data.Article.body_text`). ``rank``
-hands the same history and candidate rows to the same batched
+``precompute`` saves a checkpoint's :attr:`~flowrec.model.Scorer.reps` as
+they are, one row per corpus article in corpus order, with one profile row
+per user from the same :class:`~flowrec.model.Scorer`'s table, so serving
+reps are evaluation reps by construction; an article without a summary is
+encoded from its raw body, as in every other stage
+(:meth:`~flowrec.data.Article.body_text`). ``rank`` hands the same history
+and candidate rows to the same batched
 :func:`~flowrec.model.score_candidates` as offline evaluation, so serving
 probabilities are bit-identical to evaluation ones.
 
@@ -27,7 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .checkpoint import FORMAT_VERSION, ensure_version_tag, read_artifact, write_tensor_file
-from .data import Article
+from .data import Article, Impression, in_corpus
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError, UnknownIdError
 from .model import ModelParams, Scorer, score_candidates
@@ -67,34 +68,31 @@ class RepStore:
         self.row_of = {a: i for i, a in enumerate(self.article_ids)}
 
 
+def latest_impressions(impressions) -> dict[str, Impression]:
+    """Each user's latest impression; of two with one timestamp, the one listed later."""
+    return {imp.user_id: imp for imp in sorted(impressions, key=lambda i: i.timestamp)}  # a stable sort
+
+
 def users_from_impressions(impressions) -> list[UserRecord]:
     """One record per user, carrying the history of their latest impression."""
-    latest: dict[str, tuple[int, list[str]]] = {}
-    for imp in impressions:
-        seen = latest.get(imp.user_id)
-        if seen is None or imp.timestamp >= seen[0]:
-            latest[imp.user_id] = (imp.timestamp, imp.history)
-    return [UserRecord(uid, history) for uid, (_, history) in sorted(latest.items())]
+    return [UserRecord(uid, imp.history) for uid, imp in sorted(latest_impressions(impressions).items())]
 
 
 def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
                users: list[UserRecord], profile_provider=None) -> RepStore:
     """Offline inference pass over every corpus article and each user's in-corpus history:
-    each rep from :meth:`Scorer.rep`, each profile from its table."""
+    the reps are :attr:`Scorer.reps` as they are, each profile is from its table."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
     cfg, feats = params.config, scorer.features
-    article_ids = list(corpus)
-    reps = np.array([scorer.rep(a) for a in article_ids])
-
-    histories = {u.user_id: [a for a in u.history if a in corpus] for u in users}
+    histories = {u.user_id: in_corpus(corpus, u.history) for u in users}
     prof_rows = feats.profile_rows([(uid, tuple(h)) for uid, h in histories.items()])
     profile_embs = feats.profiles[prof_rows]
     return RepStore(
         version_tag=ensure_version_tag(params),
         article_dim=cfg.article_dim,
         embed_dim=cfg.embed_dim,
-        article_ids=article_ids,
-        reps=reps.reshape(len(article_ids), cfg.article_dim),
+        article_ids=list(corpus),
+        reps=scorer.reps,
         users={
             uid: UserEntry(h, feats.profile_texts[r], profile_embs[i])
             for i, ((uid, h), r) in enumerate(zip(histories.items(), prof_rows))

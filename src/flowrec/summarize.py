@@ -34,7 +34,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .data import Article
+from .data import Article, in_corpus
 from .errors import ConfigError
 from .text import split_sentences, terms, truncate_words, word_count
 
@@ -415,7 +415,7 @@ class ProfileProvider:
     user_attrs: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def profile_text(self, user_id: str, history_ids: list[str]) -> str:
-        history = [self.corpus[a] for a in history_ids if a in self.corpus]
+        history = [self.corpus[a] for a in in_corpus(self.corpus, history_ids)]
         if not history:
             return ""
         if not self.use_instruct_u:

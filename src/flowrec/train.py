@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from .data import Article, Impression, split_by_time
+from .data import Article, Impression, in_corpus, split_by_time
 from .encode import (
     FeatureSource,
     article_reps,
@@ -72,7 +73,6 @@ class TrainConfig:
     max_steps: int = 600_000
     eval_every: int = 1000
     patience: int = 5
-    neg_sample_ratio: int = 0   # 0 = keep every impression negative
     holdout_fraction: float = 0.05
     log_every: int = 50
     seed: int = 0
@@ -81,7 +81,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         for name, least in (("batch_size", 1), ("max_steps", 0), ("eval_every", 1), ("patience", 1),
-                            ("log_every", 1), ("neg_sample_ratio", 0)):
+                            ("log_every", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
         if not 0.0 <= self.dropout < 1.0:
@@ -98,26 +98,15 @@ class TrainExample:
     label: int
 
 
-def build_examples(impressions: list[Impression], corpus: dict[str, Article],
-                   neg_sample_ratio: int = 0,
-                   rng: np.random.Generator | None = None) -> list[TrainExample]:
-    """Flatten impressions into training triples.
+def build_examples(impressions: list[Impression], corpus: dict[str, Article]) -> list[TrainExample]:
+    """Flatten impressions into training triples, each impression's positives first.
 
-    History ids missing from the corpus are dropped; candidates missing from
-    the corpus are skipped. With ``neg_sample_ratio`` K > 0, each impression
-    keeps all positives plus at most K negatives per positive (seeded).
+    History ids and candidates missing from the corpus are dropped (:func:`~flowrec.data.in_corpus`).
     """
     examples: list[TrainExample] = []
     for imp in impressions:
-        history = tuple(a for a in imp.history if a in corpus)
-        pos = [(a, y) for a, y in imp.candidates if y == 1 and a in corpus]
-        neg = [(a, y) for a, y in imp.candidates if y == 0 and a in corpus]
-        if neg_sample_ratio > 0 and pos and len(neg) > neg_sample_ratio * len(pos):
-            if rng is None:
-                raise ConfigError("negative sampling requires an rng")
-            keep = rng.choice(len(neg), size=neg_sample_ratio * len(pos), replace=False)
-            neg = [neg[i] for i in sorted(keep)]
-        for art_id, y in pos + neg:
+        history = tuple(in_corpus(corpus, imp.history))
+        for art_id, y in sorted(in_corpus(corpus, imp.candidates, itemgetter(0)), key=lambda c: -c[1]):
             examples.append(TrainExample(imp.user_id, history, art_id, y))
     return examples
 
@@ -414,9 +403,11 @@ class TrainResult:
 def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
                     impressions: list[Impression], profile_provider=None,
                     include_global_auc: bool = False):
-    """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`)."""
+    """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`),
+    over each impression's candidates in the corpus."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
-    return evaluate_rankings([([s.probability for s in scorer.score(imp)], imp.labels)
+    return evaluate_rankings([([s.probability for s in scorer.score(imp)],
+                               [y for _, y in in_corpus(corpus, imp.candidates, itemgetter(0))])
                               for imp in impressions], include_global_auc=include_global_auc)
 
 
@@ -436,7 +427,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         train_impressions = impressions
 
     rng = np.random.default_rng(config.seed)
-    examples = build_examples(train_impressions, corpus, config.neg_sample_ratio, rng)
+    examples = build_examples(train_impressions, corpus)
     if not examples:
         raise TrainingError("training set is empty after filtering")
 

@@ -121,6 +121,7 @@ class TestRunConfig:
         ('summarizer.article_template="nope"', "summarizer.article_template"),
         ('summarizer.profile_template="nope"', "summarizer.profile_template"),
         ('attrs=["category", "category"]', "attr_names"),
+        ("attrs=[1]", "attr_names"),
         ("dims.embed_dim=0", "embed_dim"),
     ])
     def test_out_of_range_set_exits_one_before_data_is_read(self, tmp_path, capsys, item, key):
@@ -557,6 +558,46 @@ class TestCheckpointCommands:
         offline = {s.article_id: s.probability for s in scorer.score(imp)}
         online = serve_mod.rank(serve_mod.RankRequest(latest.user_id, ids), store, params)
         assert dict(online.results) == offline  # bit-identical
+
+    def test_unknown_candidate_is_dropped_by_train_and_eval(self, trained_run, tmp_path):
+        # The last impression, which the time-based holdout validates on, gets a
+        # "ghost" candidate; a second copy of it has no known candidate at all.
+        dataset = data_mod.read_jsonl(str(trained_run / "dataset.jsonl"))
+        last = max(dataset.impressions, key=lambda i: (i.timestamp, i.impression_id))
+        ghostly = [data_mod.Impression(last.impression_id, last.user_id, last.timestamp, last.history,
+                                       [*last.candidates, ("ghost", 0)]),
+                   data_mod.Impression("all-ghosts", last.user_id, last.timestamp, last.history, [("ghost", 1)])]
+        data = tmp_path / "ghost.jsonl"
+        data_mod.write_jsonl(data, dataset.articles, [i for i in dataset.impressions if i is not last] + ghostly)
+        assert run("train", "--data", data, "--out", tmp_path / "t",
+                   *sets(["train.eval_every=1", "train.max_steps=3"])) == 0
+        assert (tmp_path / "t" / "checkpoint.bin").exists()
+
+        reports = []
+        for dataset_path in (trained_run / "dataset.jsonl", data):
+            assert run("eval", "--data", dataset_path, "--checkpoint", trained_run / "checkpoint.bin",
+                       "--out", tmp_path, *sets()) == 0
+            reports.append(json.loads((tmp_path / "eval_report.json").read_text()))
+        clean, ghost = reports
+        assert ghost["n_excluded"] == clean["n_excluded"] + 1  # the impression with no known candidate
+        assert ghost == {**clean, "n_excluded": clean["n_excluded"] + 1}  # the rest scored as without the ghost
+
+    def test_diagnose_explains_the_history_precompute_stores(self, trained_run, tmp_path):
+        # Two latest impressions with one timestamp: the one listed later is the user's latest.
+        dataset = data_mod.read_jsonl(str(trained_run / "dataset.jsonl"))
+        user, ids = _first_user(trained_run / "dataset.jsonl"), [a.article_id for a in dataset.articles]
+        when = max(i.timestamp for i in dataset.impressions) + 1
+        tied = [data_mod.Impression("tie-1", user, when, ids[:1], [(ids[5], 1)]),
+                data_mod.Impression("tie-2", user, when, ids[2:4], [(ids[5], 1), (ids[6], 0)])]
+        data = tmp_path / "tied.jsonl"
+        data_mod.write_jsonl(data, dataset.articles, dataset.impressions + tied)
+        args = ("--data", data, "--checkpoint", trained_run / "checkpoint.bin", "--out", tmp_path, *sets())
+        assert run("precompute", *args) == 0
+        assert run("diagnose", *args, "--user", user) == 0
+        with open(tmp_path / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        explained = list(dict.fromkeys(row["history_article_id"] for row in rows))
+        assert explained == load_store(tmp_path / "store.bin").users[user].history == ids[2:4]
 
     def test_eval_global_auc_is_the_pooled_auc(self, trained_run, tmp_path):
         data, ckpt = trained_run / "dataset.jsonl", trained_run / "checkpoint.bin"

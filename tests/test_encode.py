@@ -17,7 +17,7 @@ from flowrec.encode import (
     read_embedding_file,
     write_embedding_file,
 )
-from flowrec.errors import ConfigError
+from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import ModelConfig, init_model_params
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 
@@ -123,6 +123,7 @@ class TestFeatureSourceProfiles:
                 return super().embed(text)
 
         feats = FeatureSource(toy_params, toy_corpus, CountingEmbedder(toy_params.config.embed_dim), provider)
+        embedded.clear()  # construction embeds the article texts; only profile texts are counted here
         keys = [("u1", ("a1", "a2")), ("u2", ("a1", "a2")), ("u1", ("a1", "a2", "a3"))]
         first = feats.profile_rows(keys)
         again = feats.profile_rows([keys[2], ("u3", ("a4",)), keys[0], keys[2], ("u4", ())])
@@ -136,6 +137,46 @@ class TestFeatureSourceProfiles:
         assert list(again[[0, 2, 3]]) == [first[2], first[0], first[2]]
         assert np.array_equal(profile, feats.profiles[first[1]])
         assert np.array_equal(feats.profiles[first[0]], feats.profiles[first[1]])
+
+
+class CountingEmbedder(HashedTextEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.seen = []
+
+    def embed(self, text):
+        self.seen.append(text)
+        return super().embed(text)
+
+
+class TestFeatureSourceArticles:
+    def test_rows_follow_corpus_order(self, toy_params, toy_corpus):
+        embedder = HashedTextEmbedder(TOY_CONFIG["embed_dim"])
+        feats = FeatureSource(toy_params, toy_corpus, embedder)
+        assert list(feats.row_of) == list(toy_corpus)
+        assert feats.rows(["a3", "a1", "a3"]).tolist() == [2, 0, 2]
+        for r, art in enumerate(toy_corpus.values()):
+            assert np.array_equal(feats.title[r], embedder.embed(art.title))
+            assert np.array_equal(feats.body[r], embedder.embed(art.body))
+            assert feats.attr_idx[r].tolist() == attr_index_row(toy_params.vocabs, ["category"],
+                                                                art.attributes).tolist()
+
+    def test_each_article_text_embedded_once_on_construction(self, toy_params, toy_corpus):
+        # a5 shares its title with a1, and its body is a2's title
+        corpus = {**toy_corpus, "a5": make_article("a5", title="alpha news", body="beta news", category="x")}
+        embedder = CountingEmbedder(TOY_CONFIG["embed_dim"])
+        feats = FeatureSource(toy_params, corpus, embedder)
+        texts = {t for a in corpus.values() for t in (a.title, a.body)}
+        assert sorted(embedder.seen) == sorted(texts)
+        feats.rows(list(corpus))
+        for art_id in corpus:
+            feats.article_features(art_id)
+        assert len(embedder.seen) == len(texts)
+
+    def test_unknown_id_is_named(self, toy_params, toy_corpus):
+        feats = FeatureSource(toy_params, toy_corpus, HashedTextEmbedder(TOY_CONFIG["embed_dim"]))
+        with pytest.raises(UnknownIdError, match="'ghost'"):
+            feats.rows(["a1", "ghost"])
 
 
 def projected(params, vec, which):

@@ -372,6 +372,14 @@ class TestScorer:
         with pytest.raises(UnknownIdError, match="ghost"):
             self._scorer(toy_corpus).rep("ghost")
 
+    def test_unknown_ids_are_dropped(self, toy_corpus):
+        scorer = self._scorer(toy_corpus)
+        ghostly = scorer.score(make_impression("i1", history=["a1", "ghost"],
+                                               candidates=[("a2", 1), ("ghost", 0), ("a3", 0)]))
+        known = scorer.score(make_impression("i1", history=["a1"], candidates=[("a2", 1), ("a3", 0)]))
+        assert [(s.article_id, s.probability) for s in ghostly] == [(s.article_id, s.probability) for s in known]
+        assert scorer.score(make_impression("i2", candidates=[("ghost", 1)])) == []
+
     def test_no_candidates_rejected(self, toy_corpus):
         imp = make_impression("i1", candidates=[])
         with pytest.raises(ValueError):

@@ -73,9 +73,8 @@ class TestPrecompute:
     def test_store_entry_matches_direct_encoding(self):
         ds, params, embedder, provider = small_world()
         store = precompute(params, embedder, ds.corpus, [])
-        art_id = ds.articles[7].article_id
-        direct = encode_article(params, embedder, ds.corpus[art_id])
-        assert np.array_equal(store.reps[store.row_of[art_id]], direct)
+        for art_id, art in ds.corpus.items():
+            assert np.array_equal(store.reps[store.row_of[art_id]], encode_article(params, embedder, art))
 
     def test_missing_summary_is_encoded_from_the_body(self):
         # summarize tolerates a failed completion; precompute keeps that article,

@@ -370,14 +370,14 @@ def test_backward_peak_memory_at_paper_shape():
     batch = build_examples(ds.impressions, ds.corpus)[:512]
     assert len({(ex.user_id, ex.history) for ex in batch}) == 86
     assert {len(ex.history) for ex in batch} == {50}
-    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the table
+    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the profile table
     tracemalloc.start()
     try:
         backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(feats.row_of) == 1434
+    assert len(feats.row_of) == 1500
     assert peak < 1.4 * PER_STATE_LOOP_PEAK, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -401,14 +401,14 @@ def test_backward_peak_memory_with_a_state_per_example():
     feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
     batch = build_examples(ds.impressions, ds.corpus)
     assert len({(ex.user_id, ex.history) for ex in batch}) == len(batch) == 160
-    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the table
+    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the profile table
     tracemalloc.start()
     try:
         backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(feats.row_of) == 5900
+    assert len(feats.row_of) == 12_000
     assert peak <= ROW_KEY_GRADIENT_PEAK, f"peak {peak / 1e6:.2f} MB"
 
 
