@@ -8,8 +8,9 @@ a file of precomputed vectors produced by any external sentence encoder.
 The final article representation is the concatenation
 ``[attr_vec | title_vec | body_vec]`` with width ``attr_out_dim +
 2 * text_proj_dim``: :func:`article_reps` lays it out and
-:func:`article_reps_backward` splits its gradient. :class:`FeatureSource` is
-the run's frozen-feature table.
+:func:`article_reps_backward` splits its gradient. :func:`encode_features` is
+the one eval-mode encode, of any number of rows of :class:`FeatureSource`, the
+run's frozen-feature table, each row its own product.
 """
 
 from __future__ import annotations
@@ -149,13 +150,13 @@ def encode_attributes_batch(params, idx: np.ndarray, mode: str = "eval",
                             dropout: float = 0.0) -> tuple[np.ndarray, dict]:
     """Lookup -> concat -> linear -> (batch norm) -> relu -> (dropout) -> linear.
 
-    Returns the attribute vectors (n, attr_out_dim) and a cache consumed by
-    :func:`attributes_backward`. Batch norm uses batch statistics in train
+    Returns the attribute vectors ``[..., attr_out_dim]`` of the indices ``idx[..., k]`` and a
+    cache consumed by :func:`attributes_backward`. Batch norm uses batch statistics in train
     mode (and updates the running averages) and running statistics in eval.
     """
     cfg, t = params.config, params.tensors
-    cols = [t[f"attr_embed/{name}"][idx[:, k]] for k, name in enumerate(cfg.attr_names)]
-    x = np.concatenate(cols, axis=1) if cols else np.zeros((len(idx), 0))
+    cols = [t[f"attr_embed/{name}"][idx[..., k]] for k, name in enumerate(cfg.attr_names)]
+    x = np.concatenate(cols, axis=-1) if cols else np.zeros((*idx.shape[:-1], 0))
     u1 = x @ t["attr_w1"].T + t["attr_b1"]
 
     cache: dict = {"idx": idx, "x": x, "mode": mode, "dropout": dropout, "mask": None}
@@ -224,7 +225,7 @@ def article_reps(params, h_attr: np.ndarray, title: np.ndarray, body: np.ndarray
     t = params.tensors
     return np.concatenate([
         h_attr, title[rows] @ t["title_w"].T + t["title_b"], body[rows] @ t["body_w"].T + t["body_b"],
-    ], axis=1)
+    ], axis=-1)
 
 
 def article_reps_backward(params, g_reps: np.ndarray, title: np.ndarray, body: np.ndarray,
@@ -241,24 +242,22 @@ def article_reps_backward(params, g_reps: np.ndarray, title: np.ndarray, body: n
                            "body_w": g_body.T @ body[rows], "body_b": g_body.sum(axis=0)}
 
 
-def encode_features(params, title_emb: np.ndarray, body_emb: np.ndarray,
-                    idx: np.ndarray) -> np.ndarray:
-    """Eval-mode ``[attr_vec | title_vec | body_vec]`` of one article from its frozen features.
-
-    Evaluation and serving both encode through this single-row arithmetic,
-    so the same frozen inputs always give the same bits.
+def encode_features(params, title: np.ndarray, body: np.ndarray, attr_idx: np.ndarray) -> np.ndarray:
+    """Eval-mode ``[attr_vec | title_vec | body_vec]`` of the ``n`` articles with frozen
+    features ``title[n, e]``, ``body[n, e]`` and ``attr_idx[n, k]``, each row its own product
+    of an ``[n, 1, ·]`` stack: a plain ``[n, e]`` GEMM gives a row bits that depend on the
+    rows beside it, and a table's rows must keep the bits of a one-row :func:`encode_article`.
     """
-    h_a, _ = encode_attributes_batch(params, idx[None, :])
-    return article_reps(params, h_a, title_emb[None, :], body_emb[None, :], [0])[0]
+    h_a, _ = encode_attributes_batch(params, attr_idx[:, None, :])
+    return article_reps(params, h_a, title[:, None, :], body[:, None, :], slice(None))[:, 0]
 
 
 def encode_article(params, embedder, article: Article) -> np.ndarray:
     """Eval-mode ``[attr_vec | title_vec | body_vec]`` of one article."""
     cfg = params.config
-    return encode_features(
-        params, embedder.embed(article.title), embedder.embed(article.body_text(cfg.use_summaries)),
-        attr_index_row(params.vocabs, cfg.attr_names, article.attributes),
-    )
+    title, body = embedder.embed(article.title), embedder.embed(article.body_text(cfg.use_summaries))
+    idx = attr_index_row(params.vocabs, cfg.attr_names, article.attributes)
+    return encode_features(params, title[None, :], body[None, :], idx[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

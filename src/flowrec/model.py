@@ -24,9 +24,9 @@ gradients of the candidate and history reps and a dict of the flow's tensor
 gradients, as ``flowrec.encode.attributes_backward`` returns the attribute
 encoder's. Parity contract, which gives serving bit-identical probabilities
 to evaluation:
-  * serving's reps are :attr:`Scorer.reps`, saved as they are by
-    ``flowrec.serve.precompute``: one row per corpus article, in the rows of
-    the frozen-feature table;
+  * serving's reps are :attr:`Scorer.reps`, one ``flowrec.encode.encode_features``
+    call over the frozen-feature table, saved as they are by
+    ``flowrec.serve.precompute``: one row per corpus article, in the table's rows;
   * both pass :func:`score_candidates` the same history rows and the same
     candidate rows in the same order, so every product sees the same
     matrices; bit parity holds for those, not for reordered, regrouped or
@@ -426,8 +426,8 @@ class Scorer:
 
     ``embedder`` is a text embedder to build a :class:`FeatureSource` from,
     or an existing table: training passes its own to validation. ``reps[r]``
-    is the eval-mode rep of the table's row ``r``, each from the one-row
-    :func:`encode_features`.
+    is the eval-mode rep of the table's row ``r``, all from one
+    :func:`encode_features` call over the table.
     """
 
     def __init__(self, params: ModelParams, embedder, corpus: dict[str, Article],
@@ -435,8 +435,7 @@ class Scorer:
         self.params = params
         self.features = feats = (embedder if isinstance(embedder, FeatureSource)
                                  else FeatureSource(params, corpus, embedder, profile_provider))
-        self.reps = np.array([encode_features(params, *feats.article_features(a)) for a in feats.row_of]
-                             ).reshape(len(feats.row_of), params.config.article_dim)
+        self.reps = encode_features(params, feats.title, feats.body, feats.attr_idx)
 
     def rep(self, article_id: str) -> np.ndarray:
         (row,) = self.features.rows([article_id])

@@ -37,6 +37,10 @@ from .model import ModelParams, Scorer, score_candidates
 # The largest POST body read. A 1000-candidate /rank body is about 12 KB, so
 # this is far above any real request; a longer one gets 413 unread.
 MAX_BODY_BYTES = 1 << 20
+# The most candidates one /rank request may score; more get 400. A body under
+# MAX_BODY_BYTES can repeat a short id over 100,000 times, and every request's
+# candidate block stays in the idle list for the server's life.
+MAX_CANDIDATES = 10_000
 
 
 @dataclass
@@ -274,6 +278,8 @@ class RankService:
         if not (isinstance(candidates, list) and candidates
                 and all(isinstance(a, str) for a in candidates)):
             raise ValueError("candidates must be a non-empty list of strings")
+        if len(candidates) > MAX_CANDIDATES:
+            raise ValueError(f"candidates may hold at most {MAX_CANDIDATES} ids, not {len(candidates)}")
         top_k = payload.get("top_k")
         if top_k is not None and (isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0):
             raise ValueError("top_k must be a non-negative integer")

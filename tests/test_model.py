@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import TOY_CONFIG, container_cuts, make_article, make_impression
-from flowrec import checkpoint
+from flowrec import checkpoint, encode
 from flowrec.checkpoint import load_checkpoint, save_checkpoint
-from flowrec.encode import HashedTextEmbedder, build_vocabs
+from flowrec.encode import FeatureSource, HashedTextEmbedder, build_vocabs
 from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import (
     ModelConfig,
@@ -385,6 +385,21 @@ class TestScorer:
         with pytest.raises(ValueError):
             self._scorer(toy_corpus).score(imp)
 
+    @pytest.mark.parametrize("n_articles", [1, 4, 37])
+    def test_reps_are_one_encode_call(self, toy_corpus, monkeypatch, n_articles):
+        """The reps of a prebuilt table are encoded in one call, not one per article."""
+        corpus = {f"n{i}": make_article(f"n{i}", title=f"title {i}", body=f"body {i % 3}.",
+                                        category="xyz"[i % 3]) for i in range(n_articles)}
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(corpus.values()), cfg.attr_names), seed=3)
+        feats = FeatureSource(params, corpus, HashedTextEmbedder(cfg.embed_dim))
+        real, calls = encode.encode_attributes_batch, []
+        monkeypatch.setattr(encode, "encode_attributes_batch",
+                            lambda *args, **kwargs: calls.append(args[1].shape) or real(*args, **kwargs))
+        reps = Scorer(params, feats, corpus).reps
+        assert len(calls) == 1
+        assert reps.shape == (n_articles, cfg.article_dim)
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_scores(self, tmp_path, toy_corpus):
@@ -478,6 +493,34 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=message) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_every_prefix_and_bit_flip_is_config_error_or_loads_equal(self, tmp_path, toy_corpus):
+        """Every prefix of a checkpoint, and 3,000 seeded single-bit flips of it, either
+        raise a ConfigError naming the file or load equal to the original."""
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        original = load_checkpoint(path)
+        garbled = {f"first {n} bytes": raw[:n] for n in range(len(raw))}
+        for bit in np.random.default_rng(0).integers(8 * len(raw), size=3000).tolist():
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            garbled[f"bit {bit} flipped"] = bytes(flipped)
+        for what, data in garbled.items():
+            path.write_bytes(data)
+            try:
+                with np.errstate(invalid="ignore"):  # a flipped float32 may be a signalling NaN
+                    loaded = load_checkpoint(path)
+            except ConfigError as exc:
+                assert str(path) in str(exc), what
+                continue
+            except Exception as exc:
+                pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+            assert (loaded.version_tag, loaded.config, loaded.vocabs) == (
+                original.version_tag, original.config, original.vocabs), what
+            assert all(np.array_equal(loaded.tensors[n], t) for n, t in original.tensors.items()), what
 
     def test_flipped_tensor_byte_is_config_error_naming_the_file(self, tmp_path, toy_corpus):
         cfg = ModelConfig(**TOY_CONFIG)

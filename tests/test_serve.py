@@ -24,6 +24,7 @@ from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import ModelConfig, Scorer, init_model_params
 from flowrec.serve import (
     MAX_BODY_BYTES,
+    MAX_CANDIDATES,
     RankRequest,
     RankService,
     UserRecord,
@@ -452,6 +453,17 @@ class TestRankValidation:
         assert resp.status == 413
         assert resp.getheader("Connection") == "close"
         assert str(MAX_BODY_BYTES) in payload["error"]
+
+    def test_candidates_over_the_cap_are_400(self, served):
+        ds, _, port = served
+        ids = [a.article_id for a in ds.articles]
+        at_cap = [ids[i % len(ids)] for i in range(MAX_CANDIDATES)]
+        status, payload = post_rank(port, json.dumps({"candidates": at_cap}).encode())
+        assert status == 200
+        assert len(payload["results"]) == MAX_CANDIDATES
+        status, payload = post_rank(port, json.dumps({"candidates": at_cap + ids[:1]}).encode())
+        assert status == 400
+        assert str(MAX_CANDIDATES) in payload["error"]
 
     def test_arbitrary_json_bodies_get_200_or_400(self, served):
         ds, _, port = served
