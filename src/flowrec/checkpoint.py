@@ -94,7 +94,8 @@ def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}'s shape"))
             size = math.prod(shape)  # Python ints: a garbled shape cannot wrap to a short read
             raw = take(int(_DTYPES[code][-1]) * size, f"tensor {name!r}'s data")
-            flat = np.frombuffer(raw, dtype=_DTYPES[code]).astype(np.float64)
+            with np.errstate(invalid="ignore"):  # a signalling NaN is quieted; a checkpoint's digest catches it
+                flat = np.frombuffer(raw, dtype=_DTYPES[code]).astype(np.float64)
             try:
                 tensors[name] = flat.reshape(shape)
             except ValueError:  # over 64 dims, or dims whose product overflows numpy's element count

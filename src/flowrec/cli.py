@@ -150,10 +150,11 @@ def train_config_from_run(config: dict) -> TrainConfig:
     return TrainConfig(seed=config["seed"], **config["train"])
 
 
-def make_embedder(config: dict):
+def make_embedder(config: dict, dim: int):
+    """The run config's text embedder; a hashed one is ``dim`` wide."""
     emb = config["embedder"]
     if emb["kind"] == "hashed":
-        return HashedTextEmbedder(config["dims"]["embed_dim"])
+        return HashedTextEmbedder(dim)
     if emb["kind"] == "precomputed":
         if not emb["path"]:
             raise ConfigError("precomputed embedder needs embedder.path")
@@ -182,7 +183,6 @@ def make_profile_provider(config: dict, corpus, user_attrs=None) -> ProfileProvi
         template=TEMPLATES[s["profile_template"]],
         client=make_client(config),
         cache=cache,
-        use_instruct_u=config["flags"]["use_instruct_u"],
         include_summaries=s["profile_include_summaries"],
         user_attrs=user_attrs or {},
     )
@@ -237,7 +237,7 @@ def _frozen_inputs(args, config: dict, corpus, model_config: ModelConfig):
     if model_config.use_summaries and unsummarized:
         print(f"warning: {unsummarized} of {len(corpus)} articles have a body but no summary; "
               "their raw bodies are encoded (run the summarize command first)", file=sys.stderr)
-    embedder = make_embedder(config)
+    embedder = make_embedder(config, model_config.embed_dim)
     provider = (make_profile_provider(config, corpus, load_user_attrs(args.user_attrs))
                 if model_config.constant_flow else None)
     return embedder, provider

@@ -330,15 +330,18 @@ class FeatureSource:
     def profile_rows(self, keys) -> np.ndarray:
         """Rows of ``profiles`` for ``(user_id, history)`` keys, adding rows for new keys.
 
-        A new key's text is asked of the profile provider once; its embedding
-        is the zero vector when the history or the text is empty. With
-        constant flow off or no provider, every key reads the zero row 0.
+        A new key's text is asked of the profile provider once, its completion
+        profile with ``use_instruct_u`` on and its visited-article text with it
+        off; its embedding is the zero vector when the history or the text is
+        empty. With constant flow off or no provider, every key reads the zero row 0.
         """
         if not self.config.constant_flow or self.profile_provider is None:
             return np.zeros(len(keys), dtype=np.int64)
         new = [k for k in dict.fromkeys(keys) if k not in self.profile_row_of]
         if new:
-            texts = [self.profile_provider.profile_text(u, list(h)) if h else "" for u, h in new]
+            provider = self.profile_provider
+            text_of = provider.profile_text if self.config.use_instruct_u else provider.visited_text
+            texts = [text_of(u, list(h)) if h else "" for u, h in new]
             n, end = len(self.profile_texts), len(self.profile_texts) + len(new)
             self.profiles = _reserve(self.profiles, n, end)
             slots: dict[str, list[int]] = {}

@@ -7,8 +7,8 @@ Ablation switches:
   * ``constant_flow``   - profile-derived slice (off: drop it)
   * ``flow_gate``       - elementwise product with the candidate (off: use
                           the projected profile embedding ungated)
-  * ``use_instruct_u``  - profile text from the completion client (off: raw
-                          concatenated titles)
+  * ``use_instruct_u``  - profile text from the completion client (off: the
+                          newline-joined visited titles, no client needed)
   * ``use_summaries``   - encode summarized bodies (off: raw bodies)
 
 Eval (:class:`Scorer`) and serve (``flowrec.serve.rank``) share one batched

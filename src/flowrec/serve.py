@@ -301,6 +301,12 @@ class _Handler(BaseHTTPRequestHandler):
     # would wait on a reused connection for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
 
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:  # the client hung up before its reply was sent: nothing to report
+            pass
+
     def _reply(self, status: int, payload: dict) -> None:
         raw = json.dumps(payload).encode("utf-8")
         self.send_response(status)

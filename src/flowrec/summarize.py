@@ -15,8 +15,8 @@ Article summaries and profiles go through one completion path: render the
 prompt, look it up in an optional append-only ``SummaryCache``, else ask the
 client and store its non-empty answer, so a corpus is summarized at most
 once per distinct prompt, across runs too. ``ProfileProvider`` keeps no memo:
-within a run, the frozen-feature table (``flowrec.encode.FeatureSource``)
-asks it once per (user, history).
+``flowrec.encode.FeatureSource`` asks it once per (user, history), for the
+completion profile or, with ``use_instruct_u`` off, the visited-article list.
 """
 
 from __future__ import annotations
@@ -398,19 +398,18 @@ def summarize_corpus(articles: list[Article], template: PromptTemplate, client,
 
 @dataclass
 class ProfileProvider:
-    """Computes the profile text of one (user, history).
-
-    It keeps no memo of its own: the run's :class:`~flowrec.encode.FeatureSource`
-    asks it once per ``(user, history)`` key, and a ``cache``, when given,
-    keeps completions across runs. With ``use_instruct_u`` off the profile
-    degrades to the raw newline-joined title list, which needs no client at all.
+    """Computes the profile texts of one (user, history): :meth:`profile_text`,
+    the completion profile, and :meth:`visited_text`, the newline-joined visited
+    articles, which needs no client. The model config's ``use_instruct_u`` picks
+    one, in :class:`~flowrec.encode.FeatureSource`, which asks once per ``(user,
+    history)`` key; the provider keeps no memo, and a ``cache``, when given,
+    keeps completions across runs.
     """
 
     corpus: dict[str, Article]
     template: PromptTemplate
     client: object | None = None
     cache: SummaryCache | None = None
-    use_instruct_u: bool = True
     include_summaries: bool = False
     user_attrs: dict[str, dict[str, str]] = field(default_factory=dict)
 
@@ -418,9 +417,11 @@ class ProfileProvider:
         history = [self.corpus[a] for a in in_corpus(self.corpus, history_ids)]
         if not history:
             return ""
-        if not self.use_instruct_u:
-            return render_visited_articles(history, self.include_summaries)
         if self.client is None:
-            raise ConfigError("profile generation requires a completion client when use_instruct_u is on")
+            raise ConfigError("a completion profile requires a completion client")
         return summarize_user(history, self.user_attrs.get(user_id, {}), self.template,
                               self.client, self.cache, self.include_summaries)
+
+    def visited_text(self, user_id: str, history_ids: list[str]) -> str:
+        history = [self.corpus[a] for a in in_corpus(self.corpus, history_ids)]
+        return render_visited_articles(history, self.include_summaries)

@@ -329,21 +329,44 @@ class TestPipeline:
         commands = {entry["command"] for entry in manifest}
         assert {"synth", "summarize", "train", "eval", "encode", "precompute"} <= commands
 
-    def test_eval_dim_mismatch_is_config_error(self, tmp_path):
+    def test_eval_dim_mismatch_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run("synth", "--rule", "topic-affinity", "--users", 5, "--articles", 20,
                    "--impressions", 30, "--seed", 4, "--out", out) == 0
         data = out / "dataset.jsonl"
         assert run("train", "--data", data, "--out", out, *sets()) == 0
-        # evaluating with a different embedder dim must fail as config error
-        bad = [s if not s.startswith("dims.embed_dim") else "dims.embed_dim=64"
-               for s in SMALL_OVERRIDES]
-        args = []
-        for item in bad:
-            args.extend(["--set", item])
-        code = run("eval", "--data", data, "--checkpoint", out / "checkpoint.bin",
-                   "--out", out, *args)
+        # the model's embed_dim comes from the checkpoint; a precomputed file of another width fails
+        emb = out / "emb.bin"
+        write_embedding_file(emb, {"some text": np.ones(64)}, 64)
+        code = run("eval", "--data", data, "--checkpoint", out / "checkpoint.bin", "--out", out,
+                   "--set", 'embedder.kind="precomputed"', "--set", f"embedder.path={json.dumps(str(emb))}")
         assert code == 1
+        assert "text embedder dim 64 is not the model's embed_dim 32" in capsys.readouterr().err
+
+    def test_checkpoint_commands_take_the_model_settings_from_the_checkpoint(self, tmp_path):
+        # Trained with toy dims and raw-title profiles: given no run config, eval, encode,
+        # precompute and diagnose read dims, flags and attrs from the checkpoint alone.
+        out = tmp_path / "run"
+        assert run("synth", "--rule", "topic-affinity", "--users", 6, "--articles", 25,
+                   "--impressions", 40, "--seed", 9, "--out", out) == 0
+        data = out / "dataset.jsonl"
+        trained = sets(["flags.use_instruct_u=false"])
+        assert run("summarize", "--data", data, "--out", out, *trained) == 0
+        assert run("train", "--data", data, "--out", out, *trained) == 0
+        files = {"eval": "eval_report.json", "encode": "article_reps.bin", "precompute": "store.bin",
+                 "diagnose": "diagnostics.csv"}
+        for where, settings in ((tmp_path / "bare", ()), (tmp_path / "set", trained)):
+            for command in files:
+                user = ("--user", _first_user(data)) if command == "diagnose" else ()
+                assert run(command, "--data", data, "--checkpoint", out / "checkpoint.bin", "--out", where,
+                           *user, *settings) == 0, command
+        for name in files.values():
+            assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "set" / name).read_bytes(), name
+        report = json.loads((tmp_path / "bare" / "eval_report.json").read_text())
+        assert report["ablation_flags"]["use_instruct_u"] is False
+        titles = {a.article_id: a.title for a in data_mod.read_jsonl(str(data)).articles}
+        served = load_store(tmp_path / "bare" / "store.bin").users.values()
+        assert all(e.profile_text == "\n".join(titles[a] for a in e.history) for e in served)
 
     def test_diagnose_alpha_rows(self, tmp_path):
         out = tmp_path / "run"

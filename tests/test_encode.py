@@ -138,6 +138,20 @@ class TestFeatureSourceProfiles:
         assert np.array_equal(profile, feats.profiles[first[1]])
         assert np.array_equal(feats.profiles[first[0]], feats.profiles[first[1]])
 
+    def test_instruct_off_profiles_are_the_visited_titles(self, toy_params, toy_corpus):
+        class RefusingClient:
+            def complete(self, template_name, prompt, context):
+                raise AssertionError("the completion client was asked")
+
+        params = init_model_params(toy_params.config.ablated(use_instruct_u=False), toy_params.vocabs, seed=5)
+        provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], RefusingClient())
+        embedder = HashedTextEmbedder(TOY_CONFIG["embed_dim"])
+        feats = FeatureSource(params, toy_corpus, embedder, provider)
+        rows = feats.profile_rows([("u1", ("a1", "a2")), ("u2", ("a3", "ghost")), ("u3", ())])
+        assert [feats.profile_texts[r] for r in rows] == ["alpha news\nbeta news", "gamma news", ""]
+        assert np.array_equal(feats.profiles[rows[0]], embedder.embed("alpha news\nbeta news"))
+        assert not feats.profiles[rows[2]].any()
+
 
 class CountingEmbedder(HashedTextEmbedder):
     def __init__(self, dim):

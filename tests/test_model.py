@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -511,8 +513,7 @@ class TestCheckpoint:
         for what, data in garbled.items():
             path.write_bytes(data)
             try:
-                with np.errstate(invalid="ignore"):  # a flipped float32 may be a signalling NaN
-                    loaded = load_checkpoint(path)
+                loaded = load_checkpoint(path)
             except ConfigError as exc:
                 assert str(path) in str(exc), what
                 continue
@@ -532,6 +533,20 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigError, match="does not match its version_tag") as err:
             load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_signalling_nan_is_config_error_without_a_warning(self, tmp_path, toy_corpus):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<I", 0x7FA00000)  # the last float32 made a signalling NaN
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="does not match its version_tag") as err:
+                load_checkpoint(path)
         assert str(path) in str(err.value)
 
     def test_edited_header_is_config_error_naming_the_file(self, tmp_path, toy_corpus):

@@ -1,6 +1,12 @@
 import http.client
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
+import traceback
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowrec
 from conftest import container_cuts, make_impression
 from flowrec.checkpoint import (
     checkpoint_header,
@@ -168,6 +175,71 @@ class TestStoreFile:
         with pytest.raises(ConfigError, match=message) as err:
             load_store(path)
         assert str(path) in str(err.value)
+
+
+# Loads the artifact at argv[2], changes its content and saves it over the same path,
+# killing its own process with SIGKILL once the new file holds its first tensor.
+KILLED_WRITER = """
+import glob, os, signal, sys
+from flowrec import checkpoint
+from flowrec.checkpoint import load_checkpoint, save_checkpoint
+from flowrec.serve import load_store, save_store
+
+kind, path = sys.argv[1:]
+serialize, in_temp = checkpoint._tensor_bytes, []
+
+def dying(name, array):
+    if glob.glob(os.path.join(os.path.dirname(path), ".*.tmp")):
+        if in_temp:
+            os.kill(os.getpid(), signal.SIGKILL)
+        in_temp.append(name)
+    return serialize(name, array)
+
+checkpoint._tensor_bytes = dying
+if kind == "checkpoint":
+    params = load_checkpoint(path)
+    params.tensors = {name: t + 1.0 for name, t in params.tensors.items()}
+    params.version_tag = ""
+    save_checkpoint(path, params)
+else:
+    store = load_store(path)
+    store.reps = store.reps + 1.0
+    save_store(path, store)
+"""
+
+
+class TestKilledWriter:
+    @pytest.mark.parametrize("kind", ["checkpoint", "store"])
+    def test_killed_save_leaves_the_previous_artifact(self, tmp_path, kind):
+        ds, params, embedder, provider = small_world()
+        path = tmp_path / f"{kind}.bin"
+        if kind == "checkpoint":
+            save, load, arrays = save_checkpoint, load_checkpoint, lambda p: p.tensors
+            save(path, params)
+        else:
+            save, load, arrays = save_store, load_store, lambda s: {"reps": s.reps, "profiles": s.profile_embs}
+            save(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions), provider))
+        before, old = path.read_bytes(), load(path)
+        src = os.path.dirname(os.path.dirname(flowrec.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", KILLED_WRITER, kind, str(path)], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert len([p for p in os.listdir(tmp_path) if p.endswith(".tmp")]) == 1  # killed inside the write
+
+        assert path.read_bytes() == before
+        loaded = load(path)
+        assert loaded.version_tag == old.version_tag
+        assert all(np.array_equal(a, arrays(old)[name]) for name, a in arrays(loaded).items())
+        # The leftover temporary file is in no later writer's or reader's way.
+        if kind == "checkpoint":
+            loaded.tensors = {name: t + 1.0 for name, t in loaded.tensors.items()}
+            loaded.version_tag = ""
+        else:
+            loaded.reps = loaded.reps + 1.0
+        save(path, loaded)
+        assert path.read_bytes() != before
+        load(path)
 
 
 class TestRank:
@@ -483,6 +555,74 @@ class TestRankValidation:
             assert status in (200, 400)
 
         check()
+
+    def test_arbitrary_headers_and_lengths_get_no_500(self, served):
+        """Requests whose ``Content-Length`` is absent, negative, not an integer, huge,
+        shorter than the body or longer than the bytes sent (the client then closes its
+        write side), with or without ``Transfer-Encoding``, on any path, then a second
+        request on the same connection when it stays open, or a hang-up before the
+        reply: no reply is a 500, no handler raises (a server prints such a traceback
+        to stderr from ``handle_error``), and ``GET /health`` answers afterwards."""
+        ds, service, _ = served
+        server, _ = serve_in_thread(service.store, service.params)
+        raised = []
+        server.handle_error = lambda request, address: raised.append(traceback.format_exc())
+        port = server.server_address[1]
+        body = json.dumps({"user_id": ds.impressions[0].user_id,
+                           "candidates": [a.article_id for a in ds.articles[:3]]}).encode()
+        lengths = st.one_of(
+            st.none(), st.just(str(len(body))), st.integers(max_value=-1).map(str),
+            st.sampled_from(["many", "1.5", "", "0x10", "1e3", " 7", "+3", "--1"]),
+            st.integers(MAX_BODY_BYTES + 1, 10 ** 30).map(str),
+            st.integers(1, 64).map(lambda extra: str(len(body) + extra)),
+            st.integers(0, len(body) - 1).map(str),
+        )
+        paths = st.sampled_from(["/rank", "/health", "/", "//rank", "/rank?top_k=1", "/rank/../rank"]) | \
+            st.text("abc/%?.#-_0", max_size=8).map(lambda tail: "/" + tail)
+
+        def reply(sock) -> http.client.HTTPResponse:
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            resp.read()
+            return resp
+
+        @settings(max_examples=50, deadline=None, database=None)
+        @given(lengths, st.none() | st.sampled_from(["chunked", "gzip, chunked", "identity"]), paths,
+               st.sampled_from(["read", "reuse", "hang up"]))
+        def check(length, encoding, path, then):
+            headers = [f"POST {path} HTTP/1.1", "Host: 127.0.0.1"]
+            headers += [] if length is None else [f"Content-Length: {length}"]
+            headers += [] if encoding is None else [f"Transfer-Encoding: {encoding}"]
+            try:
+                declared = int(length)
+            except (TypeError, ValueError):
+                declared = None
+            # A body the server would wait for past the bytes sent ends with the write side closed.
+            short = encoding is None and declared is not None and len(body) < declared <= MAX_BODY_BYTES
+            statuses = []
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall("\r\n".join(headers).encode() + b"\r\n\r\n" + (body if length else b""))
+                if short:
+                    sock.shutdown(socket.SHUT_WR)
+                if then == "hang up":
+                    return
+                first = reply(sock)
+                statuses.append(first.status)
+                if then == "reuse" and not short and not first.will_close:
+                    sock.sendall(b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+                    statuses.append(reply(sock).status)
+            assert 500 not in statuses
+            assert raised == []
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=10) as resp:
+                assert resp.status == 200
+
+        try:
+            check()
+            time.sleep(0.2)  # the last hang-ups' handlers finish
+            assert raised == []
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 @pytest.mark.slow

@@ -369,6 +369,6 @@ class TestProfileProvider:
         assert provider.profile_text("u1", []) == ""
 
     def test_instruct_off_uses_raw_titles(self, toy_corpus):
-        provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], client=None,
-                                   use_instruct_u=False)
-        assert provider.profile_text("u1", ["a1", "a2"]) == "alpha news\nbeta news"
+        provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], client=None)
+        assert provider.visited_text("u1", ["a1", "a2"]) == "alpha news\nbeta news"
+        assert provider.visited_text("u1", ["ghost"]) == ""
