@@ -10,6 +10,8 @@ the same container with float64 payloads so precomputed representations are
 bit-identical to freshly encoded ones. A checkpoint's ``version_tag`` is
 the SHA-256 of its header (minus the tag itself) and tensor bytes, so any
 artifact built from it can be matched to exactly that parameter snapshot.
+A rep store's ``digest`` is the same :func:`content_digest` of its own
+header and tensors, so each loader detects a flipped byte.
 
 :func:`read_artifact` is the one header reader of both loaders, this
 module's :func:`load_checkpoint` and ``flowrec.serve.load_store``.
@@ -33,22 +35,24 @@ _DTYPES = {0: "<f4", 1: "<f8"}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
-def _tensor_bytes(name: str, array: np.ndarray) -> bytes:
+def _tensor_bytes(name: str, array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """One tensor's record as two buffers: its name, dtype and shape prefix, and
+    its data, ``array`` itself when it is already contiguous in the stored
+    dtype, so that writing and hashing it take no copy."""
     code = _DTYPE_CODES.get(array.dtype)
     if code is None:
         raise ConfigError(f"tensor {name!r} has unsupported dtype {array.dtype}")
     raw = name.encode("utf-8")
-    parts = [struct.pack("<H", len(raw)), raw, struct.pack("<BB", code, array.ndim)]
-    parts.extend(struct.pack("<I", dim) for dim in array.shape)
-    parts.append(np.ascontiguousarray(array, dtype=_DTYPES[code]).tobytes())
-    return b"".join(parts)
+    prefix = struct.pack("<H", len(raw)) + raw + struct.pack(f"<BB{array.ndim}I", code, array.ndim, *array.shape)
+    return prefix, np.ascontiguousarray(array, dtype=_DTYPES[code])
 
 
 def content_digest(header: dict, tensors: dict[str, np.ndarray]) -> str:
     digest = hashlib.sha256()
     digest.update(json.dumps(header, sort_keys=True).encode("utf-8"))
     for name in sorted(tensors):
-        digest.update(_tensor_bytes(name, tensors[name]))
+        for part in _tensor_bytes(name, tensors[name]):
+            digest.update(part)
     return digest.hexdigest()
 
 
@@ -61,7 +65,8 @@ def write_tensor_file(path, header: dict, tensors: dict[str, np.ndarray]) -> Non
         fh.write(header_raw)
         fh.write(struct.pack("<I", len(tensors)))
         for name, array in tensors.items():
-            fh.write(_tensor_bytes(name, array))
+            for part in _tensor_bytes(name, array):
+                fh.write(part)
 
 
 def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -355,58 +355,139 @@ class SyntheticDataset:
         return build_corpus(self.articles)
 
 
-def _topic_token(z: int) -> str:
-    return f"topic{z}"
-
-
 def _make_articles(rng: np.random.Generator, spec: SyntheticSpec) -> tuple[list[Article], np.ndarray, np.ndarray]:
     """Articles whose text and attributes express a planted topic plus a
     planted engagement level (visible only through attributes)."""
     topics = rng.integers(0, spec.topic_count, size=spec.n_articles)
     engagement = rng.integers(0, 2, size=spec.n_articles)  # 0 = low, 1 = high
     articles = []
-    for j in range(spec.n_articles):
-        z = int(topics[j])
-        tok = _topic_token(z)
-        flavor = f"t{z}w{int(rng.integers(0, 5))}"
-        title = f"{tok} piece{j}"
+    for j, (z, high) in enumerate(zip(topics.tolist(), engagement.tolist())):
+        tok, flavor = f"topic{z}", f"t{z}w{int(rng.integers(0, 5))}"
         body = f"{tok} {tok} {flavor} coverage of {tok} for readers. More on {flavor} and {tok}."
-        articles.append(
-            Article(
-                article_id=f"a{j}",
-                title=title,
-                body=body,
-                attributes={
-                    "category": tok,
-                    "engagement": "high" if engagement[j] else "low",
-                },
-            )
-        )
+        articles.append(Article(f"a{j}", f"{tok} piece{j}", body,
+                                attributes={"category": tok, "engagement": "high" if high else "low"}))
     return articles, topics, engagement
 
 
-def _pick_history(rng, spec, topics, stable_topics) -> list[int]:
-    """Indices of history articles: mostly from the stable topics, plus a
-    little uniform noise."""
-    by_topic: dict[int, np.ndarray] = {}
+class _World:
+    """A seeded planted world and its article draws: the articles with their
+    topics and engagement, each user's preferred topics (two, or one with one
+    topic), and ``pools[z]``, topic ``z``'s articles, built once; a topic with
+    no articles draws from ``everything``. ``matched[u, j]`` says whether
+    article ``j``'s topic is one of user ``u``'s preferred topics.
+    """
 
-    def sample_from(topic: int) -> int:
-        if topic not in by_topic:
-            by_topic[topic] = np.flatnonzero(topics == topic)
-        pool = by_topic[topic]
-        if len(pool) == 0:
-            return int(rng.integers(0, len(topics)))
-        return int(pool[rng.integers(0, len(pool))])
+    def __init__(self, spec: SyntheticSpec):
+        self.spec = spec
+        self.rng = np.random.default_rng(spec.seed)
+        self.articles, self.topics, self.engagement = _make_articles(self.rng, spec)
+        n_pref = min(2, spec.topic_count)
+        self.user_prefs = np.stack(
+            [self.rng.choice(spec.topic_count, size=n_pref, replace=False) for _ in range(spec.n_users)])
+        self.everything = np.arange(spec.n_articles)
+        pools = [np.flatnonzero(self.topics == z) for z in range(spec.topic_count)]
+        self.pools = [pool if len(pool) else self.everything for pool in pools]
+        self.matched = (self.topics[None, :, None] == self.user_prefs[:, None, :]).any(axis=2)
 
-    n_total = spec.history_length
-    picks: list[int] = []
-    n_stable = max(0, n_total - max(1, n_total // 6))
-    for k in range(n_stable):
-        picks.append(sample_from(int(stable_topics[k % len(stable_topics)])))
-    while len(picks) < n_total:
-        picks.append(int(rng.integers(0, len(topics))))
-    rng.shuffle(picks)
-    return picks
+    def draw(self, pool) -> int:
+        return int(pool[self.rng.integers(0, len(pool))])
+
+    def pick(self, pool, taken: list[int]) -> int:
+        """Up to four draws from ``pool``: the first not in ``taken``, else the last."""
+        for _ in range(4):
+            j = self.draw(pool)
+            if j not in taken:
+                break
+        return j
+
+    def history(self, stable_topics) -> list[int]:
+        """History articles: the stable topics in turn, a little uniform noise, shuffled."""
+        n = self.spec.history_length
+        n_stable = n - max(1, n // 6)
+        picks = [self.draw(self.pools[stable_topics[k % len(stable_topics)]]) for k in range(n_stable)]
+        picks += [self.draw(self.everything) for _ in range(n - n_stable)]
+        self.rng.shuffle(picks)
+        return picks
+
+
+# A click rule takes the world and the truth dump and returns its candidate
+# plan, ``plan(user, history)`` yielding one pool per candidate slot, and its
+# click probabilities, ``probs(user, history, candidates)``, which draw nothing.
+
+def _preferred_plan(w: _World):
+    """The first half of the slots from the user's preferred topics in turn, the rest from any article."""
+    def plan(user, history):
+        prefs, n = w.user_prefs[user], w.spec.candidates_per_impression
+        return (w.pools[prefs[k % len(prefs)]] if k < n // 2 else w.everything for k in range(n))
+    return plan
+
+
+def _topic_affinity(w: _World, truth: dict):
+    def probs(user, history, cands):
+        return np.where(w.matched[user, cands], truth["p_hi"], truth["p_lo"]).tolist()
+    return _preferred_plan(w), probs
+
+
+def _planted_bilinear(w: _World, truth: dict):
+    d = w.spec.embed_dim
+    centroids = w.rng.normal(size=(w.spec.topic_count, d))
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    mixing = np.eye(d) + 0.1 * w.rng.normal(size=(d, d)) / math.sqrt(d)
+    user_vecs = centroids[w.user_prefs].sum(axis=1)
+    raw = user_vecs @ mixing @ centroids[w.topics].T  # (n_users, n_articles)
+    hi = raw[w.matched].mean() if w.matched.any() else 1.0
+    lo = raw[~w.matched].mean() if not w.matched.all() else hi - 1.0
+    scale = 8.0 / max(hi - lo, 1e-9)  # affinity gap of ~8 logits
+    shift = -(hi + lo) / 2.0
+    logits = scale * (raw + shift)
+    truth.update(user_vectors=user_vecs.tolist(), mixing_matrix=mixing.tolist(),
+                 logit_scale=float(scale), logit_shift=float(shift))
+
+    def probs(user, history, cands):
+        return [1.0 / (1.0 + math.exp(-x)) for x in logits[user, cands].tolist()]
+    return _preferred_plan(w), probs
+
+
+def _flow_mix(w: _World, truth: dict):
+    # The stable-preference signal is planted on a user attribute (position ->
+    # favorite topic, via a seeded permutation) so that it is only observable
+    # through the profile text, never through the click history; the
+    # history-conditioned signal is planted on the articles' engagement
+    # attribute, which titles never mention.
+    spec = w.spec
+    position_topic = w.rng.permutation(spec.topic_count)
+    user_position = w.rng.integers(0, spec.topic_count, size=spec.n_users)
+    favorite = position_topic[user_position]
+    pars = {"beta_profile": 2.6, "beta_instant": 2.9, "bias": -1.3}
+    truth.update(position_topic=position_topic.tolist(), user_position=user_position.tolist(),
+                 user_attrs={f"u{k}": {"position": f"position{p}", "organization": f"org{p % 3}",
+                                       "skill": f"skill{p}"} for k, p in enumerate(user_position.tolist())},
+                 flow_mix_params=pars)
+
+    def plan(user, history):
+        n = spec.candidates_per_impression
+        hist_topics = sorted({int(w.topics[i]) for i in history})
+        for k in range(n):
+            if k < max(1, n // 3):
+                yield w.pools[favorite[user]]
+            elif k < max(2, 2 * n // 3):  # the topic is drawn before its article
+                yield w.pools[hist_topics[int(w.rng.integers(0, len(hist_topics)))]]
+            else:
+                yield w.everything
+
+    def probs(user, history, cands):
+        seen = np.bincount(w.topics[history], minlength=spec.topic_count)
+        high = np.bincount(w.topics[history], weights=w.engagement[history], minlength=spec.topic_count)
+        z = w.topics[cands]
+        # No same-topic history article: 0.5, so the instant term is zero.
+        mean_eng = np.divide(high[z], seen[z], out=np.full(len(z), 0.5), where=seen[z] > 0)
+        logit = (pars["bias"] + pars["beta_profile"] * (z == favorite[user])
+                 + pars["beta_instant"] * (2.0 * mean_eng - 1.0))
+        return [1.0 / (1.0 + math.exp(-x)) for x in logit.tolist()]
+    return plan, probs
+
+
+_RULES = {"planted-bilinear": _planted_bilinear, "topic-affinity": _topic_affinity, "flow-mix": _flow_mix}
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
@@ -423,146 +504,27 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         term (mean planted engagement of same-topic history articles). The
         two terms are recoverable by different model components which makes
         this rule suitable for ablation experiments.
+
+    Each impression draws its user, its history, its candidates and then
+    their labels, each after its probability. That draw order is part of the
+    contract: ``tests/test_data.py`` pins worlds byte for byte.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    articles, topics, engagement = _make_articles(rng, spec)
-
-    n_pref = min(2, spec.topic_count)
-    user_prefs = np.stack(
-        [rng.choice(spec.topic_count, size=n_pref, replace=False) for _ in range(spec.n_users)]
-    )
-
-    truth: dict = {
-        "click_rule": spec.click_rule,
-        "article_topics": topics.tolist(),
-        "article_engagement": engagement.tolist(),
-        "user_preferred_topics": user_prefs.tolist(),
-        "candidate_probs": [],
-    }
-
-    if spec.click_rule == "flow-mix":
-        # The stable-preference signal is planted on a user attribute
-        # (position -> favorite topic, via a seeded permutation) so that it
-        # is only observable through the profile text, never through the
-        # click history; the history-conditioned signal is planted on the
-        # articles' engagement attribute, which titles never mention.
-        position_topic = rng.permutation(spec.topic_count)
-        user_position = rng.integers(0, spec.topic_count, size=spec.n_users)
-        user_attrs = {
-            f"u{k}": {
-                "position": f"position{int(user_position[k])}",
-                "organization": f"org{int(user_position[k]) % 3}",
-                "skill": f"skill{int(user_position[k])}",
-            }
-            for k in range(spec.n_users)
-        }
-        truth["position_topic"] = position_topic.tolist()
-        truth["user_position"] = user_position.tolist()
-        truth["user_attrs"] = user_attrs
-
-    if spec.click_rule == "planted-bilinear":
-        centroids = rng.normal(size=(spec.topic_count, spec.embed_dim))
-        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-        mixing = np.eye(spec.embed_dim) + 0.1 * rng.normal(size=(spec.embed_dim, spec.embed_dim)) / math.sqrt(spec.embed_dim)
-        user_vecs = centroids[user_prefs].sum(axis=1)
-        article_vecs = centroids[topics]
-        raw = user_vecs @ mixing @ article_vecs.T  # (n_users, n_articles)
-        matched = np.array([[t in set(p) for t in topics] for p in user_prefs.tolist()])
-        hi = raw[matched].mean() if matched.any() else 1.0
-        lo = raw[~matched].mean() if not matched.all() else hi - 1.0
-        scale = 8.0 / max(hi - lo, 1e-9)  # affinity gap of ~8 logits
-        shift = -(hi + lo) / 2.0
-        logits = scale * (raw + shift)
-        truth["user_vectors"] = user_vecs.tolist()
-        truth["mixing_matrix"] = mixing.tolist()
-        truth["logit_scale"] = float(scale)
-        truth["logit_shift"] = float(shift)
-
-    p_hi, p_lo = 0.95, 0.05
-    truth["p_hi"], truth["p_lo"] = p_hi, p_lo
-    beta_profile, beta_instant, bias = 2.6, 2.9, -1.3
-    if spec.click_rule == "flow-mix":
-        truth["flow_mix_params"] = {
-            "beta_profile": beta_profile,
-            "beta_instant": beta_instant,
-            "bias": bias,
-        }
-
-    def pick_from_topic(z: int, taken: set[int]) -> int:
-        pool = np.flatnonzero(topics == z)
-        for _ in range(4):  # prefer a candidate not already in this impression
-            j = int(pool[rng.integers(0, len(pool))]) if len(pool) else int(rng.integers(0, spec.n_articles))
-            if j not in taken:
-                return j
-        return j
-
-    def pick_any(taken: set[int]) -> int:
-        for _ in range(4):
-            j = int(rng.integers(0, spec.n_articles))
-            if j not in taken:
-                return j
-        return j
-
+    w = _World(spec)
+    truth: dict = {"click_rule": spec.click_rule, "article_topics": w.topics.tolist(),
+                   "article_engagement": w.engagement.tolist(), "user_preferred_topics": w.user_prefs.tolist(),
+                   "candidate_probs": [], "p_hi": 0.95, "p_lo": 0.05}
+    plan, probs = _RULES[spec.click_rule](w, truth)
     impressions: list[Impression] = []
     for t in range(spec.n_impressions):
-        user = int(rng.integers(0, spec.n_users))
-        prefs = user_prefs[user]
-        pref_set = set(int(z) for z in prefs)
-        hist_idx = _pick_history(rng, spec, topics, prefs)
-
-        n_cand = spec.candidates_per_impression
+        user = int(w.rng.integers(0, spec.n_users))
+        hist_idx = w.history(w.user_prefs[user])
         cand_idx: list[int] = []
-        taken: set[int] = set()
-        if spec.click_rule == "flow-mix":
-            fav = int(position_topic[user_position[user]])
-            hist_topics = sorted({int(topics[i]) for i in hist_idx})
-            for k in range(n_cand):
-                if k < max(1, n_cand // 3):
-                    j = pick_from_topic(fav, taken)
-                elif k < max(2, 2 * n_cand // 3):
-                    j = pick_from_topic(int(hist_topics[int(rng.integers(0, len(hist_topics)))]), taken)
-                else:
-                    j = pick_any(taken)
-                cand_idx.append(j)
-                taken.add(j)
-        else:
-            for k in range(n_cand):
-                if k < n_cand // 2:
-                    j = pick_from_topic(int(prefs[k % len(prefs)]), taken)
-                else:
-                    j = pick_any(taken)
-                cand_idx.append(j)
-                taken.add(j)
-
-        candidates: list[tuple[str, int]] = []
-        probs: list[float] = []
-        for j in cand_idx:
-            z = int(topics[j])
-            if spec.click_rule == "topic-affinity":
-                p = p_hi if z in pref_set else p_lo
-            elif spec.click_rule == "planted-bilinear":
-                p = float(1.0 / (1.0 + math.exp(-logits[user, j])))
-            else:  # flow-mix
-                same_topic = [i for i in hist_idx if int(topics[i]) == z]
-                logit = bias + beta_profile * (z == int(position_topic[user_position[user]]))
-                if same_topic:
-                    mean_eng = float(np.mean([engagement[i] for i in same_topic]))
-                    logit += beta_instant * (2.0 * mean_eng - 1.0)
-                p = float(1.0 / (1.0 + math.exp(-logit)))
-            label = int(rng.random() < p)
-            candidates.append((articles[j].article_id, label))
-            probs.append(p)
-
-        truth["candidate_probs"].append(probs)
-        impressions.append(
-            Impression(
-                impression_id=f"i{t}",
-                user_id=f"u{user}",
-                timestamp=t,
-                history=[articles[i].article_id for i in hist_idx],
-                candidates=candidates,
-            )
-        )
-
-    return SyntheticDataset(articles=articles, impressions=impressions, truth=truth)
+        for pool in plan(user, hist_idx):
+            cand_idx.append(w.pick(pool, cand_idx))
+        cand_probs = probs(user, hist_idx, cand_idx)
+        truth["candidate_probs"].append(cand_probs)
+        labels = [int(w.rng.random() < p) for p in cand_probs]
+        impressions.append(Impression(f"i{t}", f"u{user}", t, [w.articles[i].article_id for i in hist_idx],
+                                      [(w.articles[j].article_id, y) for j, y in zip(cand_idx, labels)]))
+    return SyntheticDataset(articles=w.articles, impressions=impressions, truth=truth)

@@ -253,11 +253,9 @@ def encode_features(params, title: np.ndarray, body: np.ndarray, attr_idx: np.nd
 
 
 def encode_article(params, embedder, article: Article) -> np.ndarray:
-    """Eval-mode ``[attr_vec | title_vec | body_vec]`` of one article."""
-    cfg = params.config
-    title, body = embedder.embed(article.title), embedder.embed(article.body_text(cfg.use_summaries))
-    idx = attr_index_row(params.vocabs, cfg.attr_names, article.attributes)
-    return encode_features(params, title[None, :], body[None, :], idx[None, :])[0]
+    """Eval-mode ``[attr_vec | title_vec | body_vec]`` of one article, from a one-row :class:`FeatureSource`."""
+    feats = FeatureSource(params, {article.article_id: article}, embedder)
+    return encode_features(params, feats.title, feats.body, feats.attr_idx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,8 @@ class FeatureSource:
     Row ``r`` is the corpus's ``r``-th article, ``row_of[article_id]``: its
     text embeddings ``title[r]`` and ``body[r]`` and its attribute indices
     ``attr_idx[r]``, all filled on construction, the only time article text
-    reaches the embedder; a text shared by several rows is embedded once.
+    reaches the embedder; a text shared by several rows is embedded once,
+    and an empty text (a body with no abstract) is the zero row, unembedded.
     Profile ``profile_row_of[(user_id, history)]`` holds ``profiles[r]`` and
     ``profile_texts[r]``, computed when first asked for; the profile rows
     are the run's only profile memo: the profile provider keeps none, so
@@ -307,13 +306,18 @@ class FeatureSource:
             slots.setdefault(a.title, []).append((self.title, r))
             slots.setdefault(a.body_text(cfg.use_summaries), []).append((self.body, r))
             self.attr_idx[r] = attr_index_row(params.vocabs, cfg.attr_names, a.attributes)
-        for text, where in slots.items():  # each distinct text is embedded once
-            vec = embedder.embed(text)
-            for table, r in where:
-                table[r] = vec
+        self._embed(slots)
         self.profile_row_of: dict[tuple[str, tuple[str, ...]], int] = {}
         self.profiles = np.zeros((1, embedder.dim))
         self.profile_texts = [""]
+
+    def _embed(self, slots: dict[str, list[tuple[np.ndarray, int]]]) -> None:
+        """Write each text's embedding to its ``(table, row)`` slots, the one way text
+        reaches the embedder: each distinct text once, and an empty text never, as the zero row."""
+        for text, where in slots.items():
+            vec = self.embedder.embed(text) if text else 0.0
+            for table, r in where:
+                table[r] = vec
 
     def rows(self, article_ids) -> np.ndarray:
         """Table rows of ``article_ids``; an id not in the corpus raises :class:`UnknownIdError`."""
@@ -344,11 +348,10 @@ class FeatureSource:
             texts = [text_of(u, list(h)) if h else "" for u, h in new]
             n, end = len(self.profile_texts), len(self.profile_texts) + len(new)
             self.profiles = _reserve(self.profiles, n, end)
-            slots: dict[str, list[int]] = {}
+            slots: dict[str, list[tuple[np.ndarray, int]]] = {}
             for r, text in enumerate(texts, n):
-                slots.setdefault(text, []).append(r)
-            for text, rs in slots.items():  # each distinct text is embedded once
-                self.profiles[rs] = self.embedder.embed(text) if text else 0.0
+                slots.setdefault(text, []).append((self.profiles, r))
+            self._embed(slots)
             self.profile_texts += texts
             self.profile_row_of.update(zip(new, range(n, end)))
         return np.array([self.profile_row_of[k] for k in keys], dtype=np.int64)

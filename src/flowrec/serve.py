@@ -27,7 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .checkpoint import FORMAT_VERSION, ensure_version_tag, read_artifact, write_tensor_file
+from .checkpoint import FORMAT_VERSION, content_digest, ensure_version_tag, read_artifact, write_tensor_file
 from .data import Article, Impression, in_corpus
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError, UnknownIdError
@@ -123,15 +123,18 @@ def save_store(path, store: RepStore) -> None:
         tensors["article_reps"] = store.reps
     if store.users:
         tensors["profile_embs"] = store.profile_embs
+    header["digest"] = content_digest(header, tensors)
     write_tensor_file(path, header, tensors)
 
 
-STORE_KEYS = {"version_tag": str, "article_dim": int, "embed_dim": int, "article_ids": list, "users": dict}
+STORE_KEYS = {"version_tag": str, "article_dim": int, "embed_dim": int, "article_ids": list, "users": dict,
+              "digest": str}
 
 
 def load_store(path) -> RepStore:
-    """A saved :class:`RepStore`; a header or tensor not as :func:`save_store` writes it is a ConfigError.
-    Its article ids are distinct and every history names one of them, so :func:`rank` needs no filter."""
+    """A saved :class:`RepStore`; a header or tensor not as :func:`save_store` writes it, or content
+    that does not match the ``digest`` it was saved with, is a ConfigError naming the file. Its
+    article ids are distinct and every history names one of them, so :func:`rank` needs no filter."""
     header, tensors = read_artifact(path, "repstore", STORE_KEYS)
     article_dim, embed_dim = header["article_dim"], header["embed_dim"]
     ids, user_meta = header["article_ids"], header["users"]
@@ -149,6 +152,8 @@ def load_store(path) -> RepStore:
     for name, shape in shapes.items():
         if shape[0] and (name not in tensors or tensors[name].shape != shape):
             raise ConfigError(f"{path}: tensor {name!r} is missing or not of shape {list(shape)}")
+    if content_digest({k: v for k, v in header.items() if k != "digest"}, tensors) != header["digest"]:
+        raise ConfigError(f"{path}: its content does not match its digest (the file was altered)")
     embs = tensors["profile_embs"] if user_meta else np.zeros((0, embed_dim))
     return RepStore(
         version_tag=header["version_tag"],
@@ -170,7 +175,7 @@ def load_store(path) -> RepStore:
 
 @dataclass
 class RankRequest:
-    user_id: str
+    user_id: str | None  # None: a cold start
     candidate_ids: list[str]
     top_k: int | None = None
 
@@ -222,7 +227,7 @@ def _candidate_block(reps: np.ndarray, rows: list[int]):
 def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResponse:
     """Score and order a candidate list for one user.
 
-    Unknown users fall back to a cold start (empty history, zero profile);
+    An unknown user, or none, falls back to a cold start (empty history, zero profile);
     unknown candidate ids are a request-level error. The store must carry
     the version tag of the loaded checkpoint.
     """
@@ -283,8 +288,9 @@ class RankService:
         top_k = payload.get("top_k")
         if top_k is not None and (isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 0):
             raise ValueError("top_k must be a non-negative integer")
-        return rank(RankRequest(str(payload.get("user_id", "")), candidates, top_k),
-                    self.store, self.params).to_dict()
+        if "user_id" in payload and not isinstance(payload["user_id"], str):
+            raise ValueError("user_id, if given, must be a string")
+        return rank(RankRequest(payload.get("user_id"), candidates, top_k), self.store, self.params).to_dict()
 
     def handle_health(self) -> dict:
         store = self.store

@@ -187,6 +187,22 @@ class TestFeatureSourceArticles:
             feats.article_features(art_id)
         assert len(embedder.seen) == len(texts)
 
+    def test_empty_body_is_the_zero_row_and_never_embedded(self, toy_params, toy_corpus):
+        """A MIND row with an empty abstract has an empty body. It is the zero row, as an
+        empty profile text is, so a precomputed embedding file need not hold ``""``."""
+        corpus = {**toy_corpus, "a5": make_article("a5", title="epsilon news", body="", category="x")}
+        hashed = CountingEmbedder(TOY_CONFIG["embed_dim"])
+        texts = {t for a in corpus.values() for t in (a.title, a.body) if t}
+        precomputed = PrecomputedTextEmbedder({t: hashed.embed(t) for t in texts}, hashed.dim)
+        feats = FeatureSource(toy_params, corpus, precomputed)
+        assert not feats.body[feats.row_of["a5"]].any()
+        hashed.seen.clear()
+        table = FeatureSource(toy_params, corpus, hashed)
+        assert "" not in hashed.seen
+        assert np.array_equal(table.title, feats.title) and np.array_equal(table.body, feats.body)
+        assert np.array_equal(encode_article(toy_params, precomputed, corpus["a5"]),
+                              encode_article(toy_params, hashed, corpus["a5"]))
+
     def test_unknown_id_is_named(self, toy_params, toy_corpus):
         feats = FeatureSource(toy_params, toy_corpus, HashedTextEmbedder(TOY_CONFIG["embed_dim"]))
         with pytest.raises(UnknownIdError, match="'ghost'"):

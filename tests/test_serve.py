@@ -140,6 +140,48 @@ class TestStoreFile:
         with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
             load_store(path)
 
+    def test_flipped_tensor_byte_is_config_error_naming_the_file(self, tmp_path):
+        ds, params, embedder, provider = small_world()
+        path = tmp_path / "store.bin"
+        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
+                                    provider))
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # the last profile value's last byte: still a float64 of the right shape
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match="does not match its digest") as err:
+            load_store(path)
+        assert str(path) in str(err.value)
+
+    def test_every_prefix_and_bit_flip_is_config_error_or_loads_equal(self, tmp_path):
+        """Every prefix of a rep store, and 3,000 seeded single-bit flips of it, either
+        raise a ConfigError naming the file or load equal to the original."""
+        ds, params, embedder, provider = small_world(n_articles=12)
+        path = tmp_path / "store.bin"
+        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
+                                    provider))
+        raw = path.read_bytes()
+        original = load_store(path)
+        garbled = {f"first {n} bytes": raw[:n] for n in range(len(raw))}
+        for bit in np.random.default_rng(0).integers(8 * len(raw), size=3000).tolist():
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            garbled[f"bit {bit} flipped"] = bytes(flipped)
+        for what, data in garbled.items():
+            path.write_bytes(data)
+            try:
+                loaded = load_store(path)
+            except ConfigError as exc:
+                assert str(path) in str(exc), what
+                continue
+            except Exception as exc:
+                pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+            assert (loaded.version_tag, loaded.article_dim, loaded.embed_dim, loaded.article_ids) == (
+                original.version_tag, original.article_dim, original.embed_dim, original.article_ids), what
+            assert np.array_equal(loaded.reps, original.reps), what
+            assert np.array_equal(loaded.profile_embs, original.profile_embs), what
+            assert {u: (e.history, e.profile_text) for u, e in loaded.users.items()} == {
+                u: (e.history, e.profile_text) for u, e in original.users.items()}, what
+
     @pytest.mark.parametrize("garble,message", [
         (lambda h, t: ({k: v for k, v in h.items() if k != "format_version"}, t), "format version None"),
         (lambda h, t: ({k: v for k, v in h.items() if k != "article_dim"}, t), "'article_dim' is missing"),
@@ -427,6 +469,8 @@ MALFORMED = {
     "list_body": (lambda ids: ids, "must be a JSON object"),
     "candidates_string": (lambda ids: {"candidates": ids[0]}, "list of strings"),
     "top_k_true": (lambda ids: {"candidates": ids, "top_k": True}, "top_k must be"),
+    "user_id_null": (lambda ids: {"user_id": None, "candidates": ids}, "user_id, if given, must be"),
+    "user_id_number": (lambda ids: {"user_id": 7, "candidates": ids}, "user_id, if given, must be"),
 }
 
 JSON_VALUES = st.recursive(
@@ -453,6 +497,15 @@ class TestRankValidation:
         status, payload = post_rank(port, json.dumps(body).encode())
         assert status == 400
         assert message in payload["error"]
+
+    def test_user_id_absent_is_a_cold_start_and_a_string_is_that_user(self, served):
+        ds, service, _ = served
+        ids = [a.article_id for a in ds.articles[:5]]
+        known = sorted(service.store.users)[0]
+        cold = rank(RankRequest("never-seen-user", ids), service.store, service.params).to_dict()["results"]
+        assert service.handle_rank({"candidates": ids})["results"] == cold
+        user = rank(RankRequest(known, ids), service.store, service.params).to_dict()["results"]
+        assert service.handle_rank({"user_id": known, "candidates": ids})["results"] == user != cold
 
     def test_deeply_nested_body_is_400(self, served):
         _, _, port = served
