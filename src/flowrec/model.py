@@ -13,16 +13,17 @@ Ablation switches:
 
 Eval (:class:`Scorer`) and serve (``flowrec.serve.rank``) share one batched
 :func:`score_candidates`, a :func:`flow_forward` call with one user state and
-no padding. Training makes one :func:`flow_forward` / :func:`flow_backward`
-call per batch, with every user state of the batch padded into it; a padded
-history slot is masked out of the softmax and gets exactly zero attention, so
-a state's logits match :func:`score_candidates` on that state alone up to
-rounding. Both take the same inputs: candidate reps, history reps with each
-state's row indices, and frozen profile embeddings. The forward projects
-keys, head reads and profile queries itself; the backward returns the
-gradients of the candidate and history reps and a dict of the flow's tensor
-gradients, as ``flowrec.encode.attributes_backward`` returns the attribute
-encoder's. Parity contract, which gives serving bit-identical probabilities
+no padding, scored against keys ``W·h``. Training makes one :func:`flow_forward`
+/ :func:`flow_backward` call per batch, every user state padded into it and
+scored from ``c·W``, formed once per candidate slot for both passes; a padded
+history slot gets exactly zero attention, so a state's logits match
+:func:`score_candidates` on that state alone up to rounding. Both take the
+same inputs: candidate reps, history reps with each state's row indices, and
+frozen profile embeddings. The forward applies the attention matrix, head
+reads and profile queries itself; the backward returns the gradients of the
+candidate and history reps and a dict of the flow's tensor gradients, as
+``flowrec.encode.attributes_backward`` returns the attribute encoder's.
+Parity contract, which gives serving bit-identical probabilities
 to evaluation:
   * serving's reps are :attr:`Scorer.reps`, one ``flowrec.encode.encode_features``
     call over the frozen-feature table, saved as they are by
@@ -248,11 +249,14 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist_
     its frozen profile embedding ``profile_embs[s]``. ``mask[S, L]`` marks
     the history slots in use when histories are padded to one length ``L``;
     a padded slot gets exactly zero attention, and a state without history
-    attends to nothing. Each history row is projected once, to its attention
-    key ``k = W·h`` and the head's read of it, ``h·w_instant``; the projection
-    is freed once the states' keys are gathered from it. Candidate ``i``
-    attends with ``alpha_i = softmax(c_i·Kᵀ)`` and its instant flow reaches
-    the head as ``alpha_i·head_reads``, which is ``(alpha_i·hist)·w_instant``.
+    attends to nothing. Candidate ``i`` attends over its history rows ``H``
+    with ``alpha_i = softmax(c_i·W·Hᵀ)``, and its instant flow reaches the
+    head as ``alpha_i·(H·w_instant)``. One unpadded state (``S = 1``, no
+    mask), as scoring calls it, is scored in key space: each history row's
+    key ``W·h``, and one product per candidate row. Any other call is scored
+    in candidate space, in the layout :func:`slot_groups` picks: each slot's
+    ``c·W`` once, against gathered history rows or as ``(C·W)·histᵀ`` read at
+    each slot's cells, kept for :func:`flow_backward`; no key is formed.
     The profile enters as the query ``q = P·e + b``. Each candidate's scores,
     softmax and head reads are reductions over its own row, and the head is
     read one slice per flow: ``[instant | constant | candidate]``, without
@@ -268,19 +272,33 @@ def flow_forward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist_
     z = np.full((n_states, n_cands), t["head_b"][0])
     cache: dict = {"alpha": np.zeros((n_states, n_cands, 0)), "z_instant": None}
     if cfg.instant_flow and hist_idx.shape[1]:
-        hist_proj = np.empty((len(hist), d + 1))  # [keys | head read] of every history row
-        np.matmul(hist, t["attn_w"].T, out=hist_proj[:, :-1])
-        np.matmul(hist, w[:d], out=hist_proj[:, -1])
-        keys = hist_proj[hist_idx]  # [S, L, d + 1], freed on return
-        del hist_proj
-        # One product per candidate row, so a row's bits do not depend on its position.
-        scores = np.matmul(cands[:, :, None, :], keys[:, None, :, :-1].swapaxes(-1, -2))[:, :, 0]
+        if mask is None and n_states == 1:  # key space
+            hist_proj = np.empty((len(hist), d + 1))  # [keys | head read] of every history row
+            np.matmul(hist, t["attn_w"].T, out=hist_proj[:, :-1])
+            np.matmul(hist, w[:d], out=hist_proj[:, -1])
+            keys = hist_proj[hist_idx]  # [1, L, d + 1], freed on return
+            # One product per candidate row, so a row's bits do not depend on its position.
+            scores = np.matmul(cands[:, :, None, :], keys[:, None, :, :-1].swapaxes(-1, -2))[:, :, 0]
+            head_reads = keys[:, :, -1]
+        else:  # candidate space, in the layout slot_groups picks for both passes
+            cw = cache["cw"] = (cands.reshape(-1, d) @ t["attn_w"]).reshape(cands.shape)
+            head_reads = cache["head_reads"] = (hist @ w[:d])[hist_idx]
+            group = cache["group"] = slot_groups(len(hist), n_states, n_states * n_cands, hist_idx.shape[1], d)
+            if group:
+                scores = np.empty((n_states, n_cands, hist_idx.shape[1]))
+                for lo in range(0, n_states, group):
+                    part = slice(lo, lo + group)
+                    np.matmul(cw[part], hist[hist_idx[part]].swapaxes(1, 2), out=scores[part])
+            else:  # (C·W)·histᵀ, read at each slot's cells
+                cells = cache["cells"] = (np.arange(n_states * n_cands).reshape(n_states, n_cands, 1) * len(hist)
+                                          + hist_idx[:, None, :])
+                scores = (cw.reshape(-1, d) @ hist.T).reshape(-1)[cells]
         valid = True if mask is None else mask[:, None, :]
         top = np.max(scores, axis=-1, keepdims=True, where=valid, initial=-np.inf)
         alpha = np.exp(scores - top, where=valid, out=np.zeros_like(scores))
         np.divide(alpha, alpha.sum(axis=-1, keepdims=True), out=alpha, where=valid)
         cache["alpha"] = alpha
-        cache["z_instant"] = np.einsum("sml,sl->sm", alpha, keys[:, :, -1])
+        cache["z_instant"] = np.einsum("sml,sl->sm", alpha, head_reads)
         z += cache["z_instant"]
     if cfg.constant_flow:
         queries = cache["queries"] = profile_embs @ t["profile_w"].T + t["profile_b"]
@@ -309,9 +327,10 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist
     The attention backward works in candidate space: with
     ``U[s, i] = sum_l g_scores[s, i, l] h_{hist_idx[s, l]}`` the score
     ``c·W·h`` passes ``Cᵀ·U`` to ``W`` and ``U·Wᵀ`` to the candidates, and
-    each history slot takes ``g_scores[s]ᵀ·(C·W)[s]``: ``3·n·d²`` multiply-adds
+    each history slot takes ``g_scores[s]ᵀ·(C·W)[s]``: ``2·n·d²`` multiply-adds
     over the ``n`` candidate slots with a nonzero ``g_z``, and no key gradient.
-    The two per-slot sums run in the layout :func:`slot_groups` picks.
+    ``C·W``, the layout and the row layout's cells come from the forward's
+    cache, so that forward must have run in candidate space: not one unpadded state.
     """
     cfg, t = params.config, params.tensors
     n_states, n_cands, d = cands.shape
@@ -326,34 +345,29 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist
         if cfg.instant_flow:  # no state has history: the attention passes no gradient
             grads["attn_w"] = np.zeros_like(t["attn_w"])
     else:
-        alpha, attn_w = cache["alpha"], t["attn_w"]
-        head_reads = (hist @ w[:d])[hist_idx]  # as the forward read them from its keys' last column
-        g_scores = alpha * (g_z[:, :, None] * (head_reads[:, None, :] - cache["z_instant"][:, :, None]))
+        alpha, attn_w, cw, hist_len = cache["alpha"], t["attn_w"], cache["cw"], hist_idx.shape[1]
+        g_scores = alpha * (g_z[:, :, None] * (cache["head_reads"][:, None, :] - cache["z_instant"][:, :, None]))
         g_heads = np.bincount(hist_idx.ravel(), np.einsum("sm,sml->sl", g_z, alpha).ravel(),
                               minlength=len(hist))
         g_w[:d] = g_heads @ hist
-        g_hist = np.outer(g_heads, w[:d])
         live = np.flatnonzero(g_z)  # the candidate slots that pass a gradient, padding left out
-        c = cands.reshape(-1, d)[live]
-        cw = c @ attn_w
-        group = slot_groups(len(hist), n_states, len(live), hist_idx.shape[1], d)
-        if group:
-            u, cw_pad = np.empty_like(cands), np.zeros_like(cands)
-            cw_pad.reshape(-1, d)[live] = cw
+        if group := cache["group"]:
+            g_hist, u = np.outer(g_heads, w[:d]), np.empty_like(cands)
             for lo in range(0, n_states, group):
                 part = slice(lo, lo + group)
                 slots = hist[hist_idx[part]]
                 np.matmul(g_scores[part], slots, out=u[part])
-                np.matmul(g_scores[part].swapaxes(1, 2), cw_pad[part], out=slots)  # each slot's gradient
+                np.matmul(g_scores[part].swapaxes(1, 2), cw[part], out=slots)  # each slot's gradient
                 scatter_add(g_hist, hist_idx[part].ravel(), slots.reshape(-1, d))
             u = u.reshape(-1, d)[live]
-        else:
-            cells = hist_idx[live // n_cands] * len(live) + np.arange(len(live))[:, None]
-            G = np.bincount(cells.ravel(), g_scores.reshape(-1, g_scores.shape[2])[live].ravel(),
-                            minlength=len(hist) * len(live)).reshape(len(hist), len(live))
-            u = G.T @ hist
-            g_hist += G @ cw
-        grads["attn_w"] = c.T @ u
+        else:  # G[j, r] sums live slot j's score gradients against row r, at the forward's cells
+            cells = cache["cells"].reshape(-1, hist_len)[live] - ((live - np.arange(len(live))) * len(hist))[:, None]
+            G = np.bincount(cells.ravel(), g_scores.reshape(-1, hist_len)[live].ravel(),
+                            minlength=(len(live) + 1) * len(hist)).reshape(len(live) + 1, len(hist))
+            G[-1] = g_heads  # the head reads' term rides along as one more slot, reading w_instant
+            u = G[:-1] @ hist
+            g_hist = G.T @ np.concatenate([cw.reshape(-1, d)[live], w[None, :d]])
+        grads["attn_w"] = cands.reshape(-1, d)[live].T @ u
         g_cands.reshape(-1, d)[live] += u @ attn_w.T
     if cfg.constant_flow:
         queries, w_cons = cache["queries"], w[-2 * d:-d]
@@ -369,23 +383,26 @@ def flow_backward(params: ModelParams, cands: np.ndarray, hist: np.ndarray, hist
 
 
 def slot_groups(n_rows: int, n_states: int, n_slots: int, hist_len: int, d: int) -> int:
-    """The layout of :func:`flow_backward`'s two per-slot sums, from the batch
-    shape alone: 0 for row space, else the number of states per group in slot space.
+    """The layout of both passes' per-slot work in candidate space, from the
+    batch shape alone (``n_slots`` counts padded candidate slots too): 0 for
+    row space, else the number of states per group in slot space.
 
-    * row space, ``G[n_rows, n_slots]``: ``G[r, j]`` collects candidate slot
-      ``j``'s score gradients against history row ``r``; ``U`` is ``Gᵀ·hist``
-      and the rows' gradient ``G·(C·W)``.
+    * row space: the scores are ``(C·W)·histᵀ`` read at each slot's cells, and
+      ``G[j, r]`` sums slot ``j``'s score gradients against history row ``r``
+      at the same cells; ``U`` is ``G·hist`` and the rows' gradient ``Gᵀ·(C·W)``.
     * slot space: a group of states gathers its slots' reps ``[g, L, d]``,
-      takes ``U`` from them by batched products, writes each slot's gradient
-      in their place and sums those into rows through flat cell indices. A
-      group holds at most ``n_rows // (2·L)`` states, so the gathered block
-      and its cell indices together fit in the size of the row gradient.
+      takes the scores and ``U`` from them by batched products, writes each
+      slot's gradient in their place and sums those into rows through flat
+      cell indices. A group holds at most ``n_rows // (2·L)`` states, so the
+      gathered block and its cell indices together fit in the size of the
+      row gradient.
 
     The layout with the lower modelled time is taken. The two models were
-    fitted to timings of both layouts over 371 shapes (d 32-320, L 5-50, M 1-8,
-    S 16-256; numpy 2.4, one OpenBLAS 0.3.31 thread, 2-vCPU x86-64 VM). They
-    pick the faster layout for 98% of those and 99 of 100 random held-out
-    shapes, and the slower one only where both take under 0.3 ms.
+    fitted to backward timings over 371 shapes (d 32-320, L 5-50, M 1-8,
+    S 16-256; numpy 2.4, one OpenBLAS 0.3.31 thread, 2-vCPU x86-64 VM). Timed
+    over both passes, on 400 shapes in the same ranges with ragged candidate
+    slots and histories, they pick the faster layout for 391 (96 of 100
+    held-out); a wrong pick costs at most 0.5 ms, and 1.3 ms (23%) once.
     """
     group = max(1, n_rows // (2 * hist_len))
     row_ns = 9_000 + n_rows * n_slots * (0.091 * d + 1.0)

@@ -373,27 +373,36 @@ def summarize_corpus(articles: list[Article], template: PromptTemplate, client,
     """Summarize every article with a non-empty body; collect per-item errors.
 
     Returns (article_id -> summary, errors). All prompts are rendered first,
-    so a template error stops the run before any client call; completions
-    run on ``max(max_workers, 1)`` threads, and any error other than a
-    :class:`CompletionError` cancels those not yet started.
+    so a template error stops the run before any client call. Worker ``k`` of
+    ``n = max(max_workers, 1)`` threads completes articles ``k, k + n, ...``;
+    any error but a :class:`CompletionError` stops each before its next one.
     """
     todo = [a for a in articles if a.body]
     errors = [CompletionError("article has an empty body", a.article_id) for a in articles if not a.body]
     prompts = [template.render(_article_values(a)) for a in todo]
-    summaries: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=max(max_workers, 1)) as pool:
-        futures = [pool.submit(_complete, template, p, {"title": a.title, "body": a.body}, client, cache,
-                               a.article_id) for a, p in zip(todo, prompts)]
+    done: list[str | CompletionError | None] = [None] * len(todo)
+    n_workers, stop = max(max_workers, 1), threading.Event()
+
+    def work(k: int) -> None:
+        for i in range(k, len(todo), n_workers):
+            if stop.is_set():
+                return
+            try:
+                done[i] = _complete(template, prompts[i], {"title": todo[i].title, "body": todo[i].body}, client,
+                                    cache, todo[i].article_id)
+            except CompletionError as exc:
+                done[i] = exc
+            except BaseException:
+                stop.set()
+                raise
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         try:
-            for article, future in zip(todo, futures):
-                try:
-                    summaries[article.article_id] = future.result()
-                except CompletionError as exc:
-                    errors.append(exc)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return summaries, errors
+            list(pool.map(work, range(n_workers)))
+        finally:
+            stop.set()
+    errors += [r for r in done if isinstance(r, CompletionError)]
+    return {a.article_id: r for a, r in zip(todo, done) if not isinstance(r, CompletionError)}, errors
 
 
 @dataclass

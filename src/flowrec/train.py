@@ -10,9 +10,10 @@ and validation reads. ``train()`` resolves its examples to integers once
 (:class:`ExampleIndex`), and each step builds its batch from the example ids
 it takes with numpy alone (:func:`_gather`): article rows in order of first
 appearance, and user states, ``(user_id, history)``, padded into one block of
-candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask.
-A step only composes layers whose forward and backward live beside each
-other: the attribute encoder
+candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask. The
+flow scores in candidate space, so a long history pads ``[S, M, L]`` scores,
+not an ``[S, L, d]`` key block. A step only composes layers whose forward
+and backward live beside each other: the attribute encoder
 (:func:`~flowrec.encode.encode_attributes_batch` /
 :func:`~flowrec.encode.attributes_backward`), the rep layout
 (:func:`~flowrec.encode.article_reps` /
@@ -233,8 +234,8 @@ def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feat
     h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
                                                  dropout=dropout)
     reps = article_reps(params, h_attr, feats.title, feats.body, rows)
-    # All user states in one flow call, padded: state s holds its examples in candidate
-    # slots s·width + i and its history rows in hist_idx[s, :len(history)].
+    # All user states in one flow call: state s holds its examples in candidate slots
+    # s·width + i and its history rows in hist_idx[s, :len(history)], padded by the mask.
     hist_idx, slots, cand_rows, labels = g["hist_idx"], g["slots"], g["cand_rows"], g["labels"]
     cands = np.zeros((len(hist_idx) * g["width"], reps.shape[1]))
     cands[slots] = reps[cand_rows]

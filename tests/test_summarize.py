@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 import warnings
@@ -344,6 +345,58 @@ class TestCorpusSummarization:
             summarize_corpus(articles, TEMPLATES["article_summary_mind"], client, max_workers=max_workers)
         # the failed call, plus at most one started call per worker before the cancel
         assert client.calls <= max_workers + 1
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_completion_errors_are_collected_per_article(self, max_workers):
+        client = _SomeArticlesFail(lambda title: int(title[1:]) % 3 == 1)
+        articles = [make_article(f"a{i}", title=f"T{i}", body="words.", category="c") for i in range(10)]
+        summaries, errors = summarize_corpus(articles, TEMPLATES["article_summary_mind"], client,
+                                             max_workers=max_workers)
+        assert list(summaries) == [f"a{i}" for i in range(10) if i % 3 != 1]
+        assert [e.article_id for e in errors] == ["a1", "a4", "a7"]
+        assert client.calls == 10
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_client_bug_in_one_worker_stops_the_others(self, max_workers):
+        """The failing article is the second one its worker takes; every other
+        worker stops before its next completion."""
+        client = _SomeArticlesFail(lambda title: title == f"T{max_workers + 1}", bug=True)
+        articles = [make_article(f"a{i}", title=f"T{i}", body="words.", category="c") for i in range(200)]
+        with pytest.raises(RuntimeError, match="client bug"):
+            summarize_corpus(articles, TEMPLATES["article_summary_mind"], client, max_workers=max_workers)
+        assert client.calls <= 3 * max_workers + 1
+
+    def test_many_workers_under_fast_switching_match_serial(self):
+        client = _SomeArticlesFail(lambda title: int(title[1:]) % 7 == 3)
+        client.delay = 0.0
+        articles = [make_article(f"a{i}", title=f"T{i}", body="words.", category="c") for i in range(300)]
+        serial = summarize_corpus(articles, TEMPLATES["article_summary_mind"], client)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = summarize_corpus(articles, TEMPLATES["article_summary_mind"], client, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded[0] == serial[0] and len(serial[0]) == 300 - 43
+        assert [e.article_id for e in threaded[1]] == [e.article_id for e in serial[1]]
+        assert client.calls == 600
+
+
+class _SomeArticlesFail:
+    """Fails the articles whose title ``fails`` picks: with a CompletionError,
+    or, with ``bug``, with an error that is not one; the other calls take ``delay`` s."""
+
+    def __init__(self, fails, bug=False):
+        self.fails, self.bug, self.calls, self.delay = fails, bug, 0, 0.02
+        self._lock = threading.Lock()
+
+    def complete(self, template_name, prompt, context):
+        with self._lock:
+            self.calls += 1
+        if self.fails(context["title"]):
+            raise (RuntimeError("client bug") if self.bug else CompletionError("no completion"))
+        time.sleep(self.delay)
+        return f"summary of {context['title']}"
 
 
 class _FirstArticleFails:

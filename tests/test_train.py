@@ -192,6 +192,26 @@ def padded_state_batch(ds):
     return batch
 
 
+def assert_logits_match_per_state_scoring(params, feats, batch):
+    """Each user state's probabilities in the batch agree with score_candidates on
+    that state alone, and its padded history slots get no attention; returns the cache."""
+    _, probs, cache = _forward(params, batch, feats, "eval", None, 0.0)
+    reps, alpha = cache["reps"], cache["flow"]["alpha"]
+    # Rep rows follow first appearance in the batch; states too.
+    row_of = {a: i for i, a in enumerate(dict.fromkeys(
+        a for ex in batch for a in (*ex.history, ex.candidate_id)))}
+    states = list(dict.fromkeys((ex.user_id, ex.history) for ex in batch))
+    for s, (user, history) in enumerate(states):
+        js = [j for j, ex in enumerate(batch) if (ex.user_id, ex.history) == (user, history)]
+        cand_ids = [batch[j].candidate_id for j in js]
+        scored = score_candidates(params, cand_ids, reps[[row_of[a] for a in cand_ids]],
+                                  reps[[row_of[a] for a in history]],
+                                  feats.profile_embedding(user, history))
+        np.testing.assert_allclose(probs[js], [c.probability for c in scored], rtol=1e-12, atol=0)
+        assert not alpha[s, :, len(history):].any()  # padded history slots get no attention
+    return cache
+
+
 class TestStateBatchedFlow:
     """All user states of a batch go through one padded flow call."""
 
@@ -199,22 +219,8 @@ class TestStateBatchedFlow:
                                        {"instant_flow": False}])
     def test_logits_match_per_state_scoring(self, flags):
         ds, params, feats, _ = toy_setup(batch_norm=True, dropout=0.1, flags=flags)
-        batch = padded_state_batch(ds)
-        _, probs, cache = _forward(params, batch, feats, "eval", None, 0.0)
-        reps, alpha = cache["reps"], cache["flow"]["alpha"]
-        # Rep rows follow first appearance in the batch; states too.
-        row_of = {a: i for i, a in enumerate(dict.fromkeys(
-            a for ex in batch for a in (*ex.history, ex.candidate_id)))}
-        states = list(dict.fromkeys((ex.user_id, ex.history) for ex in batch))
+        alpha = assert_logits_match_per_state_scoring(params, feats, padded_state_batch(ds))["flow"]["alpha"]
         assert alpha.shape[0] == 4 and alpha.shape[2] == (0 if flags.get("instant_flow") is False else 12)
-        for s, (user, history) in enumerate(states):
-            js = [j for j, ex in enumerate(batch) if (ex.user_id, ex.history) == (user, history)]
-            cand_ids = [batch[j].candidate_id for j in js]
-            scored = score_candidates(params, cand_ids, reps[[row_of[a] for a in cand_ids]],
-                                      reps[[row_of[a] for a in history]],
-                                      feats.profile_embedding(user, history))
-            np.testing.assert_allclose(probs[js], [c.probability for c in scored], rtol=1e-12, atol=0)
-            assert not alpha[s, :, len(history):].any()  # padded history slots get no attention
 
     @pytest.mark.parametrize("batch_norm,dropout,flags", [
         (False, 0.0, {}),
@@ -225,16 +231,21 @@ class TestStateBatchedFlow:
         assert_matches_central_difference(params, feats, padded_state_batch(ds), dropout)
 
 
-def test_slot_layout_in_two_groups_matches_central_difference():
-    """11 user states of 24 candidates over 60 rows: the attention backward takes
-    the slot layout, in two groups of states."""
+def sixty_article_setup(batch_norm=False):
+    """A toy model over a 60-article world."""
     ds = generate_synthetic(SyntheticSpec(n_users=4, n_articles=60, n_impressions=6, topic_count=3,
                                           seed=3, history_length=3, candidates_per_impression=3))
     cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=5, text_proj_dim=3,
-                      attr_embed_dim=2, attr_hidden_dim=3, attr_out_dim=2, batch_norm=False)
+                      attr_embed_dim=2, attr_hidden_dim=3, attr_out_dim=2, batch_norm=batch_norm)
     params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=11)
     provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
-    feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
+    return ds, params, FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
+
+
+def test_slot_layout_in_two_groups_matches_central_difference():
+    """11 user states of 24 candidates over 60 rows: the attention backward takes
+    the slot layout, in two groups of states."""
+    ds, params, feats = sixty_article_setup()
     a = [art.article_id for art in ds.articles]
     histories = [tuple(a[3 * k:3 * k + 3]) for k in range(10)] + [(a[0], a[5], a[0])]  # shared, repeated
     batch = [TrainExample(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
@@ -244,6 +255,32 @@ def test_slot_layout_in_two_groups_matches_central_difference():
     assert (len(cache["reps"]), n_states, width) == (60, 11, 24)
     assert slot_groups(len(cache["reps"]), n_states, len(batch), cache["hist_idx"].shape[1], d) == 10  # 2 groups
     assert_matches_central_difference(params, feats, batch, 0.0)
+
+
+def ragged_slot_batch(ds):
+    """11 user states over 60 rows, with 0 to 5 history rows (one holding a row
+    twice) and 1 to 24 candidates each."""
+    a = [art.article_id for art in ds.articles]
+    histories = [tuple(a[5 * k:5 * k + k % 6]) for k in range(10)] + [(a[0], a[5], a[0])]
+    widths = [24] + [1 + 5 * k % 23 for k in range(1, 11)]
+    return [TrainExample(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
+            for k, (history, width) in enumerate(zip(histories, widths)) for j in range(width)]
+
+
+@pytest.mark.parametrize("make_batch,groups", [(ragged_slot_batch, 2), (padded_state_batch, 0)],
+                         ids=["slot layout", "row layout"])
+def test_ragged_batch_matches_central_difference(make_batch, groups):
+    """Ragged user states, with padded history and candidate slots and states
+    without history, through each layout of the flow (0 groups: row layout)."""
+    ds, params, feats = sixty_article_setup(batch_norm=True)
+    batch = make_batch(ds)
+    cache = assert_logits_match_per_state_scoring(params, feats, batch)
+    n_states, width = cache["cands"].shape[:2]
+    assert n_states * width > len(batch) and len({len(ex.history) for ex in batch}) > 2
+    assert any(not ex.history for ex in batch) and any(len(set(ex.history)) < len(ex.history) for ex in batch)
+    group = cache["flow"]["group"]
+    assert (group and -(-n_states // group)) == groups
+    assert_matches_central_difference(params, feats, batch, 0.1)
 
 
 def index_world(ds):
@@ -351,10 +388,11 @@ def test_package_train_is_the_function_and_the_module_stays_importable():
     assert sys.modules["flowrec.train"].TrainConfig is TrainConfig
 
 
-# tracemalloc peak, in bytes, of one backward_batch at this shape when training made one
-# flow call per user state (numpy 2.4, 2-vCPU x86-64 VM); the padded key block and the
-# row-space gradient of the one-call flow may cost up to 40% on top.
-PER_STATE_LOOP_PEAK = 20.18e6
+# tracemalloc peak, in bytes, of one backward_batch at this shape with the flow scored in
+# candidate space (20,712,243 B; numpy 2.4, 2-vCPU x86-64 VM). A forward that gathered a padded
+# [S, L, d + 1] key block over every user state read 23.68 MB here, and one flow call per user
+# state 20.18 MB.
+PAPER_SHAPE_PEAK = 20.72e6
 
 
 def test_backward_peak_memory_at_paper_shape():
@@ -378,14 +416,14 @@ def test_backward_peak_memory_at_paper_shape():
     finally:
         tracemalloc.stop()
     assert len(feats.row_of) == 1500
-    assert peak < 1.4 * PER_STATE_LOOP_PEAK, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= PAPER_SHAPE_PEAK, f"peak {peak / 1e6:.2f} MB"
 
 
-# tracemalloc peak, in bytes, of one backward_batch at this shape when the flow backward
-# summed its gradients into a row-space key gradient (70,382,083 B; numpy 2.4, 2-vCPU x86-64
-# VM). The forward's padded key block sets it; a backward that keeps the state projections
-# alive beside the row gradient reads 81.55 MB here.
-ROW_KEY_GRADIENT_PEAK = 70.39e6
+# tracemalloc peak, in bytes, of one backward_batch at this shape with the flow scored in
+# candidate space, in three groups of states (62,556,123 B; numpy 2.4, 2-vCPU x86-64 VM).
+# A forward that gathered a padded [S, L, d + 1] key block read 65.94 MB here, and one that
+# also summed a row-space key gradient in the backward 70.38 MB.
+STATE_PER_EXAMPLE_PEAK = 62.56e6
 
 
 def test_backward_peak_memory_with_a_state_per_example():
@@ -409,7 +447,40 @@ def test_backward_peak_memory_with_a_state_per_example():
     finally:
         tracemalloc.stop()
     assert len(feats.row_of) == 12_000
-    assert peak <= ROW_KEY_GRADIENT_PEAK, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= STATE_PER_EXAMPLE_PEAK, f"peak {peak / 1e6:.2f} MB"
+
+
+# tracemalloc peaks, in bytes, of the two batches below (numpy 2.4, 2-vCPU x86-64 VM):
+# 19,425,283 B with every history 20 rows long and 23,421,987 B with one of 400. A forward
+# that padded every state's keys to the longest history read 21.37 MB and 179.60 MB.
+def test_one_long_history_costs_little_memory():
+    """A skewed batch costs at most 25% more memory than a uniform one: one
+    backward_batch at paper dims over a 2,000-article world, 160 one-example user
+    states of 20 history rows each, against the same batch with one history of 400."""
+    ds = generate_synthetic(SyntheticSpec(n_users=160, n_articles=2000, n_impressions=160, topic_count=8,
+                                          seed=1, click_rule="planted-bilinear", history_length=20,
+                                          candidates_per_impression=1))
+    cfg = ModelConfig(attr_names=["category", "engagement"], embed_dim=256, text_proj_dim=128,
+                      attr_embed_dim=16, attr_hidden_dim=64, attr_out_dim=64)
+    params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=1)
+    provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+    feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
+    uniform = build_examples(ds.impressions, ds.corpus)
+    assert len({(ex.user_id, ex.history) for ex in uniform}) == len(uniform) == 160
+    assert {len(ex.history) for ex in uniform} == {20}
+    last = uniform[-1]
+    skewed = uniform[:-1] + [TrainExample(last.user_id, tuple(a.article_id for a in ds.articles[:400]),
+                                          last.candidate_id, last.label)]
+    peaks = []
+    for batch in (uniform, skewed):
+        backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the profile table
+        tracemalloc.start()
+        try:
+            backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], f"peaks {peaks[0] / 1e6:.2f} and {peaks[1] / 1e6:.2f} MB"
 
 
 class TestAdam:
