@@ -24,7 +24,7 @@ from .data import (
     parse_mind_news,
 )
 from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, encode_article
-from .metrics import EvalReport, auc, evaluate_rankings, mrr, ndcg_at, uvctr
+from .metrics import EvalReport, auc, evaluate_rankings, mrr, ndcg_at
 from .model import (
     ModelConfig,
     ModelParams,

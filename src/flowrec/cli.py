@@ -282,6 +282,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.max_users is not None and args.max_users < 1:
+        raise ConfigError(f"--max-users must be at least 1, not {args.max_users}")
     out = _out_dir(args)
     if args.format == "mind":
         if not args.news or not args.behaviors:

@@ -1,10 +1,11 @@
-"""Impression-grouped ranking metrics and the unique-visitor click rate.
+"""Impression-grouped ranking metrics.
 
-Sums run in explicit rank order with plain Python floats so results are
-reproducible to the last bit and directly comparable against brute-force
-references. Candidates are ranked by descending score with ties kept in
-input order; tie-affected impressions are counted in the report because a
-tie-heavy model would otherwise look nondeterministic.
+Every metric reads one ranking, made by ``_rank``: candidates by descending
+score, ties kept in input order. A tie is worth ½ to AUC, and an impression
+with any tie is counted in the report because a tie-heavy model would
+otherwise look nondeterministic. Sums run in rank order with plain Python
+floats (AUC wins are counted as integers) so results are reproducible to the
+last bit and directly comparable against brute-force references.
 """
 
 from __future__ import annotations
@@ -14,37 +15,39 @@ import math
 from dataclasses import asdict, dataclass, field
 
 
-def _ranked_labels(scores: list[float], labels: list[int]) -> list[int]:
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return [labels[i] for i in order]
+def _rank(scores: list[float], labels: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The labels in rank order, and each tie group's ``[positives, negatives]``
+    from the best score down."""
+    # sorted() is stable with reverse=True too, so equal scores keep input order.
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    ranked = [labels[i] for i in order]
+    groups: list[list[int]] = []
+    last = None
+    for i, y in zip(order, ranked):
+        if scores[i] != last:
+            last = scores[i]
+            group = [0, 0]
+            groups.append(group)
+        if y == 1:
+            group[0] += 1
+        elif y == 0:
+            group[1] += 1
+    return ranked, groups
 
 
-def _has_ties(scores: list[float]) -> bool:
-    return len(set(scores)) < len(scores)
-
-
-def auc(scores: list[float], labels: list[int]) -> float | None:
-    """Probability a random positive outranks a random negative; ties 0.5.
-
-    Returns None when the impression lacks a positive or a negative.
-    """
-    pos = [s for s, y in zip(scores, labels) if y == 1]
-    neg = [s for s, y in zip(scores, labels) if y == 0]
-    if not pos or not neg:
+def _auc(groups: list[list[int]]) -> float | None:
+    twice_wins, n_pos, neg_below = 0, 0, 0
+    for p, n in reversed(groups):
+        twice_wins += p * (2 * neg_below + n)
+        n_pos += p
+        neg_below += n
+    if not n_pos or not neg_below:
         return None
-    wins = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                wins += 1.0
-            elif p == n:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
+    # The wins are a multiple of ½ below 2^53, so exact: the pairwise count's bits.
+    return twice_wins / 2 / (n_pos * neg_below)
 
 
-def mrr(scores: list[float], labels: list[int]) -> float | None:
-    """Mean reciprocal rank over all positives in the impression."""
-    ranked = _ranked_labels(scores, labels)
+def _mrr(ranked: list[int]) -> float | None:
     total, n_pos = 0.0, 0
     for rank, y in enumerate(ranked, start=1):
         if y == 1:
@@ -53,13 +56,10 @@ def mrr(scores: list[float], labels: list[int]) -> float | None:
     return total / n_pos if n_pos else None
 
 
-def ndcg_at(scores: list[float], labels: list[int], k: int) -> float | None:
-    """Binary-gain DCG@k over the descending-score order, divided by the
-    ideal DCG@k."""
-    n_pos = sum(1 for y in labels if y == 1)
+def _ndcg_at(ranked: list[int], k: int) -> float | None:
+    n_pos = ranked.count(1)
     if n_pos == 0:
         return None
-    ranked = _ranked_labels(scores, labels)
     dcg = 0.0
     for rank, y in enumerate(ranked[:k], start=1):
         if y == 1:
@@ -68,6 +68,25 @@ def ndcg_at(scores: list[float], labels: list[int], k: int) -> float | None:
     for rank in range(1, min(k, n_pos) + 1):
         ideal += 1.0 / math.log2(rank + 1)
     return dcg / ideal
+
+
+def auc(scores: list[float], labels: list[int]) -> float | None:
+    """Probability a random positive outranks a random negative; ties 0.5.
+
+    Returns None when the impression lacks a positive or a negative.
+    """
+    return _auc(_rank(scores, labels)[1])
+
+
+def mrr(scores: list[float], labels: list[int]) -> float | None:
+    """Mean reciprocal rank over all positives in the impression."""
+    return _mrr(_rank(scores, labels)[0])
+
+
+def ndcg_at(scores: list[float], labels: list[int], k: int) -> float | None:
+    """Binary-gain DCG@k over the descending-score order, divided by the
+    ideal DCG@k."""
+    return _ndcg_at(_rank(scores, labels)[0], k)
 
 
 @dataclass
@@ -104,17 +123,18 @@ def evaluate_rankings(rankings: list[tuple[list[float], list[int]]],
     n5s: list[float] = []
     n10s: list[float] = []
     for scores, labels in rankings:
-        a = auc(scores, labels)
+        ranked, groups = _rank(scores, labels)
+        a = _auc(groups)
         if a is None:
             report.n_excluded += 1
             continue
         report.n_impressions += 1
-        if _has_ties(scores):
+        if len(groups) < len(scores):
             report.n_tie_impressions += 1
         aucs.append(a)
-        mrrs.append(mrr(scores, labels))
-        n5s.append(ndcg_at(scores, labels, 5))
-        n10s.append(ndcg_at(scores, labels, 10))
+        mrrs.append(_mrr(ranked))
+        n5s.append(_ndcg_at(ranked, 5))
+        n10s.append(_ndcg_at(ranked, 10))
     if aucs:
         report.auc = sum(aucs) / len(aucs)
         report.mrr = sum(mrrs) / len(mrrs)
@@ -125,40 +145,3 @@ def evaluate_rankings(rankings: list[tuple[list[float], list[int]]],
         pooled_labels = [y for _, labels in rankings for y in labels]
         report.global_auc = auc(pooled_scores, pooled_labels)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Serving-log click rate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ServingLogRecord:
-    day: str          # ISO date
-    user_id: str
-    visited_homepage: bool
-    clicked_any: bool
-
-    def __post_init__(self):
-        if self.clicked_any and not self.visited_homepage:
-            raise ValueError(f"user {self.user_id} on {self.day} clicked without visiting")
-
-
-def uvctr(records: list[ServingLogRecord],
-          window: tuple[str, str] | None = None) -> float | None:
-    """Unique clicking users over unique visiting users inside the window.
-
-    A user visiting on several days counts once. Returns None when the
-    window contains no visitors.
-    """
-    visitors: set[str] = set()
-    clickers: set[str] = set()
-    for rec in records:
-        if window is not None and not (window[0] <= rec.day <= window[1]):
-            continue
-        if rec.visited_homepage:
-            visitors.add(rec.user_id)
-        if rec.clicked_any:
-            clickers.add(rec.user_id)
-    if not visitors:
-        return None
-    return len(clickers) / len(visitors)

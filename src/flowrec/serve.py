@@ -41,6 +41,9 @@ MAX_BODY_BYTES = 1 << 20
 # MAX_BODY_BYTES can repeat a short id over 100,000 times, and every request's
 # candidate block stays in the idle list for the server's life.
 MAX_CANDIDATES = 10_000
+# Seconds a connection may sit idle, or stall inside a request, before the
+# server closes it; without it an idle keep-alive client holds a thread forever.
+IDLE_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -363,7 +366,7 @@ class _Handler(BaseHTTPRequestHandler):
 def create_server(store: RepStore, params: ModelParams, host: str = "127.0.0.1",
                   port: int = 8080) -> ThreadingHTTPServer:
     service = RankService(store, params)
-    handler = type("BoundHandler", (_Handler,), {"service": service})
+    handler = type("BoundHandler", (_Handler,), {"service": service, "timeout": IDLE_TIMEOUT_S})
     return ThreadingHTTPServer((host, port), handler)
 
 

@@ -22,7 +22,6 @@ from flowrec.cli import (
 )
 from flowrec.encode import HashedTextEmbedder, write_embedding_file
 from flowrec.errors import ConfigError
-from flowrec.metrics import auc
 from flowrec.model import ModelConfig, Scorer, instant_rep
 from flowrec.serve import load_store
 from flowrec.train import TrainConfig
@@ -185,6 +184,14 @@ class TestIngest:
 
     def test_usage_error_exits_one(self, tmp_path):
         assert run("ingest", "--format", "mind", "--out", tmp_path / "out") == 1
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_max_users_below_one_is_a_usage_error(self, mind_dir, tmp_path, capsys, n):
+        code = run("ingest", "--format", "mind", "--news", mind_dir / "news.tsv",
+                   "--behaviors", mind_dir / "behaviors.tsv", "--max-users", n, "--out", tmp_path / "out")
+        assert code == 1
+        assert "--max-users" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("option", [("--config", "run.json"), ("--set", "train.seed=1")])
     def test_run_config_options_are_rejected(self, mind_dir, tmp_path, option):
@@ -637,8 +644,17 @@ class TestCheckpointCommands:
         for imp in dataset.impressions:
             scores += [s.probability for s in scorer.score(imp)]
             labels += imp.labels
+        pos = [s for s, y in zip(scores, labels) if y == 1]
+        neg = [s for s, y in zip(scores, labels) if y == 0]
+        wins = 0.0  # counted pair by pair, independent of flowrec.metrics
+        for p in pos:
+            for n in neg:
+                if p > n:
+                    wins += 1.0
+                elif p == n:
+                    wins += 0.5
         assert plain.pop("global_auc") is None
-        assert pooled.pop("global_auc") == auc(scores, labels)
+        assert pooled.pop("global_auc") == wins / (len(pos) * len(neg))
         assert pooled == plain
 
     @pytest.mark.parametrize("garble,named", GARBLED_CHECKPOINTS.values(), ids=GARBLED_CHECKPOINTS)

@@ -1,17 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowrec.metrics import (
-    ServingLogRecord,
-    auc,
-    evaluate_rankings,
-    mrr,
-    ndcg_at,
-    uvctr,
-)
+from flowrec.metrics import auc, evaluate_rankings, mrr, ndcg_at
 
 
 # --- brute-force references, deliberately written from scratch -------------
@@ -55,6 +50,10 @@ def ndcg_by_full_sort(scores, labels, k):
             dcg += 1.0 / math.log2(rank + 1)
     ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, n_pos) + 1))
     return dcg / ideal
+
+
+def has_tie_by_pairs(scores):
+    return any(scores[i] == scores[j] for i in range(len(scores)) for j in range(i))
 
 
 class TestAuc:
@@ -176,34 +175,60 @@ class TestEvaluateRankings:
             assert key in payload
 
 
-class TestUvctr:
-    def test_basic_fraction(self):
-        records = [ServingLogRecord("2024-01-01", f"v{i}", True, i < 5) for i in range(20)]
-        assert uvctr(records) == 0.25
+@st.composite
+def tie_heavy_rankings(draw):
+    """Impressions whose scores share 1 to 4 levels, 0.0 and -0.0 among them."""
+    levels = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300]), min_size=1, max_size=4))
+    rankings = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 40))
+        scores = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                      | st.just([1] * n) | st.just([0] * n))
+        rankings.append((scores, labels))
+    return rankings
 
-    def test_all_clickers(self):
-        records = [ServingLogRecord("2024-01-01", f"u{i}", True, True) for i in range(4)]
-        assert uvctr(records) == 1.0
 
-    def test_repeat_visits_deduplicated(self):
-        records = [
-            ServingLogRecord("2024-01-01", "u1", True, False),
-            ServingLogRecord("2024-01-02", "u1", True, True),
-            ServingLogRecord("2024-01-03", "u2", True, False),
-        ]
-        assert uvctr(records) == 0.5
+class TestTieHeavyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_rankings())
+    def test_every_metric_matches_brute_force_bit_for_bit(self, rankings):
+        valid = []
+        for scores, labels in rankings:
+            assert auc(scores, labels) == auc_by_pair_enumeration(scores, labels)
+            assert mrr(scores, labels) == mrr_by_full_sort(scores, labels)
+            for k in (5, 10):
+                assert ndcg_at(scores, labels, k) == ndcg_by_full_sort(scores, labels, k)
+            if auc_by_pair_enumeration(scores, labels) is not None:
+                valid.append((scores, labels))
+        report = evaluate_rankings(rankings, include_global_auc=True)
+        assert report.n_impressions == len(valid)
+        assert report.n_excluded == len(rankings) - len(valid)
+        assert report.n_tie_impressions == sum(has_tie_by_pairs(scores) for scores, _ in valid)
+        pooled = auc_by_pair_enumeration([s for scores, _ in rankings for s in scores],
+                                         [y for _, labels in rankings for y in labels])
+        assert report.global_auc == pooled
+        if valid:
+            assert report.auc == sum(auc_by_pair_enumeration(*r) for r in valid) / len(valid)
+            assert report.mrr == sum(mrr_by_full_sort(*r) for r in valid) / len(valid)
+            assert report.ndcg5 == sum(ndcg_by_full_sort(*r, 5) for r in valid) / len(valid)
+            assert report.ndcg10 == sum(ndcg_by_full_sort(*r, 10) for r in valid) / len(valid)
 
-    def test_window_filter(self):
-        records = [
-            ServingLogRecord("2024-01-01", "u1", True, True),
-            ServingLogRecord("2024-02-01", "u2", True, False),
-        ]
-        assert uvctr(records, window=("2024-02-01", "2024-02-28")) == 0.0
-        assert uvctr(records, window=("2024-01-01", "2024-02-28")) == 0.5
-
-    def test_zero_visitors_absent(self):
-        assert uvctr([], window=("2024-01-01", "2024-01-02")) is None
-
-    def test_click_requires_visit(self):
-        with pytest.raises(ValueError):
-            ServingLogRecord("2024-01-01", "u1", False, True)
+    def test_million_pooled_candidates_on_known_tie_levels(self):
+        # Level j (score j / 1000) holds pos[j] positives and neg[j] negatives,
+        # dealt out in a shuffled order; the exact AUC follows from the counts.
+        rng = np.random.default_rng(11)
+        pos = rng.integers(0, 100, size=1000)
+        neg = rng.integers(0, 1900, size=1000)
+        neg[-1] += 1_000_000 - int(pos.sum() + neg.sum())
+        wins, neg_below = Fraction(0), 0
+        for p, n in zip(pos.tolist(), neg.tolist()):
+            wins += p * neg_below + Fraction(p * n, 2)
+            neg_below += n
+        exact = wins / (int(pos.sum()) * neg_below)
+        levels = np.repeat(np.arange(1000), pos + neg)
+        labels = np.concatenate([np.repeat([1, 0], [p, n]) for p, n in zip(pos, neg)])
+        shuffle = rng.permutation(levels.size)
+        scores, labels = (levels[shuffle] / 1000).tolist(), labels[shuffle].tolist()
+        assert len(scores) == 1_000_000
+        assert auc(scores, labels) == float(exact)

@@ -5,6 +5,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import traceback
 import urllib.request
@@ -431,6 +432,26 @@ class TestHttp:
             assert err.value.code == 400
             assert "nope" in json.loads(err.value.read())["error"]
         finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_idle_keep_alive_connection_is_closed_and_its_thread_ends(self, monkeypatch):
+        monkeypatch.setattr("flowrec.serve.IDLE_TIMEOUT_S", 0.2)
+        ds, params, embedder, provider = small_world()
+        server, _ = serve_in_thread(precompute(params, embedder, ds.corpus, [], provider), params)
+        conn = http.client.HTTPConnection(*server.server_address, timeout=10)
+        try:
+            before = set(threading.enumerate())
+            conn.request("GET", "/health")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200 and not resp.will_close
+            (handler,) = set(threading.enumerate()) - before
+            assert conn.sock.recv(1) == b""  # the server closed the idle connection
+            handler.join(timeout=5)
+            assert not handler.is_alive()
+        finally:
+            conn.close()
             server.shutdown()
             server.server_close()
 
