@@ -26,6 +26,7 @@ from .data import (
 from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, encode_article
 from .metrics import EvalReport, auc, evaluate_rankings, mrr, ndcg_at
 from .model import (
+    CandidateScores,
     ModelConfig,
     ModelParams,
     ScoredCandidate,

@@ -5,7 +5,9 @@ score, ties kept in input order. A tie is worth ½ to AUC, and an impression
 with any tie is counted in the report because a tie-heavy model would
 otherwise look nondeterministic. Sums run in rank order with plain Python
 floats (AUC wins are counted as integers) so results are reproducible to the
-last bit and directly comparable against brute-force references.
+last bit and directly comparable against brute-force references. The report's
+means add with ``math.fsum``, exactly rounded, so they do not depend on how a
+Python version's builtin ``sum`` adds floats.
 """
 
 from __future__ import annotations
@@ -136,10 +138,8 @@ def evaluate_rankings(rankings: list[tuple[list[float], list[int]]],
         n5s.append(_ndcg_at(ranked, 5))
         n10s.append(_ndcg_at(ranked, 10))
     if aucs:
-        report.auc = sum(aucs) / len(aucs)
-        report.mrr = sum(mrrs) / len(mrrs)
-        report.ndcg5 = sum(n5s) / len(n5s)
-        report.ndcg10 = sum(n10s) / len(n10s)
+        report.auc, report.mrr, report.ndcg5, report.ndcg10 = (
+            math.fsum(v) / len(v) for v in (aucs, mrrs, n5s, n10s))
     if include_global_auc:
         pooled_scores = [s for scores, _ in rankings for s in scores]
         pooled_labels = [y for _, labels in rankings for y in labels]

@@ -39,6 +39,7 @@ to evaluation:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -426,16 +427,35 @@ class ScoredCandidate:
     attention: np.ndarray  # weights over the history, empty on cold start
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateScores(Sequence):
+    """The scores of one :func:`score_candidates` call, as arrays: ``probabilities[m]``
+    and ``attention[m, L]``. A read-only sequence whose item ``i`` is a
+    :class:`ScoredCandidate`, built only when asked for; a slice is a ``CandidateScores``."""
+
+    article_ids: list[str]
+    probabilities: np.ndarray
+    attention: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.article_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CandidateScores(self.article_ids[i], self.probabilities[i], self.attention[i])
+        return ScoredCandidate(self.article_ids[i], float(self.probabilities[i]), self.attention[i])
+
+
 def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
-                     hist: np.ndarray, profile_emb: np.ndarray) -> list[ScoredCandidate]:
+                     hist: np.ndarray, profile_emb: np.ndarray) -> CandidateScores:
     """Score candidate reps (a list of vectors or an ``[m, d]`` matrix) against one user state.
 
-    The one scoring call of evaluation and serving: a single :func:`flow_forward`.
+    The one scoring call of evaluation and serving: a single :func:`flow_forward`,
+    whose fresh arrays hold no view of ``cand_vecs``.
     """
     cands = np.asarray(cand_vecs, dtype=np.float64).reshape(1, len(article_ids), params.config.article_dim)
     z, cache = flow_forward(params, cands, hist, np.arange(len(hist))[None, :], profile_emb[None, :])
-    return [ScoredCandidate(a, p, alpha)
-            for a, p, alpha in zip(article_ids, sigmoid(z[0]).tolist(), cache["alpha"][0])]
+    return CandidateScores(article_ids, sigmoid(z[0]), cache["alpha"][0])
 
 
 class Scorer:
@@ -458,9 +478,9 @@ class Scorer:
         (row,) = self.features.rows([article_id])
         return self.reps[row]
 
-    def score(self, impression: Impression) -> list[ScoredCandidate]:
+    def score(self, impression: Impression) -> CandidateScores | list:
         """Scores of the impression's candidates against its history, each id outside the
-        corpus dropped (:func:`~flowrec.data.in_corpus`): no known candidate, no scores."""
+        corpus dropped (:func:`~flowrec.data.in_corpus`): no known candidate, an empty list."""
         if not impression.candidates:
             raise ValueError(f"impression {impression.impression_id!r} has no candidates")
         feats = self.features

@@ -240,11 +240,12 @@ def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResp
             f"rep store version {store.version_tag[:12]} does not match "
             f"checkpoint version {params.version_tag[:12]}"
         )
-    if not request.candidate_ids:
+    ids = request.candidate_ids
+    if not ids:
         raise ValueError("rank request has no candidates")
-    missing = [a for a in request.candidate_ids if a not in store.row_of]
-    if missing:
-        raise UnknownIdError(f"unknown candidate id(s): {', '.join(missing)}")
+    rows = [store.row_of.get(a, -1) for a in ids]
+    if -1 in rows:
+        raise UnknownIdError(f"unknown candidate id(s): {', '.join(a for a, r in zip(ids, rows) if r < 0)}")
 
     entry = store.users.get(request.user_id)
     if entry is None:
@@ -253,14 +254,12 @@ def rank(request: RankRequest, store: RepStore, params: ModelParams) -> RankResp
     else:
         hist_rows = [store.row_of[a] for a in entry.history]
         profile = entry.profile_emb
-    with _candidate_block(store.reps, [store.row_of[a] for a in request.candidate_ids]) as cands:
-        # The scored candidates keep no view of the block.
-        scored = score_candidates(params, request.candidate_ids, cands, store.reps[hist_rows], profile)
+    with _candidate_block(store.reps, rows) as cands:
+        # The scores' arrays are fresh: none is a view of the block.
+        probs = score_candidates(params, ids, cands, store.reps[hist_rows], profile).probabilities
     # Stable: equal probabilities keep request order.
-    order = np.argsort([-s.probability for s in scored], kind="stable").tolist()
-    if request.top_k is not None:
-        order = order[: max(request.top_k, 0)]
-    results = [(scored[i].article_id, scored[i].probability) for i in order]
+    kept = np.argsort(-probs, kind="stable")[:None if request.top_k is None else max(request.top_k, 0)]
+    results = list(zip([ids[i] for i in kept.tolist()], probs[kept].tolist()))
     latency = (time.perf_counter() - started) * 1000.0
     return RankResponse(results=results, model_version=store.version_tag, latency_ms=latency)
 

@@ -407,9 +407,10 @@ def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
     """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`),
     over each impression's candidates in the corpus."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
-    return evaluate_rankings([([s.probability for s in scorer.score(imp)],
+    scored = map(scorer.score, impressions)
+    return evaluate_rankings([(s.probabilities.tolist() if s else [],
                                [y for _, y in in_corpus(corpus, imp.candidates, itemgetter(0))])
-                              for imp in impressions], include_global_auc=include_global_auc)
+                              for s, imp in zip(scored, impressions)], include_global_auc=include_global_auc)
 
 
 def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Impression],

@@ -168,6 +168,22 @@ class TestEvaluateRankings:
         pooled = auc_by_pair_enumeration([0.9, 0.1, 0.8, 0.2], [1, 0, 0, 1])
         assert report.global_auc == pooled
 
+    def test_means_are_exactly_rounded(self):
+        # Before Python 3.12 the builtin sum() adds left to right; on this seed's
+        # impressions that differs from the exactly rounded sum in every metric.
+        rng = np.random.default_rng(0)
+        rankings = []
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            rankings.append((rng.random(n).tolist(), rng.integers(0, 2, n).tolist()))
+        valid = [r for r in rankings if auc_by_pair_enumeration(*r) is not None]
+        report = evaluate_rankings(rankings)
+        assert report.n_impressions == len(valid) == 258
+        for got, ref in [(report.auc, auc_by_pair_enumeration), (report.mrr, mrr_by_full_sort),
+                         (report.ndcg5, lambda s, y: ndcg_by_full_sort(s, y, 5)),
+                         (report.ndcg10, lambda s, y: ndcg_by_full_sort(s, y, 10))]:
+            assert got == math.fsum(ref(*r) for r in valid) / len(valid)
+
     def test_json_fields(self):
         report = evaluate_rankings([([0.9, 0.1], [1, 0])])
         payload = json.loads(report.to_json())
@@ -209,10 +225,10 @@ class TestTieHeavyOracle:
                                          [y for _, labels in rankings for y in labels])
         assert report.global_auc == pooled
         if valid:
-            assert report.auc == sum(auc_by_pair_enumeration(*r) for r in valid) / len(valid)
-            assert report.mrr == sum(mrr_by_full_sort(*r) for r in valid) / len(valid)
-            assert report.ndcg5 == sum(ndcg_by_full_sort(*r, 5) for r in valid) / len(valid)
-            assert report.ndcg10 == sum(ndcg_by_full_sort(*r, 10) for r in valid) / len(valid)
+            assert report.auc == math.fsum(auc_by_pair_enumeration(*r) for r in valid) / len(valid)
+            assert report.mrr == math.fsum(mrr_by_full_sort(*r) for r in valid) / len(valid)
+            assert report.ndcg5 == math.fsum(ndcg_by_full_sort(*r, 5) for r in valid) / len(valid)
+            assert report.ndcg10 == math.fsum(ndcg_by_full_sort(*r, 10) for r in valid) / len(valid)
 
     def test_million_pooled_candidates_on_known_tie_levels(self):
         # Level j (score j / 1000) holds pos[j] positives and neg[j] negatives,

@@ -13,6 +13,7 @@ from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import (
     ModelConfig,
     ModelParams,
+    ScoredCandidate,
     Scorer,
     attention_weights,
     constant_rep,
@@ -262,6 +263,37 @@ class TestBatchedScorer:
                 assert scored[i].probability == first.probability, f"trial {trial}, rows {spots}"
                 assert np.array_equal(scored[i].attention, first.attention)
 
+
+class TestCandidateScores:
+    """score_candidates' arrays read as the eager list of ScoredCandidate built from them."""
+
+    @staticmethod
+    def same(a, b):
+        return (a.article_id == b.article_id and type(a.probability) is float and a.probability == b.probability
+                and a.attention.shape == b.attention.shape and np.array_equal(a.attention, b.attention))
+
+    @pytest.mark.parametrize("n_hist", [9, 0])
+    def test_reads_as_the_eager_list(self, n_hist):
+        params = paper_params(seed=2)
+        rng = np.random.default_rng(5)
+        d = params.config.article_dim
+        scores = score_candidates(params, [f"c{i}" for i in range(7)], 0.1 * rng.normal(size=(7, d)),
+                                  0.1 * rng.normal(size=(n_hist, d)), rng.normal(size=params.config.embed_dim))
+        assert scores.probabilities.shape == (7,) and scores.attention.shape == (7, n_hist)
+        eager = [ScoredCandidate(a, p, alpha) for a, p, alpha in
+                 zip(scores.article_ids, scores.probabilities.tolist(), scores.attention)]
+        assert len(scores) == 7
+        for i in range(-7, 7):
+            assert self.same(scores[i], eager[i])
+        for part in [slice(None, 3), slice(2, -1), slice(None, None, -2), slice(10, 20)]:
+            assert len(scores[part]) == len(eager[part])
+            assert all(map(self.same, scores[part], eager[part]))
+        assert len(list(scores)) == 7 and all(map(self.same, scores, eager))
+        first, *middle, last = scores
+        assert self.same(first, eager[0]) and self.same(last, eager[-1]) and len(middle) == 5
+        for i in (7, -8):
+            with pytest.raises(IndexError):
+                scores[i]
 
 
 class TestFlowBackward:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import flowrec
 from conftest import container_cuts, make_impression
+from flowrec import serve as serve_mod
 from flowrec.checkpoint import (
     checkpoint_header,
     content_digest,
@@ -29,7 +30,7 @@ from flowrec.checkpoint import (
 from flowrec.data import SyntheticSpec, generate_synthetic
 from flowrec.encode import HashedTextEmbedder, build_vocabs, encode_article
 from flowrec.errors import ConfigError, UnknownIdError
-from flowrec.model import ModelConfig, Scorer, init_model_params
+from flowrec.model import ModelConfig, Scorer, init_model_params, score_candidates
 from flowrec.serve import (
     MAX_BODY_BYTES,
     MAX_CANDIDATES,
@@ -327,6 +328,41 @@ class TestRank:
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(3):
                 assert [r.results for r in pool.map(lambda r: rank(r, store, params), requests)] == expected
+
+    def test_order_is_descending_probability_then_request_index(self):
+        # Twins (two ids sharing one rep) and repeated ids make tie groups.
+        ds, params, _, _, store = self._ready()
+        uid = next(u for u in sorted(store.users) if store.users[u].history)
+        twin_a, twin_b, *rest = [a.article_id for a in ds.articles]
+        store.reps = store.reps.copy()
+        store.reps[store.row_of[twin_b]] = store.reps[store.row_of[twin_a]]
+        ids = [twin_b, *rest[:20], twin_a, *rest[20:], twin_b, rest[3], twin_a, rest[3]]
+        probs = score_candidates(params, ids, store.reps[[store.row_of[a] for a in ids]],
+                                 store.reps[[store.row_of[a] for a in store.users[uid].history]],
+                                 store.users[uid].profile_emb).probabilities.tolist()
+        order = sorted(range(len(ids)), key=lambda i: (-probs[i], i))
+        expected = [(ids[i], probs[i]) for i in order]
+        cuts = [k for k in range(1, len(ids)) if probs[order[k - 1]] == probs[order[k]]]
+        twins = [k for k in cuts if {ids[order[k - 1]], ids[order[k]]} == {twin_a, twin_b}]
+        assert twins, "no tie between the twins to cut through"
+        for top_k in [None, 0, 1, twins[0], cuts[-1], len(ids), len(ids) + 5]:
+            assert rank(RankRequest(uid, ids, top_k), store, params).results == expected[:top_k]
+
+    def test_scores_share_no_memory_with_the_candidate_block(self, monkeypatch):
+        ds, params, _, _, store = self._ready()
+        calls = []
+
+        def spy(params, ids, cands, hist, profile):
+            calls.append((cands, score_candidates(params, ids, cands, hist, profile)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(serve_mod, "score_candidates", spy)
+        uid = next(u for u in sorted(store.users) if store.users[u].history)
+        rank(RankRequest(uid, [a.article_id for a in ds.articles]), store, params)
+        ((cands, scores),) = calls
+        (block,) = [b for b in serve_mod._idle_blocks if np.shares_memory(b, cands)]
+        assert not np.shares_memory(scores.probabilities, block)
+        assert not np.shares_memory(scores.attention, block)
 
     def test_unknown_candidate_named(self):
         ds, params, _, _, store = self._ready()
