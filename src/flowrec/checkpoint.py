@@ -5,13 +5,14 @@ Layout (little-endian):
   | u32 tensor count | per tensor: u16 name length, name, u8 dtype code
   (0 = float32, 1 = float64), u8 ndim, u32 * ndim shape, raw data.
 
-Model checkpoints store parameters as float32; the serving rep store uses
-the same container with float64 payloads so precomputed representations are
-bit-identical to freshly encoded ones. A checkpoint's ``version_tag`` is
-the SHA-256 of its header (minus the tag itself) and tensor bytes, so any
-artifact built from it can be matched to exactly that parameter snapshot.
-A rep store's ``digest`` is the same :func:`content_digest` of its own
-header and tensors, so each loader detects a flipped byte.
+Model checkpoints and the serving rep store both store float64 tensors as
+they are in memory, so a model scores the same before and after a save and
+load. A checkpoint's ``version_tag`` is the SHA-256 of its header (minus the
+tag itself) and tensor bytes, so any artifact built from it can be matched
+to exactly that parameter snapshot. A rep store's ``digest`` is the same
+:func:`content_digest` of its own header and tensors, so each loader detects
+a flipped byte. A float32 checkpoint written by an older release loads under
+its own tag, its tensors widened to float64 after the tag is checked.
 
 :func:`read_artifact` is the one header reader of both loaders, this
 module's :func:`load_checkpoint` and ``flowrec.serve.load_store``.
@@ -70,8 +71,9 @@ def write_tensor_file(path, header: dict, tensors: dict[str, np.ndarray]) -> Non
 
 
 def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and tensors of a container; a file that is cut short or garbled
-    raises :class:`ConfigError` naming what could not be read."""
+    """Header and tensors of a container, each tensor in the dtype it was stored
+    in; a file that is cut short or garbled raises :class:`ConfigError` naming
+    what could not be read."""
     with open(path, "rb") as fh:
         take = byte_reader(fh, path)
         if take(len(MAGIC), "the magic") != MAGIC:
@@ -99,10 +101,8 @@ def read_tensor_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}'s shape"))
             size = math.prod(shape)  # Python ints: a garbled shape cannot wrap to a short read
             raw = take(int(_DTYPES[code][-1]) * size, f"tensor {name!r}'s data")
-            with np.errstate(invalid="ignore"):  # a signalling NaN is quieted; a checkpoint's digest catches it
-                flat = np.frombuffer(raw, dtype=_DTYPES[code]).astype(np.float64)
             try:
-                tensors[name] = flat.reshape(shape)
+                tensors[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape)
             except ValueError:  # over 64 dims, or dims whose product overflows numpy's element count
                 raise ConfigError(f"{path}: tensor {name!r} has a shape numpy cannot build "
                                   f"({ndim} dims, {size} elements)") from None
@@ -122,30 +122,19 @@ def checkpoint_header(params: ModelParams) -> dict:
     }
 
 
-def _as_float32(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.ascontiguousarray(t, dtype=np.float32) for name, t in tensors.items()}
-
-
 def ensure_version_tag(params: ModelParams) -> str:
     """Stamp (if needed) the tag this snapshot would carry on disk."""
     if not params.version_tag:
-        params.version_tag = content_digest(checkpoint_header(params), _as_float32(params.tensors))
+        params.version_tag = content_digest(checkpoint_header(params), params.tensors)
     return params.version_tag
 
 
 def save_checkpoint(path, params: ModelParams) -> str:
-    """Write a float32 checkpoint; returns (and stamps) its version tag.
-
-    Reloading a checkpoint rounds parameters to float32, so callers that
-    need bit-parity with downstream artifacts should reload after saving.
-    """
+    """Write a checkpoint of the tensors as they are; returns (and stamps) its version tag."""
     header = checkpoint_header(params)
-    stored = _as_float32(params.tensors)
-    tag = content_digest(header, stored)
-    header["version_tag"] = tag
-    params.version_tag = tag
-    write_tensor_file(path, header, stored)
-    return tag
+    header["version_tag"] = params.version_tag = content_digest(header, params.tensors)
+    write_tensor_file(path, header, params.tensors)
+    return params.version_tag
 
 
 CHECKPOINT_KEYS = {"config": dict, "vocabs": dict, "version_tag": str}
@@ -167,7 +156,8 @@ def read_artifact(path, kind: str, keys: dict[str, type]) -> tuple[dict, dict[st
 
 def load_checkpoint(path) -> ModelParams:
     """A saved checkpoint, checked once, here: against the layout its config and
-    vocabs give, then its ``version_tag`` against the digest of what was read."""
+    vocabs give, then its ``version_tag`` against the digest of the tensors as
+    stored; only then are they widened to float64."""
     header, tensors = read_artifact(path, "checkpoint", CHECKPOINT_KEYS)
     try:
         params = ModelParams(config=ModelConfig.from_dict(header["config"]), vocabs=header["vocabs"],
@@ -176,6 +166,8 @@ def load_checkpoint(path) -> ModelParams:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     untagged = {k: v for k, v in header.items() if k != "version_tag"}
-    if content_digest(untagged, _as_float32(tensors)) != params.version_tag:
+    if content_digest(untagged, tensors) != params.version_tag:
         raise ConfigError(f"{path}: its content does not match its version_tag (the file was altered)")
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN that its tag covers is quieted
+        params.tensors = {name: t.astype(np.float64, copy=False) for name, t in tensors.items()}
     return params

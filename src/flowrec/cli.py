@@ -139,6 +139,9 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
         if config["summarizer"][key] not in TEMPLATES:
             raise ConfigError(f"unknown summarizer.{key} {config['summarizer'][key]!r}; "
                               f"known: {', '.join(sorted(TEMPLATES))}")
+    for key in ("budget_tokens", "lead_sentences", "profile_top_n"):
+        if config["summarizer"][key] < 1:
+            raise ConfigError(f"summarizer.{key} must be at least 1, got {config['summarizer'][key]}")
     return config
 
 

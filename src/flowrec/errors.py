@@ -16,19 +16,21 @@ class UnknownIdError(KeyError):
 
 
 def byte_reader(fh, path):
-    """``take(n, what)``: the next ``n`` bytes of the binary file ``fh``.
+    """``take(n, what)``: the next ``n`` bytes of the binary file ``fh``, read into a new ``bytearray``.
 
     Reads are counted against the file's size, so a file cut short raises
     :class:`ConfigError` naming ``what`` could not be read, before any short read.
     """
     left = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> bytearray:
         nonlocal left
         if n > left:
             raise ConfigError(f"{path} is truncated: {what} needs {n} bytes, {left} left")
         left -= n
-        return fh.read(n)
+        buf = bytearray(n)
+        fh.readinto(buf)
+        return buf
 
     return take
 

@@ -153,8 +153,9 @@ def load_store(path) -> RepStore:
         raise ConfigError(f"{path}: a history in header 'users' names an article not in 'article_ids'")
     shapes = {"article_reps": (len(ids), article_dim), "profile_embs": (len(user_meta), embed_dim)}
     for name, shape in shapes.items():
-        if shape[0] and (name not in tensors or tensors[name].shape != shape):
-            raise ConfigError(f"{path}: tensor {name!r} is missing or not of shape {list(shape)}")
+        t = tensors.get(name)
+        if shape[0] and (t is None or t.shape != shape or t.dtype != np.float64):
+            raise ConfigError(f"{path}: tensor {name!r} is missing or not float64 of shape {list(shape)}")
     if content_digest({k: v for k, v in header.items() if k != "digest"}, tensors) != header["digest"]:
         raise ConfigError(f"{path}: its content does not match its digest (the file was altered)")
     embs = tensors["profile_embs"] if user_meta else np.zeros((0, embed_dim))

@@ -372,16 +372,16 @@ def summarize_corpus(articles: list[Article], template: PromptTemplate, client,
                      max_workers: int = 1) -> tuple[dict[str, str], list[CompletionError]]:
     """Summarize every article with a non-empty body; collect per-item errors.
 
-    Returns (article_id -> summary, errors). All prompts are rendered first,
-    so a template error stops the run before any client call. Worker ``k`` of
-    ``n = max(max_workers, 1)`` threads completes articles ``k, k + n, ...``;
+    Returns (article_id -> summary, errors). All prompts are rendered first, so a template
+    error stops the run before any client call. Worker ``k`` of ``n`` threads (``max_workers``,
+    at least one and at most one per article to complete) completes articles ``k, k + n, ...``;
     any error but a :class:`CompletionError` stops each before its next one.
     """
     todo = [a for a in articles if a.body]
     errors = [CompletionError("article has an empty body", a.article_id) for a in articles if not a.body]
     prompts = [template.render(_article_values(a)) for a in todo]
     done: list[str | CompletionError | None] = [None] * len(todo)
-    n_workers, stop = max(max_workers, 1), threading.Event()
+    n_workers, stop = min(max(max_workers, 1), len(todo)), threading.Event()
 
     def work(k: int) -> None:
         for i in range(k, len(todo), n_workers):
@@ -396,7 +396,7 @@ def summarize_corpus(articles: list[Article], template: PromptTemplate, client,
                 stop.set()
                 raise
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:  # no worker, no thread started
         try:
             list(pool.map(work, range(n_workers)))
         finally:

@@ -454,6 +454,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         cursor += config.batch_size
 
         drop_rng = np.random.default_rng([config.seed, step])
+        params.version_tag = ""  # this step changes the tensors that the tag digests
         loss, grads = backward_batch(params, IndexedBatch(index, take), feats, mode="train",
                                      rng=drop_rng, dropout=config.dropout)
         adam_step(params, grads, state, config.learning_rate)

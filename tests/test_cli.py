@@ -122,6 +122,9 @@ class TestRunConfig:
         ('attrs=["category", "category"]', "attr_names"),
         ("attrs=[1]", "attr_names"),
         ("dims.embed_dim=0", "embed_dim"),
+        ("summarizer.budget_tokens=0", "summarizer.budget_tokens"),
+        ("summarizer.lead_sentences=-1", "summarizer.lead_sentences"),
+        ("summarizer.profile_top_n=-2", "summarizer.profile_top_n"),
     ])
     def test_out_of_range_set_exits_one_before_data_is_read(self, tmp_path, capsys, item, key):
         with pytest.raises(ConfigError, match=key):

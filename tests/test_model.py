@@ -455,6 +455,18 @@ class TestCheckpoint:
                                                provider).score(imp)]
         assert once == twice
 
+    def test_saved_tensors_load_bit_equal(self, tmp_path, toy_corpus):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        assert loaded.version_tag == params.version_tag
+        assert list(loaded.tensors) == list(params.tensors)
+        for name, tensor in params.tensors.items():
+            assert loaded.tensors[name].dtype == np.float64
+            assert loaded.tensors[name].tobytes() == tensor.tobytes(), name
+
     def test_same_params_same_tag(self, tmp_path, toy_corpus):
         cfg = ModelConfig(**TOY_CONFIG)
         vocabs = build_vocabs(list(toy_corpus.values()), cfg.attr_names)
@@ -568,18 +580,26 @@ class TestCheckpoint:
         assert str(path) in str(err.value)
 
     def test_signalling_nan_is_config_error_without_a_warning(self, tmp_path, toy_corpus):
+        """The last stored number made a signalling NaN: in a float64 checkpoint as
+        written today, and in a float32 one as written before."""
         cfg = ModelConfig(**TOY_CONFIG)
         params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=9)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        raw = bytearray(path.read_bytes())
-        raw[-4:] = struct.pack("<I", 0x7FA00000)  # the last float32 made a signalling NaN
-        path.write_bytes(bytes(raw))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="does not match its version_tag") as err:
-                load_checkpoint(path)
-        assert str(path) in str(err.value)
+        f64_path, f32_path = tmp_path / "f64.ckpt", tmp_path / "f32.ckpt"
+        save_checkpoint(f64_path, params)
+        header = checkpoint.checkpoint_header(params)
+        stored = {name: t.astype(np.float32) for name, t in params.tensors.items()}
+        header["version_tag"] = checkpoint.content_digest(header, stored)
+        checkpoint.write_tensor_file(f32_path, header, stored)
+        for path, snan in ((f64_path, struct.pack("<Q", 0x7FF4000000000000)),
+                           (f32_path, struct.pack("<I", 0x7FA00000))):
+            raw = bytearray(path.read_bytes())
+            raw[-len(snan):] = snan
+            path.write_bytes(bytes(raw))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="does not match its version_tag") as err:
+                    load_checkpoint(path)
+            assert str(path) in str(err.value)
 
     def test_edited_header_is_config_error_naming_the_file(self, tmp_path, toy_corpus):
         """A flag that changes no tensor's shape, edited in place, still changes the content."""

@@ -45,7 +45,7 @@ from flowrec.serve import (
     users_from_impressions,
 )
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient, summarize_corpus
-from flowrec.train import evaluate_params
+from flowrec.train import TrainConfig, evaluate_params, train
 
 # Measured on the reference machine: p95 ~73 ms for 1,000 candidates at the
 # default dims; pinned with 2x slack.
@@ -206,10 +206,13 @@ class TestStoreFile:
         (lambda h, t: ({**h, "users": {u: {**m, "history": [*m["history"], "ghost"]} for u, m in h["users"].items()}},
                        t), "'users' names an article not in 'article_ids'"),
         (lambda h, t: ({**h, "kind": "checkpoint"}, t), "is not a repstore file"),
+        (lambda h, t: (h, {**t, "article_reps": t["article_reps"].astype(np.float32)}),
+         "'article_reps' is missing or not float64"),
     ], ids=["no-format-version", "no-article-dim", "article-dim-a-string", "embed-dim-a-bool",
             "no-version-tag", "users-a-list", "ids-not-strings", "user-without-profile-text",
             "no-article-reps", "reps-row-short", "no-profile-embs", "profile-embs-column-short",
-            "history-entry-a-list", "id-repeated", "history-id-not-stored", "kind-checkpoint"])
+            "history-entry-a-list", "id-repeated", "history-id-not-stored", "kind-checkpoint",
+            "reps-float32"])
     def test_garbled_store_is_config_error_naming_the_file(self, tmp_path, garble, message):
         ds, params, embedder, provider = small_world()
         path = tmp_path / "store.bin"
@@ -396,13 +399,16 @@ class TestOlderCheckpoint:
     def test_model_dropout_key_loads_and_serves_under_the_stored_tag(self, tmp_path):
         """Checkpoints once carried an unread ``dropout`` in their model config.
         Such a file still loads, and evaluates and ranks under the tag stored in
-        it, with the scores of the same tensors saved without the key."""
+        it, with the scores of the same tensors saved without the key. The old
+        file holds float32 tensors, as checkpoints once did; the new file holds
+        the same numbers in float64."""
         ds, params, embedder, provider = small_world()
+        stored = {name: t.astype(np.float32) for name, t in params.tensors.items()}
+        params.tensors = {name: t.astype(np.float64) for name, t in stored.items()}
         new_path, old_path = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
         save_checkpoint(new_path, params)
         header = checkpoint_header(params)
         header["config"]["dropout"] = 0.1
-        stored = {name: t.astype(np.float32) for name, t in params.tensors.items()}
         header["version_tag"] = old_tag = content_digest(header, stored)
         write_tensor_file(old_path, header, stored)
 
@@ -423,6 +429,28 @@ class TestOlderCheckpoint:
             old_resp = rank(RankRequest(uid, ids), old_store, old)
             assert old_resp.model_version == old_tag
             assert old_resp.results == rank(RankRequest(uid, ids), new_store, new).results
+
+
+class TestInMemoryModel:
+    def test_rank_with_the_trained_params_matches_the_saved_checkpoint(self, tmp_path):
+        """Train, save, and precompute from the params in memory, with no reload:
+        /rank against the loaded checkpoint scores bit for bit as its Scorer."""
+        ds, params, embedder, provider = small_world()
+        result = train(params, ds.corpus, ds.impressions,
+                       TrainConfig(learning_rate=0.01, batch_size=16, max_steps=20, eval_every=10),
+                       embedder, provider)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.params)
+        users = users_from_impressions(ds.impressions)
+        store = precompute(result.params, embedder, ds.corpus, users, provider)
+        loaded = load_checkpoint(path)
+        scorer = Scorer(loaded, embedder, ds.corpus, provider)
+        ids = [a.article_id for a in ds.articles[:9]]
+        for user in users:
+            imp = make_impression("parity", user=user.user_id, history=user.history,
+                                  candidates=[(a, 0) for a in ids])
+            offline = {s.article_id: s.probability for s in scorer.score(imp)}
+            assert dict(rank(RankRequest(user.user_id, ids), store, loaded).results) == offline
 
 
 class TestHttp:

@@ -366,6 +366,21 @@ class TestCorpusSummarization:
             summarize_corpus(articles, TEMPLATES["article_summary_mind"], client, max_workers=max_workers)
         assert client.calls <= 3 * max_workers + 1
 
+    @pytest.mark.parametrize("n_articles", [0, 2])
+    def test_starts_at_most_one_thread_per_article(self, monkeypatch, n_articles):
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        articles = [make_article(f"a{i}", title=f"T{i}", body="words.", category="c") for i in range(n_articles)]
+        summaries, errors = summarize_corpus(articles, TEMPLATES["article_summary_mind"], StubCompletionClient(),
+                                             max_workers=6)
+        assert (len(summaries), errors) == (n_articles, [])
+        assert len(started) <= n_articles
+
     def test_many_workers_under_fast_switching_match_serial(self):
         client = _SomeArticlesFail(lambda title: int(title[1:]) % 7 == 3)
         client.delay = 0.0

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import TOY_CONFIG
-from flowrec.checkpoint import save_checkpoint
+from flowrec.checkpoint import (
+    checkpoint_header,
+    content_digest,
+    ensure_version_tag,
+    load_checkpoint,
+    save_checkpoint,
+)
 from flowrec.data import SyntheticSpec, generate_synthetic, split_by_time
 from flowrec.encode import HashedTextEmbedder, build_vocabs
 from flowrec.model import ModelConfig, init_model_params, score_candidates, slot_groups
@@ -617,6 +623,16 @@ class TestTrainLoop:
             save_checkpoint(path, result.params)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_training_a_loaded_checkpoint_clears_its_tag(self, tmp_path):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        old_tag = save_checkpoint(tmp_path / "m.ckpt", params)
+        result = train(load_checkpoint(tmp_path / "m.ckpt"), ds.corpus, ds.impressions,
+                       TrainConfig(learning_rate=0.01, batch_size=16, max_steps=3), embedder, provider)
+        trained = result.params
+        digest = content_digest(checkpoint_header(trained), trained.tensors)
+        assert ensure_version_tag(trained) == digest != old_tag
 
     def test_log_csv_format(self, tmp_path):
         ds = quick_dataset()
