@@ -136,14 +136,6 @@ class ModelParams:
     def n_parameters(self) -> int:
         return int(sum(self.tensors[n].size for n in self.trainable_names()))
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            vocabs=self.vocabs,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            version_tag=self.version_tag,
-        )
-
     def validate_shapes(self) -> None:
         """Check the config, the vocabs, then every tensor's name and shape
         against :func:`model_layout`; run once, on checkpoint load."""

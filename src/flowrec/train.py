@@ -416,11 +416,15 @@ def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
 def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Impression],
           config: TrainConfig, embedder, profile_provider=None,
           val_impressions: list[Impression] | None = None) -> TrainResult:
-    """Optimize all trainable tensors; return the best-validation snapshot.
+    """Optimize the trainable tensors of ``params`` in place; early stopping
+    selects the best-validation snapshot.
 
     Without an explicit validation set the last 5% of impressions by
     timestamp are held out. Early stopping fires after ``patience``
-    evaluations without a strict AUC improvement.
+    evaluations without a strict AUC improvement. On return ``params`` (also
+    ``result.params``) holds the selected snapshot with its ``bn_mean`` and
+    ``bn_var``, or the last step if no evaluation gave an AUC; on a
+    :class:`TrainingError`, the tensors that the failing step ran with.
     """
     config.validate()
     if val_impressions is None:
@@ -438,8 +442,9 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
     state = adam_init(params)
     result = TrainResult(params=params)
     best = -np.inf
-    best_params = params.copy()
+    best_tensors = {}
     bad_evals = 0
+    params.version_tag = ""  # cleared once: nothing below calls ensure_version_tag to stamp it
     order = np.arange(len(examples))
     cursor = len(examples)  # force an initial shuffle
     started = time.perf_counter()
@@ -454,7 +459,6 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         cursor += config.batch_size
 
         drop_rng = np.random.default_rng([config.seed, step])
-        params.version_tag = ""  # this step changes the tensors that the tag digests
         loss, grads = backward_batch(params, IndexedBatch(index, take), feats, mode="train",
                                      rng=drop_rng, dropout=config.dropout)
         adam_step(params, grads, state, config.learning_rate)
@@ -467,7 +471,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
             result.log.append(LogRow(step, loss, val_auc, report.mrr, wall))
             if val_auc is not None and val_auc > best:
                 best = val_auc
-                best_params = params.copy()
+                best_tensors = {k: v.copy() for k, v in params.tensors.items()}
                 bad_evals = 0
             else:
                 bad_evals += 1
@@ -477,9 +481,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
             result.log.append(LogRow(step, loss, wall_ms=wall))
 
     result.steps_run = step if config.max_steps else 0
-    if np.isfinite(best):
+    if best_tensors:
         result.best_val_auc = float(best)
-        result.params = best_params
-    else:
-        result.params = params
+        params.tensors.update(best_tensors)
     return result

@@ -573,7 +573,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
         raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0x01  # the last tensor's last byte: still a finite float32, of the right shape
+        raw[-1] ^= 0x01  # the last float64's sign-and-exponent byte: still finite, of the right shape
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigError, match="does not match its version_tag") as err:
             load_checkpoint(path)

@@ -55,14 +55,14 @@ def toy_setup(seed=3, flags=None, batch_norm=False, dropout=0.0):
     return ds, params, feats, examples
 
 
-def assert_matches_central_difference(params, feats, batch, dropout):
+def assert_matches_central_difference(params, feats, batch, dropout, mode="train"):
     """Analytic gradients of every trainable tensor agree with the finite-difference oracle."""
 
     def loss_fn():
-        return loss_batch(params, batch, feats, mode="train",
+        return loss_batch(params, batch, feats, mode=mode,
                           rng=np.random.default_rng(99), dropout=dropout)
 
-    _, grads = backward_batch(params, batch, feats, mode="train",
+    _, grads = backward_batch(params, batch, feats, mode=mode,
                               rng=np.random.default_rng(99), dropout=dropout)
     fd = finite_difference_grads(loss_fn, params)
     assert set(grads) == set(params.trainable_names())
@@ -130,6 +130,16 @@ class TestGradients:
         _, params, feats, examples = toy_setup(batch_norm=batch_norm, dropout=dropout,
                                                flags=flags)
         assert_matches_central_difference(params, feats, examples, dropout)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_eval_mode_batch_norm_matches_central_difference(self, dropout):
+        """Batch norm on its running statistics, away from their initial 0 and 1;
+        in eval mode a configured dropout drops nothing, forward or backward."""
+        _, params, feats, examples = toy_setup(batch_norm=True)
+        rng = np.random.default_rng(5)
+        params.tensors["bn_mean"][...] = rng.normal(size=3)
+        params.tensors["bn_var"][...] = rng.uniform(0.5, 2.0, size=3)
+        assert_matches_central_difference(params, feats, examples, dropout, mode="eval")
 
     def test_untouched_attribute_rows_zero(self):
         ds, params, feats, examples = toy_setup()
@@ -559,6 +569,27 @@ def quick_model(ds, seed=0):
     return params, embedder, provider
 
 
+def record_steps(monkeypatch) -> list[dict[str, np.ndarray]]:
+    """Every training step's tensors, copied right after its Adam update."""
+    steps = []
+
+    def recording(params, grads, state, lr):
+        adam_step(params, grads, state, lr)
+        steps.append({k: v.copy() for k, v in params.tensors.items()})
+        return params
+
+    monkeypatch.setattr(sys.modules["flowrec.train"], "adam_step", recording)
+    return steps
+
+
+def holds(params, tensors) -> bool:
+    return params.tensors.keys() == tensors.keys() and all(
+        np.array_equal(params.tensors[k], v) for k, v in tensors.items())
+
+
+EARLY_STOP = TrainConfig(learning_rate=0.01, batch_size=16, max_steps=200, eval_every=20, patience=3)
+
+
 class TestTrainLoop:
     def test_zero_steps_returns_init(self):
         ds = quick_dataset()
@@ -633,6 +664,47 @@ class TestTrainLoop:
         trained = result.params
         digest = content_digest(checkpoint_header(trained), trained.tensors)
         assert ensure_version_tag(trained) == digest != old_tag
+
+    def test_the_params_passed_in_end_as_the_selected_snapshot(self, monkeypatch):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        steps = record_steps(monkeypatch)
+        result = train(params, ds.corpus, ds.impressions, EARLY_STOP, embedder, provider)
+        assert result.params is params
+        best_step = next(row.step for row in result.log if row.val_auc == result.best_val_auc)
+        assert best_step < result.steps_run < EARLY_STOP.max_steps  # stopped early, past the best
+        assert holds(params, steps[best_step - 1]) and not holds(params, steps[-1])
+        _, val = split_by_time(ds.impressions, EARLY_STOP.holdout_fraction)
+        assert evaluate_params(params, embedder, ds.corpus, val, provider).auc == result.best_val_auc
+
+    def test_a_run_without_validation_ends_at_its_last_step(self, monkeypatch):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        steps = record_steps(monkeypatch)
+        result = train(params, ds.corpus, ds.impressions, EARLY_STOP, embedder, provider,
+                       val_impressions=[])
+        assert result.params is params and result.best_val_auc is None
+        assert result.steps_run == len(steps) == EARLY_STOP.max_steps
+        assert holds(params, steps[-1])
+
+    def test_an_explicit_validation_set_is_read_and_nothing_is_held_out(self, monkeypatch):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        trained_on = []
+
+        def spy(impressions, corpus):
+            trained_on.extend(impressions)
+            return build_examples(impressions, corpus)
+
+        monkeypatch.setattr(sys.modules["flowrec.train"], "build_examples", spy)
+        val = sorted(ds.impressions, key=lambda imp: imp.timestamp)[:20]  # the earliest, not the default holdout
+        result = train(params, ds.corpus, ds.impressions, EARLY_STOP, embedder, provider,
+                       val_impressions=val)
+        assert trained_on == ds.impressions
+        assert result.best_val_auc is not None
+        assert evaluate_params(params, embedder, ds.corpus, val, provider).auc == result.best_val_auc
+        _, holdout = split_by_time(ds.impressions, EARLY_STOP.holdout_fraction)
+        assert evaluate_params(params, embedder, ds.corpus, holdout, provider).auc != result.best_val_auc
 
     def test_log_csv_format(self, tmp_path):
         ds = quick_dataset()
