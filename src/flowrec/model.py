@@ -50,14 +50,13 @@ from .encode import encode_article  # noqa: F401  (traced here by benchmark/span
 from .errors import ConfigError
 
 
-def sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
+def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    return out
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

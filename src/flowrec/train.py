@@ -7,12 +7,13 @@ The frozen text embedder never receives gradients; its outputs, attribute
 indices and profile embeddings live in the run's
 :class:`~flowrec.encode.FeatureSource` table, which each batch gathers from
 and validation reads. ``train()`` resolves its examples to integers once
-(:class:`ExampleIndex`), and each step builds its batch from the example ids
-it takes with numpy alone (:func:`_gather`): article rows in order of first
-appearance, and user states, ``(user_id, history)``, padded into one block of
-candidates ``[S, M, d]`` and history row indices ``[S, L]`` with a mask. The
-flow scores in candidate space, so a long history pads ``[S, M, L]`` scores,
-not an ``[S, L, d]`` key block. A step only composes layers whose forward
+(:class:`ExampleIndex`), their profiles included, and each step builds its
+batch from the example ids it takes with numpy alone (:func:`_gather`):
+article rows in order of first appearance, and user states,
+``(user_id, history)``, padded into one block of candidates ``[S, M, d]``
+and history row indices ``[S, L]`` with a mask. The flow scores in
+candidate space, so a long history pads ``[S, M, L]`` scores, not an
+``[S, L, d]`` key block. A step only composes layers whose forward
 and backward live beside each other: the attribute encoder
 (:func:`~flowrec.encode.encode_attributes_batch` /
 :func:`~flowrec.encode.attributes_backward`), the rep layout
@@ -35,7 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .data import Article, Impression, in_corpus, split_by_time
+from .data import Article, DataFormatError, Impression, in_corpus, split_by_time
 from .encode import (
     FeatureSource,
     article_reps,
@@ -126,8 +127,8 @@ class ExampleIndex:
     ``labels[j]``. User state ``s`` is the key ``state_keys[s]``,
     ``(user_id, history)``; its history is the rows
     ``hist_rows[s, :hist_len[s]]``, and its profile is row ``profile_row[s]``
-    of ``FeatureSource.profiles``, or -1 until a batch first holds the state:
-    profiles are asked for only when they are first needed.
+    of ``FeatureSource.profiles``: every state's profile is asked for in one
+    :meth:`FeatureSource.profile_rows` call, here, in order of first appearance.
     """
 
     def __init__(self, examples: list[TrainExample], feats: FeatureSource):
@@ -144,7 +145,7 @@ class ExampleIndex:
         self.hist_rows = np.zeros((len(self.state_keys), self.hist_len.max(initial=0)), dtype=np.int64)
         self.hist_rows[np.arange(self.hist_rows.shape[1]) < self.hist_len[:, None]] = rows[:n_hist]
         self.cand_row = rows[n_hist:]
-        self.profile_row = np.full(len(self.state_keys), -1, dtype=np.int64)
+        self.profile_row = feats.profile_rows(self.state_keys)
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,14 @@ def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return distinct, lead, first[values]
 
 
-def _gather(batch: IndexedBatch, feats: FeatureSource, instant_flow: bool) -> dict:
+def _gather(batch: IndexedBatch, instant_flow: bool) -> dict:
     """The integer arrays of one step, from numpy gathers, sorts and counts.
 
     * ``rows``: the article rows the batch reads, in order of first
       appearance over each example's history followed by its candidate;
       ``cand_rows`` places each example's candidate among them.
     * ``prof_rows``: the profile rows of the batch's user states, in order of
-      first appearance. A state the index has not asked about yet is asked
-      of :meth:`FeatureSource.profile_rows` now, in that order.
+      first appearance.
     * ``hist_idx[S, L]`` and ``mask``: each state's history among ``rows``,
       padded to the longest (no columns without instant flow).
     * ``slots``: example ``j`` is candidate slot ``slots[j]`` of the flat
@@ -195,10 +195,6 @@ def _gather(batch: IndexedBatch, feats: FeatureSource, instant_flow: bool) -> di
     """
     index, take = batch.index, batch.take
     states, lead, state_of = _first_seen(index.state[take])
-    fresh = states[index.profile_row[states] < 0]
-    if len(fresh):
-        index.profile_row[fresh] = feats.profile_rows([index.state_keys[s] for s in fresh])
-
     lens = index.hist_len[states]
     in_hist = np.arange(lens.max()) < lens[:, None]
     # A state's history first appears with its first example, so only that one carries it here.
@@ -229,7 +225,7 @@ def _gather(batch: IndexedBatch, feats: FeatureSource, instant_flow: bool) -> di
 
 def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
-    g = _gather(_indexed(batch, feats), feats, params.config.instant_flow)
+    g = _gather(_indexed(batch, feats), params.config.instant_flow)
     rows = g["rows"]
     h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
                                                  dropout=dropout)
@@ -304,8 +300,7 @@ def backward_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch
     return loss, grads
 
 
-def finite_difference_grads(loss_fn, params: ModelParams, step: float = 1e-4,
-                            names: list[str] | None = None) -> dict[str, np.ndarray]:
+def finite_difference_grads(loss_fn, params: ModelParams, step: float = 1e-4) -> dict[str, np.ndarray]:
     """Central-difference gradients of ``loss_fn()`` w.r.t. the tensors.
 
     ``loss_fn`` must be a pure function of the current tensor values (use a
@@ -313,7 +308,7 @@ def finite_difference_grads(loss_fn, params: ModelParams, step: float = 1e-4,
     :func:`backward_batch`.
     """
     grads: dict[str, np.ndarray] = {}
-    for name in names or params.trainable_names():
+    for name in params.trainable_names():
         tensor = params.tensors[name]
         grad = np.zeros_like(tensor)
         flat = tensor.reshape(-1)
@@ -405,12 +400,16 @@ def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
                     impressions: list[Impression], profile_provider=None,
                     include_global_auc: bool = False):
     """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`),
-    over each impression's candidates in the corpus."""
+    over each impression's candidates in the corpus. Every profile that scoring
+    reads is asked for in one :meth:`FeatureSource.profile_rows` call first."""
     scorer = Scorer(params, embedder, corpus, profile_provider)
-    scored = map(scorer.score, impressions)
-    return evaluate_rankings([(s.probabilities.tolist() if s else [],
-                               [y for _, y in in_corpus(corpus, imp.candidates, itemgetter(0))])
-                              for s, imp in zip(scored, impressions)], include_global_auc=include_global_auc)
+    row_of = scorer.features.row_of
+    labels = [[y for _, y in in_corpus(row_of, imp.candidates, itemgetter(0))] for imp in impressions]
+    scorer.features.profile_rows([(imp.user_id, tuple(in_corpus(row_of, imp.history)))
+                                  for imp, ys in zip(impressions, labels) if ys])
+    return evaluate_rankings([(s.probabilities.tolist() if s else [], ys)
+                              for s, ys in zip(map(scorer.score, impressions), labels)],
+                             include_global_auc=include_global_auc)
 
 
 def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Impression],
@@ -435,7 +434,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
     rng = np.random.default_rng(config.seed)
     examples = build_examples(train_impressions, corpus)
     if not examples:
-        raise TrainingError("training set is empty after filtering")
+        raise DataFormatError("training set is empty after filtering")
 
     feats = FeatureSource(params, corpus, embedder, profile_provider)
     index = ExampleIndex(examples, feats)

@@ -5,8 +5,10 @@ use desk-scale configurations whose reference results are recorded next to
 each assertion.
 """
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -370,11 +372,25 @@ class TestCriterion8EndToEnd:
         "train.learning_rate=0.01", 'attrs=["category", "engagement"]',
     ]
 
+    # SHA-256 of the pipeline's artifacts (train_log.csv without its wall_ms column), taken
+    # under the numpy and BLAS build named here. A change that moves one updates it and says
+    # in CHANGES.md which artifact moved and why.
+    PINNED_UNDER = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+    PINS = {
+        "dataset.jsonl": "ed44050d6b5541be6c7095d30cdbd5cc9876be1e67f44385ca38cc86cfd83a32",
+        "checkpoint.bin": "0b24561459a255e81e356f9a98021c5701df91257740842ac0fa32085b280bc4",
+        "eval_report.json": "e78b4d7cc39f297ac9969c2a3ce6ffa555f836e6fb56f52031fc599ad75205d3",
+        "store.bin": "cff14ca025fd3338ad874244e9e3f4614268381bddb4b99a63a34673bb15e87f",
+        "train_log.csv": "5a604f19f970d3a6c36e67c3602ba42c379d3a21c28014bf3cc8a415eb8fdc24",
+    }
+    # One BLAS thread: training's bits at larger dims depend on the thread count.
+    ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+
     def _cli(self, *argv):
         cmd = [sys.executable, "-m", "flowrec", *map(str, argv)]
         for item in self.SETTINGS if argv[0] != "ingest" else ():  # ingest reads no run config
             cmd.extend(["--set", item])
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=240)
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=240, env=self.ENV)
         assert proc.returncode == 0, f"{argv[0]} failed: {proc.stderr}"
         return proc.stdout
 
@@ -393,6 +409,7 @@ class TestCriterion8EndToEnd:
         assert report_payload["auc"] is not None
         self._cli("precompute", "--data", out / "dataset.jsonl",
                   "--checkpoint", out / "checkpoint.bin", "--out", out)
+        pins = self._check_pins(out)
 
         server = subprocess.Popen(
             [sys.executable, "-m", "flowrec", "serve", "--checkpoint", out / "checkpoint.bin",
@@ -418,4 +435,18 @@ class TestCriterion8EndToEnd:
 
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0, f"end-to-end smoke took {elapsed:.0f}s"
-        report(f"criterion 8 (end-to-end smoke in {elapsed:.0f}s)")
+        report(f"criterion 8 (end-to-end smoke in {elapsed:.0f}s; {pins})")
+
+    def _check_pins(self, out) -> str:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        seen = (np.__version__, blas["name"], blas["version"])
+        if seen != self.PINNED_UNDER:
+            return f"digests not compared: pinned under numpy/BLAS {self.PINNED_UNDER}, run under {seen}"
+        digests = {}
+        for name in self.PINS:
+            data = (out / name).read_bytes()
+            if name == "train_log.csv":
+                data = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.PINS
+        return f"{len(digests)} artifact digests match their pins"

@@ -277,6 +277,15 @@ class TestExitCodes:
                    "--set", f"embedder.path={json.dumps(str(emb))}", *sets()) == 2
         assert "no precomputed embedding" in capsys.readouterr().err
 
+    def test_an_empty_training_set_is_a_data_error(self, tmp_path, capsys):
+        # Only the latest impression, which is held out, names an article in the corpus.
+        articles = [data_mod.Article("A1", "Title one"), data_mod.Article("A2", "Title two")]
+        impressions = [data_mod.Impression(f"I{t}", "U1", t, [], [(a, 1)])
+                       for t, a in ((1, "X1"), (2, "X2"), (3, "A1"))]
+        data_mod.write_jsonl(tmp_path / "dataset.jsonl", articles, impressions)
+        assert run("train", "--data", tmp_path / "dataset.jsonl", "--out", tmp_path / "run", *sets()) == 2
+        assert "data error: training set is empty" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_failed_summarize_write_leaves_the_dataset_it_read(self, tmp_path, monkeypatch):

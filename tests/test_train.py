@@ -14,10 +14,11 @@ from flowrec.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from flowrec.data import SyntheticSpec, generate_synthetic, split_by_time
+from flowrec.data import DataFormatError, Impression, SyntheticSpec, generate_synthetic, split_by_time
 from flowrec.encode import HashedTextEmbedder, build_vocabs
-from flowrec.model import ModelConfig, init_model_params, score_candidates, slot_groups
-from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
+from flowrec.metrics import evaluate_rankings
+from flowrec.model import ModelConfig, Scorer, init_model_params, score_candidates, slot_groups
+from flowrec.summarize import TEMPLATES, CompletionError, ProfileProvider, StubCompletionClient
 from flowrec.train import (
     ExampleIndex,
     FeatureSource,
@@ -333,7 +334,7 @@ class TestExampleIndex:
         index = ExampleIndex(examples, feats)
         for take in shuffled_batches(len(examples)):
             batch = [examples[j] for j in take]
-            g = _gather(IndexedBatch(index, take), feats, instant_flow)
+            g = _gather(IndexedBatch(index, take), instant_flow)
             # The reference builds every array with Python containers, example by example.
             ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
             states = list(dict.fromkeys((ex.user_id, ex.history) for ex in batch))
@@ -372,18 +373,42 @@ class TestExampleIndex:
             for name in want:
                 assert np.array_equal(got[name], want[name]), name
 
-    def test_profiles_are_asked_for_the_first_batch_only(self):
+    def test_every_state_profile_is_asked_for_once_before_the_first_step(self, monkeypatch):
         ds = quick_dataset()
         params, embedder, provider = quick_model(ds)
-        asked = []
+        events = []
         ask = provider.profile_text
-        provider.profile_text = lambda user, history: asked.append((user, tuple(history))) or ask(user, history)
-        config = TrainConfig(learning_rate=0.01, batch_size=16, max_steps=1, seed=3)
+        provider.profile_text = lambda user, history: events.append((user, tuple(history))) or ask(user, history)
+        step = backward_batch
+        monkeypatch.setattr(sys.modules["flowrec.train"], "backward_batch",
+                            lambda *args, **kwargs: events.append("step") or step(*args, **kwargs))
+        config = TrainConfig(learning_rate=0.01, batch_size=16, max_steps=3, seed=3)
         train(params, ds.corpus, ds.impressions, config, embedder, provider)
-        first = first_batch(ds, config)
-        expected = list(dict.fromkeys((ex.user_id, ex.history) for ex in first if ex.history))
-        assert asked == expected
+        examples = build_examples(split_by_time(ds.impressions, config.holdout_fraction)[0], ds.corpus)
+        expected = list(dict.fromkeys((ex.user_id, ex.history) for ex in examples if ex.history))
+        assert len(expected) > len({(ex.user_id, ex.history) for ex in first_batch(ds, config)})
+        assert events == expected + ["step"] * 3
         assert provider.client.calls == len(expected)
+
+    def test_a_failed_profile_ends_training_before_its_first_step(self, monkeypatch):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        client, complete = provider.client, provider.client.complete
+
+        def failing(template_name, prompt, context):
+            if client.calls == 30:
+                raise CompletionError("the 31st completion fails")
+            return complete(template_name, prompt, context)
+
+        client.complete = failing
+        steps = []
+        step = backward_batch
+        monkeypatch.setattr(sys.modules["flowrec.train"], "backward_batch",
+                            lambda *args, **kwargs: steps.append(1) or step(*args, **kwargs))
+        with pytest.raises(CompletionError, match="31st"):
+            train(params, ds.corpus, ds.impressions,
+                  TrainConfig(learning_rate=0.01, batch_size=16, max_steps=20, seed=3), embedder, provider)
+        assert steps == []
 
     def test_training_error_dump_names_the_batch_examples(self):
         ds = quick_dataset()
@@ -616,7 +641,7 @@ class TestTrainLoop:
     def test_empty_training_set_rejected(self):
         ds = quick_dataset()
         params, embedder, provider = quick_model(ds)
-        with pytest.raises(TrainingError):
+        with pytest.raises(DataFormatError, match="training set is empty"):
             train(params, {}, ds.impressions, TrainConfig(max_steps=5), embedder, provider)
 
     def test_loss_decreases_on_planted_task(self):
@@ -723,6 +748,41 @@ class TestTrainLoop:
 
 
 class TestEvaluateParams:
+    def test_profiles_are_asked_for_in_one_call_before_scoring(self, monkeypatch):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        known = ds.articles[0].article_id
+        impressions = ds.impressions[:30] + [
+            Impression("none-known", "nobody", 0, [known], [("not-in-corpus", 1)]),
+            Impression("some-known", "u1", 0, ["not-in-corpus", known], [(known, 1), ("not-in-corpus", 0)]),
+        ]
+        asked = []
+        ask = provider.profile_text
+        provider.profile_text = lambda user, history: asked.append((user, tuple(history))) or ask(user, history)
+        # The reference scores impression by impression, each asking for its own profile when scored.
+        scorer = Scorer(params, embedder, ds.corpus, provider)
+        want = evaluate_rankings([(s.probabilities.tolist() if s else [],
+                                   [y for a, y in imp.candidates if a in ds.corpus])
+                                  for s, imp in zip(map(scorer.score, impressions), impressions)])
+        want_asked = asked[:]
+        assert ("u1", (known,)) in want_asked and all(u != "nobody" for u, _ in want_asked)
+
+        asked.clear()
+        added = []
+        rows = FeatureSource.profile_rows
+
+        def counting(self, keys):
+            before = len(self.profile_row_of)
+            out = rows(self, keys)
+            added.append(len(self.profile_row_of) - before)
+            return out
+
+        monkeypatch.setattr(FeatureSource, "profile_rows", counting)
+        report = evaluate_params(params, embedder, ds.corpus, impressions, provider)
+        assert [n for n in added if n] == [len(want_asked)]
+        assert asked == want_asked
+        assert report.to_json() == want.to_json()
+
     def test_report_counts(self):
         ds = quick_dataset()
         params, embedder, provider = quick_model(ds)
