@@ -10,7 +10,7 @@ without the profile-gated flow learns visibly less on the same data.
 import time
 
 from flowrec.data import SyntheticSpec, generate_synthetic
-from flowrec.encode import HashedTextEmbedder, build_vocabs
+from flowrec.encode import FeatureSource, HashedTextEmbedder, build_vocabs
 from flowrec.model import ModelConfig, init_model_params
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 from flowrec.train import TrainConfig, evaluate_params, train
@@ -29,7 +29,8 @@ provider = ProfileProvider(dataset.corpus, TEMPLATES["user_profile_mind"],
                            StubCompletionClient(profile_top_n=4))
 
 params = init_model_params(config, vocabs, seed=17)
-before = evaluate_params(params, embedder, dataset.corpus, dataset.impressions, provider)
+features = FeatureSource(params, dataset.corpus, embedder, provider)
+before = evaluate_params(params, features, dataset.impressions)
 print(f"random init: AUC {before.auc:.3f} (chance)")
 
 train_config = TrainConfig(learning_rate=0.01, batch_size=64, max_steps=600,

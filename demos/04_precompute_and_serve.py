@@ -14,7 +14,7 @@ from pathlib import Path
 
 from flowrec.checkpoint import load_checkpoint, save_checkpoint
 from flowrec.data import SyntheticSpec, generate_synthetic
-from flowrec.encode import HashedTextEmbedder, build_vocabs
+from flowrec.encode import FeatureSource, HashedTextEmbedder, build_vocabs
 from flowrec.model import ModelConfig, init_model_params
 from flowrec.serve import (
     RankRequest,
@@ -43,8 +43,8 @@ with tempfile.TemporaryDirectory(prefix="flowrec-demo-") as tmp:
     save_checkpoint(workdir / "model.ckpt", init_model_params(config, vocabs, seed=5))
     params = load_checkpoint(workdir / "model.ckpt")
     print(f"checkpoint version: {params.version_tag[:16]}...")
-    store = precompute(params, embedder, dataset.corpus,
-                       users_from_impressions(dataset.impressions), provider)
+    store = precompute(params, FeatureSource(params, dataset.corpus, embedder, provider),
+                       users_from_impressions(dataset.impressions))
     save_store(workdir / "store.bin", store)
     store = load_store(workdir / "store.bin")
 print(f"store: {len(store.article_ids)} article reps, {len(store.users)} user entries")

@@ -10,7 +10,7 @@ while an off-topic one spreads out.
 import numpy as np
 
 from flowrec.data import SyntheticSpec, generate_synthetic
-from flowrec.encode import HashedTextEmbedder, build_vocabs
+from flowrec.encode import FeatureSource, HashedTextEmbedder, build_vocabs
 from flowrec.model import ModelConfig, Scorer, constant_rep, init_model_params, instant_rep
 from flowrec.summarize import TEMPLATES, ProfileProvider, StubCompletionClient
 from flowrec.train import TrainConfig, train
@@ -32,7 +32,7 @@ result = train(params, dataset.corpus, dataset.impressions,
 params = result.params
 
 impression = max(dataset.impressions, key=lambda i: len(i.history))
-scorer = Scorer(params, embedder, dataset.corpus, provider)
+scorer = Scorer(params, FeatureSource(params, dataset.corpus, embedder, provider))
 scored = scorer.score(impression)
 
 hist_ids = impression.history
@@ -48,15 +48,15 @@ def cosine(x, y):
 topic = lambda art_id: dataset.corpus[art_id].attributes["category"]
 print(f"user {impression.user_id}, history topics: {[topic(a) for a in hist_ids]}\n")
 
-for sc in scored[:3]:
-    cand_vec = scorer.rep(sc.article_id)
+for cand_id, prob, attention in list(zip(scored.article_ids, scored.probabilities, scored.attention))[:3]:
+    cand_vec = scorer.rep(cand_id)
     h_ins = instant_rep(params, cand_vec, hist)
     h_cons = constant_rep(params, profile, cand_vec)
-    print(f"candidate {sc.article_id} ({topic(sc.article_id)}): p(click) = {sc.probability:.3f}")
-    print(f"  attention over history (sums to {sc.attention.sum():.6f}):")
+    print(f"candidate {cand_id} ({topic(cand_id)}): p(click) = {prob:.3f}")
+    print(f"  attention over history (sums to {attention.sum():.6f}):")
     for step, art_id in enumerate(hist_ids):
-        bar = "#" * int(round(40 * sc.attention[step]))
-        print(f"    step {step:2d} {topic(art_id):8s} alpha={sc.attention[step]:.3f} "
+        bar = "#" * int(round(40 * attention[step]))
+        print(f"    step {step:2d} {topic(art_id):8s} alpha={attention[step]:.3f} "
               f"cos(instant)={cosine(hist[step], h_ins):+.2f} "
               f"cos(constant)={cosine(hist[step], h_cons):+.2f} {bar}")
     print()

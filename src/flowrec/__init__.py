@@ -23,13 +23,12 @@ from .data import (
     parse_mind_behaviors,
     parse_mind_news,
 )
-from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, encode_article
+from .encode import FeatureSource, HashedTextEmbedder, PrecomputedTextEmbedder, encode_article
 from .metrics import EvalReport, auc, evaluate_rankings, mrr, ndcg_at
 from .model import (
     CandidateScores,
     ModelConfig,
     ModelParams,
-    ScoredCandidate,
     Scorer,
     attention_weights,
     constant_rep,

@@ -28,7 +28,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import data as data_mod
 from . import serve as serve_mod
-from .encode import HashedTextEmbedder, PrecomputedTextEmbedder, build_vocabs
+from .encode import FeatureSource, HashedTextEmbedder, PrecomputedTextEmbedder, build_vocabs
 from .errors import ConfigError, UnknownIdError, replacing
 from .model import ModelConfig, Scorer, constant_rep, init_model_params
 from .summarize import (
@@ -383,11 +383,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
+    config, out, impressions, params, features = _checkpoint_inputs(args)
     if args.holdout:
         _, impressions = data_mod.split_by_time(impressions, config["train"]["holdout_fraction"])
-    report = evaluate_params(params, embedder, corpus, impressions, provider,
-                             include_global_auc=args.global_auc)
+    report = evaluate_params(params, features, impressions, include_global_auc=args.global_auc)
     report.ablation_flags = {
         name: getattr(params.config, name)
         for name in ("instant_flow", "constant_flow", "flow_gate", "use_instruct_u", "use_summaries")
@@ -403,21 +402,20 @@ def cmd_eval(args) -> int:
 
 def _checkpoint_inputs(args):
     """What every command that uses a trained model starts from: run config,
-    out dir, dataset, checkpoint, text embedder and, with constant flow on,
-    the profile provider."""
+    out dir, impressions, checkpoint and the dataset's frozen-feature table."""
     config = load_run_config(args.config, args.set)
     out = _out_dir(args)
     corpus, impressions = _load_dataset(args.data)
     params = ckpt.load_checkpoint(args.checkpoint)
     embedder, provider = _frozen_inputs(args, config, corpus, params.config)
-    return config, out, corpus, impressions, params, embedder, provider
+    return config, out, impressions, params, FeatureSource(params, corpus, embedder, provider)
 
 
 def cmd_precompute(args) -> int:
     """``precompute`` and ``encode``: the rep store of the users ``args.users_of``
     picks from the impressions, written to ``args.store_file``."""
-    _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
-    store = serve_mod.precompute(params, embedder, corpus, args.users_of(impressions), provider)
+    _, out, impressions, params, features = _checkpoint_inputs(args)
+    store = serve_mod.precompute(params, features, args.users_of(impressions))
     store_path = os.path.join(out, args.store_file)
     serve_mod.save_store(store_path, store)
     stats = {
@@ -447,17 +445,17 @@ def cmd_serve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    _, out, corpus, impressions, params, embedder, provider = _checkpoint_inputs(args)
+    _, out, impressions, params, features = _checkpoint_inputs(args)
     imp = serve_mod.latest_impressions(impressions).get(args.user)
     if imp is None:
         raise UnknownIdError(f"unknown user {args.user!r}")
-    hist_ids = data_mod.in_corpus(corpus, imp.history)
+    hist_ids = data_mod.in_corpus(features.row_of, imp.history)
     if not hist_ids:
         raise data_mod.DataFormatError(f"user {args.user!r} has no history in the dataset")
-    scorer = Scorer(params, embedder, corpus, provider)
+    scorer = Scorer(params, features)
     scored = scorer.score(imp)
-    hist = scorer.reps[scorer.features.rows(hist_ids)]
-    profile = scorer.features.profile_embedding(imp.user_id, hist_ids)
+    hist = scorer.reps[features.rows(hist_ids)]
+    profile = features.profile_embedding(imp.user_id, hist_ids)
 
     def cosine(x, y):
         nx, ny = np.linalg.norm(x), np.linalg.norm(y)
@@ -466,20 +464,20 @@ def cmd_diagnose(args) -> int:
     path = os.path.join(out, "diagnostics.csv")
     with replacing(path, "w", encoding="utf-8") as fh:
         fh.write("candidate_index,candidate_id,step,history_article_id,alpha,cos_instant,cos_constant\n")
-        for rank_idx, sc in enumerate(scored):
-            cand_vec = scorer.rep(sc.article_id)
-            h_ins = sc.attention @ hist if len(sc.attention) else np.zeros(params.config.article_dim)
+        for rank_idx, (cand_id, attention) in enumerate(zip(scored.article_ids, scored.attention)):
+            cand_vec = scorer.rep(cand_id)
+            h_ins = attention @ hist if len(attention) else np.zeros(params.config.article_dim)
             h_cons = (constant_rep(params, profile, cand_vec)
                       if params.config.constant_flow else np.zeros_like(h_ins))
             for step, hist_id in enumerate(hist_ids):
-                alpha = sc.attention[step] if len(sc.attention) else ""
+                alpha = attention[step] if len(attention) else ""
                 fh.write(
-                    f"{rank_idx},{sc.article_id},{step},{hist_id},{alpha},"
+                    f"{rank_idx},{cand_id},{step},{hist_id},{alpha},"
                     f"{cosine(hist[step], h_ins)},{cosine(hist[step], h_cons)}\n"
                 )
     print(f"wrote {path}")
     _write_manifest(out, {"command": "diagnose", "outputs": {"diagnostics": path},
-                          "stats": {"user": args.user, "candidates": len(scored)}})
+                          "stats": {"user": args.user, "candidates": len(scored.article_ids)}})
     return 0
 
 

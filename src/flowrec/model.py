@@ -39,12 +39,11 @@ to evaluation:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Article, Impression, in_corpus
+from .data import Impression, in_corpus
 from .encode import FeatureSource, encode_features
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError
@@ -411,30 +410,14 @@ def scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     np.add.at(out.reshape(-1), (rows[:, None] * width + np.arange(width)).ravel(), vals.ravel())
 
 
-@dataclass
-class ScoredCandidate:
-    article_id: str
-    probability: float
-    attention: np.ndarray  # weights over the history, empty on cold start
-
-
 @dataclass(frozen=True, eq=False)
-class CandidateScores(Sequence):
-    """The scores of one :func:`score_candidates` call, as arrays: ``probabilities[m]``
-    and ``attention[m, L]``. A read-only sequence whose item ``i`` is a
-    :class:`ScoredCandidate`, built only when asked for; a slice is a ``CandidateScores``."""
+class CandidateScores:
+    """The scores of one :func:`score_candidates` call, as arrays: row ``i`` of
+    ``probabilities[m]`` and ``attention[m, L]`` is candidate ``article_ids[i]``'s."""
 
     article_ids: list[str]
     probabilities: np.ndarray
     attention: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.article_ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CandidateScores(self.article_ids[i], self.probabilities[i], self.attention[i])
-        return ScoredCandidate(self.article_ids[i], float(self.probabilities[i]), self.attention[i])
 
 
 def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
@@ -450,35 +433,30 @@ def score_candidates(params: ModelParams, article_ids: list[str], cand_vecs,
 
 
 class Scorer:
-    """Evaluation-path scorer over one rep per corpus article, encoded on construction.
+    """Evaluation-path scorer over the frozen-feature table ``features``.
 
-    ``embedder`` is a text embedder to build a :class:`FeatureSource` from,
-    or an existing table: training passes its own to validation. ``reps[r]``
-    is the eval-mode rep of the table's row ``r``, all from one
-    :func:`encode_features` call over the table.
+    ``reps[r]`` is the eval-mode rep of the table's row ``r``, all from one
+    :func:`encode_features` call on construction.
     """
 
-    def __init__(self, params: ModelParams, embedder, corpus: dict[str, Article],
-                 profile_provider=None):
+    def __init__(self, params: ModelParams, features: FeatureSource):
         self.params = params
-        self.features = feats = (embedder if isinstance(embedder, FeatureSource)
-                                 else FeatureSource(params, corpus, embedder, profile_provider))
-        self.reps = encode_features(params, feats.title, feats.body, feats.attr_idx)
+        self.features = features
+        self.reps = encode_features(params, features.title, features.body, features.attr_idx)
 
     def rep(self, article_id: str) -> np.ndarray:
         (row,) = self.features.rows([article_id])
         return self.reps[row]
 
-    def score(self, impression: Impression) -> CandidateScores | list:
+    def score(self, impression: Impression) -> CandidateScores:
         """Scores of the impression's candidates against its history, each id outside the
-        corpus dropped (:func:`~flowrec.data.in_corpus`): no known candidate, an empty list."""
+        corpus dropped (:func:`~flowrec.data.in_corpus`). With no known candidate the arrays
+        are empty and no profile is asked for: row 0 of the profiles is the zero vector."""
         if not impression.candidates:
             raise ValueError(f"impression {impression.impression_id!r} has no candidates")
         feats = self.features
         hist_ids = in_corpus(feats.row_of, impression.history)
         ids = in_corpus(feats.row_of, [a for a, _ in impression.candidates])
-        if not ids:
-            return []
-        profile = feats.profile_embedding(impression.user_id, hist_ids)
+        profile = feats.profile_embedding(impression.user_id, hist_ids) if ids else feats.profiles[0]
         return score_candidates(self.params, ids, self.reps[feats.rows(ids)],
                                 self.reps[feats.rows(hist_ids)], profile)

@@ -28,7 +28,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .checkpoint import FORMAT_VERSION, content_digest, ensure_version_tag, read_artifact, write_tensor_file
-from .data import Article, Impression, in_corpus
+from .data import Impression, in_corpus
+from .encode import FeatureSource
 from .encode import encode_article  # noqa: F401  (traced here by benchmark/spans.py)
 from .errors import ConfigError, UnknownIdError
 from .model import ModelParams, Scorer, score_candidates
@@ -85,23 +86,21 @@ def users_from_impressions(impressions) -> list[UserRecord]:
     return [UserRecord(uid, imp.history) for uid, imp in sorted(latest_impressions(impressions).items())]
 
 
-def precompute(params: ModelParams, embedder, corpus: dict[str, Article],
-               users: list[UserRecord], profile_provider=None) -> RepStore:
-    """Offline inference pass over every corpus article and each user's in-corpus history:
-    the reps are :attr:`Scorer.reps` as they are, each profile is from its table."""
-    scorer = Scorer(params, embedder, corpus, profile_provider)
-    cfg, feats = params.config, scorer.features
-    histories = {u.user_id: in_corpus(corpus, u.history) for u in users}
-    prof_rows = feats.profile_rows([(uid, tuple(h)) for uid, h in histories.items()])
-    profile_embs = feats.profiles[prof_rows]
+def precompute(params: ModelParams, features: FeatureSource, users: list[UserRecord]) -> RepStore:
+    """Offline inference pass over every article of the table ``features`` and each user's
+    history in it: the reps are :attr:`Scorer.reps` as they are, each profile is from the table."""
+    scorer = Scorer(params, features)
+    histories = {u.user_id: in_corpus(features.row_of, u.history) for u in users}
+    prof_rows = features.profile_rows([(uid, tuple(h)) for uid, h in histories.items()])
+    profile_embs = features.profiles[prof_rows]
     return RepStore(
         version_tag=ensure_version_tag(params),
-        article_dim=cfg.article_dim,
-        embed_dim=cfg.embed_dim,
-        article_ids=list(corpus),
+        article_dim=params.config.article_dim,
+        embed_dim=params.config.embed_dim,
+        article_ids=list(features.row_of),
         reps=scorer.reps,
         users={
-            uid: UserEntry(h, feats.profile_texts[r], profile_embs[i])
+            uid: UserEntry(h, features.profile_texts[r], profile_embs[i])
             for i, ((uid, h), r) in enumerate(zip(histories.items(), prof_rows))
         },
         profile_embs=profile_embs,

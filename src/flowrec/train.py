@@ -180,7 +180,7 @@ def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return distinct, lead, first[values]
 
 
-def _gather(batch: IndexedBatch, instant_flow: bool) -> dict:
+def _gather(batch: IndexedBatch) -> dict:
     """The integer arrays of one step, from numpy gathers, sorts and counts.
 
     * ``rows``: the article rows the batch reads, in order of first
@@ -189,7 +189,7 @@ def _gather(batch: IndexedBatch, instant_flow: bool) -> dict:
     * ``prof_rows``: the profile rows of the batch's user states, in order of
       first appearance.
     * ``hist_idx[S, L]`` and ``mask``: each state's history among ``rows``,
-      padded to the longest (no columns without instant flow).
+      padded to the longest.
     * ``slots``: example ``j`` is candidate slot ``slots[j]`` of the flat
       ``[S·width]`` block; a state's examples take its slots in batch order.
     """
@@ -209,8 +209,6 @@ def _gather(batch: IndexedBatch, instant_flow: bool) -> dict:
     grouped = np.argsort(state_of, kind="stable")
     rank = np.empty_like(grouped)
     rank[grouped] = np.arange(len(take)) - (np.cumsum(counts) - counts)[state_of[grouped]]
-    if not instant_flow:
-        in_hist = np.zeros((len(states), 0), dtype=bool)
     return {
         "rows": rows, "prof_rows": index.profile_row[states], "cand_rows": seq[:, -1],
         "hist_idx": np.where(in_hist, seq[lead, :in_hist.shape[1]], 0), "mask": in_hist,
@@ -225,7 +223,7 @@ def _gather(batch: IndexedBatch, instant_flow: bool) -> dict:
 
 def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
-    g = _gather(_indexed(batch, feats), params.config.instant_flow)
+    g = _gather(_indexed(batch, feats))
     rows = g["rows"]
     h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
                                                  dropout=dropout)
@@ -396,18 +394,23 @@ class TrainResult:
                 fh.write(row.as_csv() + "\n")
 
 
-def evaluate_params(params: ModelParams, embedder, corpus: dict[str, Article],
-                    impressions: list[Impression], profile_provider=None,
-                    include_global_auc: bool = False):
-    """Eval-path metrics for a parameter snapshot (``embedder`` as in :class:`Scorer`),
-    over each impression's candidates in the corpus. Every profile that scoring
-    reads is asked for in one :meth:`FeatureSource.profile_rows` call first."""
-    scorer = Scorer(params, embedder, corpus, profile_provider)
-    row_of = scorer.features.row_of
+def _scored(row_of: dict, impressions: list[Impression]) -> tuple[list[list[int]], list]:
+    """Each impression's labels of its candidates in the corpus, and the profile key
+    ``(user_id, history)`` that :meth:`Scorer.score` reads for each impression with one."""
     labels = [[y for _, y in in_corpus(row_of, imp.candidates, itemgetter(0))] for imp in impressions]
-    scorer.features.profile_rows([(imp.user_id, tuple(in_corpus(row_of, imp.history)))
-                                  for imp, ys in zip(impressions, labels) if ys])
-    return evaluate_rankings([(s.probabilities.tolist() if s else [], ys)
+    keys = [(imp.user_id, tuple(in_corpus(row_of, imp.history))) for imp, ys in zip(impressions, labels) if ys]
+    return labels, keys
+
+
+def evaluate_params(params: ModelParams, features: FeatureSource, impressions: list[Impression],
+                    include_global_auc: bool = False):
+    """Eval-path metrics for a parameter snapshot over each impression's candidates in
+    the table ``features``. Every profile that scoring reads is asked for in one
+    :meth:`FeatureSource.profile_rows` call first."""
+    scorer = Scorer(params, features)
+    labels, keys = _scored(features.row_of, impressions)
+    features.profile_rows(keys)
+    return evaluate_rankings([(s.probabilities.tolist(), ys)
                               for s, ys in zip(map(scorer.score, impressions), labels)],
                              include_global_auc=include_global_auc)
 
@@ -420,7 +423,9 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
 
     Without an explicit validation set the last 5% of impressions by
     timestamp are held out. Early stopping fires after ``patience``
-    evaluations without a strict AUC improvement. On return ``params`` (also
+    evaluations without a strict AUC improvement. Every profile the run reads is
+    asked for before its first step: the training states' and, if the run will
+    validate, those its validation scores. On return ``params`` (also
     ``result.params``) holds the selected snapshot with its ``bn_mean`` and
     ``bn_var``, or the last step if no evaluation gave an AUC; on a
     :class:`TrainingError`, the tensors that the failing step ran with.
@@ -438,6 +443,8 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
 
     feats = FeatureSource(params, corpus, embedder, profile_provider)
     index = ExampleIndex(examples, feats)
+    if config.max_steps >= config.eval_every and val_impressions:
+        feats.profile_rows(_scored(feats.row_of, val_impressions)[1])
     state = adam_init(params)
     result = TrainResult(params=params)
     best = -np.inf
@@ -465,7 +472,7 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         wall = (time.perf_counter() - started) * 1000.0
 
         if step % config.eval_every == 0 and val_impressions:
-            report = evaluate_params(params, feats, corpus, val_impressions)
+            report = evaluate_params(params, feats, val_impressions)
             val_auc = report.auc
             result.log.append(LogRow(step, loss, val_auc, report.mrr, wall))
             if val_auc is not None and val_auc > best:

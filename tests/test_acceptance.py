@@ -221,7 +221,8 @@ class TestCriterion4PlantedRecovery:
         ds, cfg, vocabs, embedder, provider = planted_world()
 
         random_init = init_model_params(cfg, vocabs, seed=0)
-        chance = evaluate_params(random_init, embedder, ds.corpus, ds.impressions, provider)
+        chance = evaluate_params(random_init, FeatureSource(random_init, ds.corpus, embedder, provider),
+                                 ds.impressions)
         assert abs(chance.auc - 0.5) <= 0.03, f"random init AUC {chance.auc:.4f}"
 
         params = init_model_params(cfg, vocabs, seed=7)
@@ -298,11 +299,11 @@ class TestCriterion6Parity:
         embedder = HashedTextEmbedder(cfg.embed_dim)
         provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"],
                                    StubCompletionClient())
-        store = precompute(serving_params, embedder, ds.corpus,
-                           users_from_impressions(ds.impressions), provider)
-        scorer = Scorer(eval_params, HashedTextEmbedder(cfg.embed_dim), ds.corpus,
-                        ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"],
-                                        StubCompletionClient()))
+        store = precompute(serving_params, FeatureSource(serving_params, ds.corpus, embedder, provider),
+                           users_from_impressions(ds.impressions))
+        eval_provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+        scorer = Scorer(eval_params, FeatureSource(eval_params, ds.corpus, HashedTextEmbedder(cfg.embed_dim),
+                                                   eval_provider))
 
         rng = np.random.default_rng(6)
         ids = [a.article_id for a in ds.articles]
@@ -314,7 +315,8 @@ class TestCriterion6Parity:
             online = dict(rank(RankRequest(user.user_id, cands), store, serving_params).results)
             imp = Impression("parity", user.user_id, 0, user.history,
                              [(c, 0) for c in cands])
-            offline = {s.article_id: s.probability for s in scorer.score(imp)}
+            scored = scorer.score(imp)
+            offline = dict(zip(scored.article_ids, scored.probabilities.tolist()))
             assert online == offline  # exact float equality
         report("criterion 6 (online/offline parity, 100 requests bit-identical)")
 

@@ -20,7 +20,7 @@ from flowrec.cli import (
     model_config_from_run,
     train_config_from_run,
 )
-from flowrec.encode import HashedTextEmbedder, write_embedding_file
+from flowrec.encode import FeatureSource, HashedTextEmbedder, write_embedding_file
 from flowrec.errors import ConfigError
 from flowrec.model import ModelConfig, Scorer, instant_rep
 from flowrec.serve import load_store
@@ -550,7 +550,7 @@ class TestCheckpointCommands:
         corpus = data_mod.build_corpus(dataset.articles)
         imp = max((i for i in dataset.impressions if i.user_id == user), key=lambda i: i.timestamp)
         params = load_checkpoint(ckpt)
-        scorer = Scorer(params, HashedTextEmbedder(32), corpus)
+        scorer = Scorer(params, FeatureSource(params, corpus, HashedTextEmbedder(32)))
         hist = np.stack([scorer.rep(a) for a in imp.history if a in corpus])
         assert len(rows) == len(imp.candidates) * len(hist)
         for row in rows:
@@ -594,10 +594,11 @@ class TestCheckpointCommands:
         assert store.article_ids == list(corpus)
         assert store.users[latest.user_id].history == latest.history
         provider = make_profile_provider(load_run_config(None, SMALL_OVERRIDES), corpus)
-        scorer = Scorer(params, HashedTextEmbedder(32), corpus, provider)
+        scorer = Scorer(params, FeatureSource(params, corpus, HashedTextEmbedder(32), provider))
         ids = [unsummarized, *(a for a in list(corpus)[:7] if a != unsummarized)]
         imp = data_mod.Impression("p", latest.user_id, 0, latest.history, [(a, 0) for a in ids])
-        offline = {s.article_id: s.probability for s in scorer.score(imp)}
+        scored = scorer.score(imp)
+        offline = dict(zip(scored.article_ids, scored.probabilities.tolist()))
         online = serve_mod.rank(serve_mod.RankRequest(latest.user_id, ids), store, params)
         assert dict(online.results) == offline  # bit-identical
 
@@ -651,10 +652,11 @@ class TestCheckpointCommands:
         dataset = data_mod.read_jsonl(str(data))
         corpus = data_mod.build_corpus(dataset.articles)
         provider = make_profile_provider(load_run_config(None, SMALL_OVERRIDES), corpus)
-        scorer = Scorer(load_checkpoint(ckpt), HashedTextEmbedder(32), corpus, provider)
+        params = load_checkpoint(ckpt)
+        scorer = Scorer(params, FeatureSource(params, corpus, HashedTextEmbedder(32), provider))
         scores, labels = [], []
         for imp in dataset.impressions:
-            scores += [s.probability for s in scorer.score(imp)]
+            scores += scorer.score(imp).probabilities.tolist()
             labels += imp.labels
         pos = [s for s, y in zip(scores, labels) if y == 1]
         neg = [s for s, y in zip(scores, labels) if y == 0]

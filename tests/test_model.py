@@ -13,7 +13,6 @@ from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import (
     ModelConfig,
     ModelParams,
-    ScoredCandidate,
     Scorer,
     attention_weights,
     constant_rep,
@@ -153,7 +152,7 @@ class TestScore:
         cand = np.array([1.0, 2.0])
         hist = np.array([[1.0, 0.0], [0.0, 1.0]])
         profile = np.array([2.0, 3.0])
-        (scored,) = score_candidates(params, ["c"], [cand], hist, profile)
+        scored = score_candidates(params, ["c"], [cand], hist, profile)
 
         # independent hand evaluation with plain floats
         s = [1.0 * 1.0 + 0.0 * 2.0, 0.0 * 1.0 + 1.0 * 2.0]
@@ -167,8 +166,8 @@ class TestScore:
         w = [0.5, -0.25, 1.0, 0.75, -0.5, 0.25]
         z = sum(wi * vi for wi, vi in zip(w, v)) + 0.1
         expected = 1.0 / (1.0 + math.exp(-z))
-        assert math.isclose(scored.probability, expected, rel_tol=1e-12)
-        assert np.allclose(scored.attention, alpha, rtol=1e-12)
+        assert math.isclose(scored.probabilities[0], expected, rel_tol=1e-12)
+        assert np.allclose(scored.attention[0], alpha, rtol=1e-12)
 
     def test_zero_head_gives_half(self):
         params = two_dim_params(head=[0.0] * 6)
@@ -176,21 +175,21 @@ class TestScore:
         scored = score_candidates(params, ["a", "b"],
                                   [np.array([1.0, 2.0]), np.array([-3.0, 0.5])],
                                   np.array([[1.0, 1.0]]), np.array([0.3, 0.4]))
-        assert all(s.probability == 0.5 for s in scored)
+        assert all(p == 0.5 for p in scored.probabilities)
 
     def test_duplicate_candidates_identical(self):
         params = two_dim_params()
         cand = np.array([0.2, -0.4])
         scored = score_candidates(params, ["x", "x"], [cand, cand.copy()],
                                   np.array([[1.0, 0.0]]), np.array([1.0, 1.0]))
-        assert scored[0].probability == scored[1].probability
+        assert scored.probabilities[0] == scored.probabilities[1]
 
     def test_probability_complement(self):
         params = two_dim_params()
-        (scored,) = score_candidates(params, ["c"], [np.array([3.0, -1.0])],
-                                     np.zeros((0, 2)), np.array([0.5, 0.5]))
-        assert 0.0 < scored.probability < 1.0
-        assert (1.0 - scored.probability) + scored.probability == 1.0
+        (p,) = score_candidates(params, ["c"], [np.array([3.0, -1.0])],
+                                np.zeros((0, 2)), np.array([0.5, 0.5])).probabilities
+        assert 0.0 < p < 1.0
+        assert (1.0 - p) + p == 1.0
 
     def test_head_shape_mismatch_rejected(self, tmp_path):
         """A head of the wrong length is stopped where it enters: on checkpoint load."""
@@ -239,10 +238,10 @@ class TestBatchedScorer:
         profile /= np.linalg.norm(profile)
         scored = score_candidates(params, [f"c{i}" for i in range(1000)], cands, hist, profile)
         probs, alphas = oracle_scores(params, cands, hist, profile)
-        np.testing.assert_allclose([s.probability for s in scored], probs, rtol=1e-12, atol=0)
-        for s, alpha in zip(scored, alphas):
-            assert s.attention.shape == alpha.shape
-            np.testing.assert_allclose(s.attention, alpha, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scored.probabilities, probs, rtol=1e-12, atol=0)
+        for attention, alpha in zip(scored.attention, alphas):
+            assert attention.shape == alpha.shape
+            np.testing.assert_allclose(attention, alpha, rtol=1e-12, atol=0)
 
     def test_duplicated_candidate_bit_identical_at_any_position(self):
         rng = np.random.default_rng(12)
@@ -258,42 +257,44 @@ class TestBatchedScorer:
             cands[spots] = cands[spots[0]]
             scored = score_candidates(params, [str(i) for i in range(m)], cands, hist,
                                       rng.normal(size=params.config.embed_dim))
-            first = scored[spots[0]]
+            first = spots[0]
             for i in spots[1:]:
-                assert scored[i].probability == first.probability, f"trial {trial}, rows {spots}"
-                assert np.array_equal(scored[i].attention, first.attention)
+                assert scored.probabilities[i] == scored.probabilities[first], f"trial {trial}, rows {spots}"
+                assert np.array_equal(scored.attention[i], scored.attention[first])
 
 
 class TestCandidateScores:
-    """score_candidates' arrays read as the eager list of ScoredCandidate built from them."""
+    """A score is three arrays; row ``i`` of ``probabilities`` and ``attention`` is ``article_ids[i]``'s."""
 
-    @staticmethod
-    def same(a, b):
-        return (a.article_id == b.article_id and type(a.probability) is float and a.probability == b.probability
-                and a.attention.shape == b.attention.shape and np.array_equal(a.attention, b.attention))
-
-    @pytest.mark.parametrize("n_hist", [9, 0])
-    def test_reads_as_the_eager_list(self, n_hist):
+    def test_rows_belong_to_their_article_ids(self):
         params = paper_params(seed=2)
         rng = np.random.default_rng(5)
         d = params.config.article_dim
-        scores = score_candidates(params, [f"c{i}" for i in range(7)], 0.1 * rng.normal(size=(7, d)),
-                                  0.1 * rng.normal(size=(n_hist, d)), rng.normal(size=params.config.embed_dim))
-        assert scores.probabilities.shape == (7,) and scores.attention.shape == (7, n_hist)
-        eager = [ScoredCandidate(a, p, alpha) for a, p, alpha in
-                 zip(scores.article_ids, scores.probabilities.tolist(), scores.attention)]
-        assert len(scores) == 7
-        for i in range(-7, 7):
-            assert self.same(scores[i], eager[i])
-        for part in [slice(None, 3), slice(2, -1), slice(None, None, -2), slice(10, 20)]:
-            assert len(scores[part]) == len(eager[part])
-            assert all(map(self.same, scores[part], eager[part]))
-        assert len(list(scores)) == 7 and all(map(self.same, scores, eager))
-        first, *middle, last = scores
-        assert self.same(first, eager[0]) and self.same(last, eager[-1]) and len(middle) == 5
-        for i in (7, -8):
-            with pytest.raises(IndexError):
-                scores[i]
+        for n_hist in (9, 0):
+            ids = [f"c{i}" for i in range(7)]
+            cands, hist = 0.1 * rng.normal(size=(7, d)), 0.1 * rng.normal(size=(n_hist, d))
+            profile = rng.normal(size=params.config.embed_dim)
+            scores = score_candidates(params, ids, cands, hist, profile)
+            assert scores.article_ids == ids
+            assert scores.probabilities.shape == (7,) and scores.attention.shape == (7, n_hist)
+            assert scores.probabilities.dtype == scores.attention.dtype == np.float64
+            probs, alphas = oracle_scores(params, cands, hist, profile)
+            np.testing.assert_allclose(scores.probabilities, probs, rtol=1e-12, atol=0)
+            assert len(set(probs.tolist())) == 7  # a row read from another candidate would differ
+            for row, alpha in zip(scores.attention, alphas):
+                np.testing.assert_allclose(row, alpha, rtol=1e-12, atol=0)
+
+    def test_no_known_candidate_gives_empty_arrays_and_asks_no_profile(self, toy_corpus, monkeypatch):
+        cfg = ModelConfig(**TOY_CONFIG)
+        params = init_model_params(cfg, build_vocabs(list(toy_corpus.values()), cfg.attr_names), seed=3)
+        provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
+        scorer = Scorer(params, FeatureSource(params, toy_corpus, HashedTextEmbedder(cfg.embed_dim), provider))
+        asked = []
+        monkeypatch.setattr(FeatureSource, "profile_rows", lambda self, keys: asked.append(keys))
+        scores = scorer.score(make_impression("i1", history=["a1", "a2"], candidates=[("ghost", 1)]))
+        assert scores.article_ids == [] and asked == []
+        assert scores.probabilities.shape == (0,) and scores.attention.size == 0
+        assert scores.probabilities.dtype == scores.attention.dtype == np.float64
 
 
 class TestFlowBackward:
@@ -387,19 +388,20 @@ class TestScorer:
         params = init_model_params(cfg, vocabs, seed=3)
         provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"],
                                    StubCompletionClient())
-        return Scorer(params, HashedTextEmbedder(cfg.embed_dim), toy_corpus, provider)
+        return Scorer(params, FeatureSource(params, toy_corpus, HashedTextEmbedder(cfg.embed_dim), provider))
 
     def test_eval_mode_bit_deterministic(self, toy_corpus):
         imp = make_impression("i1", history=["a1", "a2"],
                               candidates=[("a3", 1), ("a4", 0)])
         a = self._scorer(toy_corpus).score(imp)
         b = self._scorer(toy_corpus).score(imp)
-        assert [s.probability for s in a] == [s.probability for s in b]
+        assert a.probabilities.tolist() == b.probabilities.tolist()
 
     def test_cold_start_empty_history(self, toy_corpus):
         imp = make_impression("i1", history=[], candidates=[("a1", 1)])
-        (scored,) = self._scorer(toy_corpus).score(imp)
-        assert 0.0 < scored.probability < 1.0
+        scored = self._scorer(toy_corpus).score(imp)
+        (p,) = scored.probabilities
+        assert 0.0 < p < 1.0
         assert scored.attention.size == 0
 
     def test_unknown_article_is_unknown_id_error(self, toy_corpus):
@@ -411,8 +413,9 @@ class TestScorer:
         ghostly = scorer.score(make_impression("i1", history=["a1", "ghost"],
                                                candidates=[("a2", 1), ("ghost", 0), ("a3", 0)]))
         known = scorer.score(make_impression("i1", history=["a1"], candidates=[("a2", 1), ("a3", 0)]))
-        assert [(s.article_id, s.probability) for s in ghostly] == [(s.article_id, s.probability) for s in known]
-        assert scorer.score(make_impression("i2", candidates=[("ghost", 1)])) == []
+        assert ghostly.article_ids == known.article_ids
+        assert ghostly.probabilities.tolist() == known.probabilities.tolist()
+        assert scorer.score(make_impression("i2", candidates=[("ghost", 1)])).probabilities.size == 0
 
     def test_no_candidates_rejected(self, toy_corpus):
         imp = make_impression("i1", candidates=[])
@@ -430,7 +433,7 @@ class TestScorer:
         real, calls = encode.encode_attributes_batch, []
         monkeypatch.setattr(encode, "encode_attributes_batch",
                             lambda *args, **kwargs: calls.append(args[1].shape) or real(*args, **kwargs))
-        reps = Scorer(params, feats, corpus).reps
+        reps = Scorer(params, feats).reps
         assert len(calls) == 1
         assert reps.shape == (n_articles, cfg.article_dim)
 
@@ -450,10 +453,10 @@ class TestCheckpoint:
         imp = make_impression("i", history=["a1"], candidates=[("a2", 1), ("a3", 0)])
         embedder = HashedTextEmbedder(cfg.embed_dim)
         provider = ProfileProvider(toy_corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
-        once = [s.probability for s in Scorer(loaded, embedder, toy_corpus, provider).score(imp)]
-        twice = [s.probability for s in Scorer(load_checkpoint(path), embedder, toy_corpus,
-                                               provider).score(imp)]
-        assert once == twice
+        once = Scorer(loaded, FeatureSource(loaded, toy_corpus, embedder, provider)).score(imp)
+        again = load_checkpoint(path)
+        twice = Scorer(again, FeatureSource(again, toy_corpus, embedder, provider)).score(imp)
+        assert once.probabilities.tolist() == twice.probabilities.tolist()
 
     def test_saved_tensors_load_bit_equal(self, tmp_path, toy_corpus):
         cfg = ModelConfig(**TOY_CONFIG)

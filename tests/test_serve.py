@@ -28,7 +28,7 @@ from flowrec.checkpoint import (
     write_tensor_file,
 )
 from flowrec.data import SyntheticSpec, generate_synthetic
-from flowrec.encode import HashedTextEmbedder, build_vocabs, encode_article
+from flowrec.encode import FeatureSource, HashedTextEmbedder, build_vocabs, encode_article
 from flowrec.errors import ConfigError, UnknownIdError
 from flowrec.model import ModelConfig, Scorer, init_model_params, score_candidates
 from flowrec.serve import (
@@ -68,7 +68,7 @@ def small_world(seed=3, n_articles=40):
 class TestPrecompute:
     def test_empty_corpus_keeps_version_tag(self):
         _, params, embedder, _ = small_world()
-        store = precompute(params, embedder, {}, [])
+        store = precompute(params, FeatureSource(params, {}, embedder), [])
         assert store.article_ids == []
         assert store.version_tag == params.version_tag != ""
 
@@ -76,13 +76,13 @@ class TestPrecompute:
         ds, params, embedder, provider = small_world()
         users = users_from_impressions(ds.impressions)
         a_path, b_path = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_store(a_path, precompute(params, embedder, ds.corpus, users, provider))
-        save_store(b_path, precompute(params, embedder, ds.corpus, users, provider))
+        save_store(a_path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider), users))
+        save_store(b_path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider), users))
         assert a_path.read_bytes() == b_path.read_bytes()
 
     def test_store_entry_matches_direct_encoding(self):
         ds, params, embedder, provider = small_world()
-        store = precompute(params, embedder, ds.corpus, [])
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder), [])
         for art_id, art in ds.corpus.items():
             assert np.array_equal(store.reps[store.row_of[art_id]], encode_article(params, embedder, art))
 
@@ -97,13 +97,14 @@ class TestPrecompute:
         unsummarized = user.history[-1]
         for art in ds.articles:
             art.summary = None if art.article_id == unsummarized else summaries[art.article_id]
-        store = precompute(params, embedder, ds.corpus, users, provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider), users)
         assert store.article_ids == list(ds.corpus)
         assert store.users[user.user_id].history == user.history
 
         ids = [unsummarized] + [a.article_id for a in ds.articles[:6] if a.article_id != unsummarized]
         imp = make_impression("p", user=user.user_id, history=user.history, candidates=[(a, 0) for a in ids])
-        offline = {s.article_id: s.probability for s in Scorer(params, embedder, ds.corpus, provider).score(imp)}
+        scored = Scorer(params, FeatureSource(params, ds.corpus, embedder, provider)).score(imp)
+        offline = dict(zip(scored.article_ids, scored.probabilities.tolist()))
         assert dict(rank(RankRequest(user.user_id, ids), store, params).results) == offline  # bit-identical
 
     def test_users_from_impressions_latest_history(self):
@@ -117,8 +118,8 @@ class TestPrecompute:
 class TestStoreFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds, params, embedder, provider = small_world()
-        store = precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                           provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                           users_from_impressions(ds.impressions))
         path = tmp_path / "store.bin"
         save_store(path, store)
         loaded = load_store(path)
@@ -135,8 +136,8 @@ class TestStoreFile:
     def test_truncated_store_is_config_error(self, tmp_path, part):
         ds, params, embedder, provider = small_world()
         path = tmp_path / "store.bin"
-        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                                    provider))
+        save_store(path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                                    users_from_impressions(ds.impressions)))
         raw = path.read_bytes()
         path.write_bytes(raw[:container_cuts(raw)[part]])
         with pytest.raises(ConfigError, match=r"is truncated: .* needs \d+ bytes"):
@@ -145,8 +146,8 @@ class TestStoreFile:
     def test_flipped_tensor_byte_is_config_error_naming_the_file(self, tmp_path):
         ds, params, embedder, provider = small_world()
         path = tmp_path / "store.bin"
-        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                                    provider))
+        save_store(path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                                    users_from_impressions(ds.impressions)))
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01  # the last profile value's last byte: still a float64 of the right shape
         path.write_bytes(bytes(raw))
@@ -159,8 +160,8 @@ class TestStoreFile:
         raise a ConfigError naming the file or load equal to the original."""
         ds, params, embedder, provider = small_world(n_articles=12)
         path = tmp_path / "store.bin"
-        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                                    provider))
+        save_store(path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                                    users_from_impressions(ds.impressions)))
         raw = path.read_bytes()
         original = load_store(path)
         garbled = {f"first {n} bytes": raw[:n] for n in range(len(raw))}
@@ -216,8 +217,8 @@ class TestStoreFile:
     def test_garbled_store_is_config_error_naming_the_file(self, tmp_path, garble, message):
         ds, params, embedder, provider = small_world()
         path = tmp_path / "store.bin"
-        save_store(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                                    provider))
+        save_store(path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                                    users_from_impressions(ds.impressions)))
         write_tensor_file(path, *garble(*read_tensor_file(path)))
         with pytest.raises(ConfigError, match=message) as err:
             load_store(path)
@@ -265,7 +266,8 @@ class TestKilledWriter:
             save(path, params)
         else:
             save, load, arrays = save_store, load_store, lambda s: {"reps": s.reps, "profiles": s.profile_embs}
-            save(path, precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions), provider))
+            save(path, precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                                  users_from_impressions(ds.impressions)))
         before, old = path.read_bytes(), load(path)
         src = os.path.dirname(os.path.dirname(flowrec.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -292,8 +294,8 @@ class TestKilledWriter:
 class TestRank:
     def _ready(self, tmp_path=None):
         ds, params, embedder, provider = small_world()
-        store = precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                           provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                           users_from_impressions(ds.impressions))
         return ds, params, embedder, provider, store
 
     def test_top_k_one(self):
@@ -308,13 +310,14 @@ class TestRank:
 
     def test_parity_with_evaluation_path(self):
         ds, params, embedder, provider, store = self._ready()
-        scorer = Scorer(params, embedder, ds.corpus, provider)
+        scorer = Scorer(params, FeatureSource(params, ds.corpus, embedder, provider))
         users = {u.user_id: u for u in users_from_impressions(ds.impressions)}
         for uid, user in list(users.items())[:5]:
             ids = [a.article_id for a in ds.articles[:7]]
             imp = make_impression("parity", user=uid, history=user.history,
                                   candidates=[(a, 0) for a in ids])
-            offline = {s.article_id: s.probability for s in scorer.score(imp)}
+            scored = scorer.score(imp)
+            offline = dict(zip(scored.article_ids, scored.probabilities.tolist()))
             online = dict(rank(RankRequest(uid, ids), store, params).results)
             assert online == offline  # bit-identical
 
@@ -415,15 +418,16 @@ class TestOlderCheckpoint:
         old, new = load_checkpoint(old_path), load_checkpoint(new_path)
         assert old.version_tag == old_tag != new.version_tag
         assert old.config == new.config
-        old_report = evaluate_params(old, embedder, ds.corpus, ds.impressions, provider)
-        assert old_report.to_json() == evaluate_params(new, embedder, ds.corpus, ds.impressions,
-                                                       provider).to_json()
+        features = FeatureSource(old, ds.corpus, embedder, provider)
+        old_report = evaluate_params(old, features, ds.impressions)
+        assert old_report.to_json() == evaluate_params(new, features, ds.impressions).to_json()
 
         users = users_from_impressions(ds.impressions)
-        save_store(tmp_path / "old.store", precompute(old, embedder, ds.corpus, users, provider))
+        save_store(tmp_path / "old.store", precompute(old, FeatureSource(old, ds.corpus, embedder, provider),
+                                                      users))
         old_store = load_store(tmp_path / "old.store")
         assert old_store.version_tag == old_tag
-        new_store = precompute(new, embedder, ds.corpus, users, provider)
+        new_store = precompute(new, FeatureSource(new, ds.corpus, embedder, provider), users)
         ids = [a.article_id for a in ds.articles[:7]]
         for uid in sorted(old_store.users)[:3]:
             old_resp = rank(RankRequest(uid, ids), old_store, old)
@@ -442,22 +446,23 @@ class TestInMemoryModel:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.params)
         users = users_from_impressions(ds.impressions)
-        store = precompute(result.params, embedder, ds.corpus, users, provider)
+        store = precompute(result.params, FeatureSource(result.params, ds.corpus, embedder, provider), users)
         loaded = load_checkpoint(path)
-        scorer = Scorer(loaded, embedder, ds.corpus, provider)
+        scorer = Scorer(loaded, FeatureSource(loaded, ds.corpus, embedder, provider))
         ids = [a.article_id for a in ds.articles[:9]]
         for user in users:
             imp = make_impression("parity", user=user.user_id, history=user.history,
                                   candidates=[(a, 0) for a in ids])
-            offline = {s.article_id: s.probability for s in scorer.score(imp)}
+            scored = scorer.score(imp)
+            offline = dict(zip(scored.article_ids, scored.probabilities.tolist()))
             assert dict(rank(RankRequest(user.user_id, ids), store, loaded).results) == offline
 
 
 class TestHttp:
     def test_health_and_rank_round_trip(self):
         ds, params, embedder, provider = small_world()
-        store = precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                           provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                           users_from_impressions(ds.impressions))
         server, _ = serve_in_thread(store, params)
         try:
             port = server.server_address[1]
@@ -485,7 +490,7 @@ class TestHttp:
 
     def test_unknown_candidate_is_400(self):
         ds, params, embedder, provider = small_world()
-        store = precompute(params, embedder, ds.corpus, [], provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider), [])
         server, _ = serve_in_thread(store, params)
         try:
             port = server.server_address[1]
@@ -502,7 +507,8 @@ class TestHttp:
     def test_idle_keep_alive_connection_is_closed_and_its_thread_ends(self, monkeypatch):
         monkeypatch.setattr("flowrec.serve.IDLE_TIMEOUT_S", 0.2)
         ds, params, embedder, provider = small_world()
-        server, _ = serve_in_thread(precompute(params, embedder, ds.corpus, [], provider), params)
+        server, _ = serve_in_thread(precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                                               []), params)
         conn = http.client.HTTPConnection(*server.server_address, timeout=10)
         try:
             before = set(threading.enumerate())
@@ -521,7 +527,7 @@ class TestHttp:
 
     def test_server_rejects_mismatched_store(self):
         ds, params, embedder, provider = small_world()
-        store = precompute(params, embedder, ds.corpus, [], provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider), [])
         store.version_tag = "f" * 64
         with pytest.raises(ConfigError):
             serve_in_thread(store, params)
@@ -539,8 +545,8 @@ def post_rank(port, raw: bytes) -> tuple[int, dict]:
 @pytest.fixture(scope="module")
 def served():
     ds, params, embedder, provider = small_world()
-    store = precompute(params, embedder, ds.corpus, users_from_impressions(ds.impressions),
-                       provider)
+    store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                       users_from_impressions(ds.impressions))
     server, _ = serve_in_thread(store, params)
     yield ds, RankService(store, params), server.server_address[1]
     server.shutdown()
@@ -774,8 +780,8 @@ class TestLatency:
         embedder = HashedTextEmbedder(cfg.embed_dim)
         provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"],
                                    StubCompletionClient())
-        store = precompute(params, embedder, ds.corpus,
-                           users_from_impressions(ds.impressions), provider)
+        store = precompute(params, FeatureSource(params, ds.corpus, embedder, provider),
+                           users_from_impressions(ds.impressions))
         ids = [a.article_id for a in ds.articles]
         latencies = []
         for trial in range(25):

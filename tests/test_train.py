@@ -224,7 +224,7 @@ def assert_logits_match_per_state_scoring(params, feats, batch):
         scored = score_candidates(params, cand_ids, reps[[row_of[a] for a in cand_ids]],
                                   reps[[row_of[a] for a in history]],
                                   feats.profile_embedding(user, history))
-        np.testing.assert_allclose(probs[js], [c.probability for c in scored], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs[js], scored.probabilities, rtol=1e-12, atol=0)
         assert not alpha[s, :, len(history):].any()  # padded history slots get no attention
     return cache
 
@@ -325,8 +325,7 @@ def first_batch(ds, config):
 class TestExampleIndex:
     """train() resolves its examples to integers once and gathers each batch from them."""
 
-    @pytest.mark.parametrize("instant_flow", [True, False])
-    def test_batch_arrays_match_first_appearance(self, instant_flow):
+    def test_batch_arrays_match_first_appearance(self):
         ds, params, feats, _ = toy_setup()
         examples = index_world(ds)
         assert any(not ex.history for ex in examples)
@@ -334,7 +333,7 @@ class TestExampleIndex:
         index = ExampleIndex(examples, feats)
         for take in shuffled_batches(len(examples)):
             batch = [examples[j] for j in take]
-            g = _gather(IndexedBatch(index, take), instant_flow)
+            g = _gather(IndexedBatch(index, take))
             # The reference builds every array with Python containers, example by example.
             ids = list(dict.fromkeys(a for ex in batch for a in (*ex.history, ex.candidate_id)))
             states = list(dict.fromkeys((ex.user_id, ex.history) for ex in batch))
@@ -342,12 +341,11 @@ class TestExampleIndex:
             assert np.array_equal(g["prof_rows"], feats.profile_rows(states))
             assert np.array_equal(g["cand_rows"], [ids.index(ex.candidate_id) for ex in batch])
             assert np.array_equal(g["labels"], [ex.label for ex in batch])
-            width = max(len(h) for _, h in states) if instant_flow else 0
+            width = max(len(h) for _, h in states)
             assert g["hist_idx"].shape == g["mask"].shape == (len(states), width)
             for s, (_, history) in enumerate(states):
-                used = len(history) if instant_flow else 0
-                assert g["mask"][s].tolist() == [True] * used + [False] * (width - used)
-                assert g["hist_idx"][s, :used].tolist() == [ids.index(a) for a in history[:used]]
+                assert g["mask"][s].tolist() == [True] * len(history) + [False] * (width - len(history))
+                assert g["hist_idx"][s, :len(history)].tolist() == [ids.index(a) for a in history]
                 members = [j for j, ex in enumerate(batch) if (ex.user_id, ex.history) == states[s]]
                 assert g["slots"][members].tolist() == [s * g["width"] + i for i in range(len(members))]
             assert g["width"] == max(sum(1 for ex in batch if (ex.user_id, ex.history) == k) for k in states)
@@ -408,6 +406,29 @@ class TestExampleIndex:
         with pytest.raises(CompletionError, match="31st"):
             train(params, ds.corpus, ds.impressions,
                   TrainConfig(learning_rate=0.01, batch_size=16, max_steps=20, seed=3), embedder, provider)
+        assert steps == []
+
+    def test_a_failed_validation_profile_ends_training_before_its_first_step(self, monkeypatch):
+        ds = quick_dataset()
+        params, embedder, provider = quick_model(ds)
+        train_part, val = split_by_time(ds.impressions, EARLY_STOP.holdout_fraction)
+        trained = {(ex.user_id, ex.history) for ex in build_examples(train_part, ds.corpus)}
+        key = next((imp.user_id, tuple(imp.history)) for imp in val
+                   if imp.history and (imp.user_id, tuple(imp.history)) not in trained)
+        ask = provider.profile_text
+
+        def failing(user, history):
+            if (user, tuple(history)) == key:
+                raise CompletionError("the validation profile fails")
+            return ask(user, history)
+
+        provider.profile_text = failing
+        steps = []
+        step = backward_batch
+        monkeypatch.setattr(sys.modules["flowrec.train"], "backward_batch",
+                            lambda *args, **kwargs: steps.append(1) or step(*args, **kwargs))
+        with pytest.raises(CompletionError, match="validation profile"):
+            train(params, ds.corpus, ds.impressions, EARLY_STOP, embedder, provider)
         assert steps == []
 
     def test_training_error_dump_names_the_batch_examples(self):
@@ -700,7 +721,8 @@ class TestTrainLoop:
         assert best_step < result.steps_run < EARLY_STOP.max_steps  # stopped early, past the best
         assert holds(params, steps[best_step - 1]) and not holds(params, steps[-1])
         _, val = split_by_time(ds.impressions, EARLY_STOP.holdout_fraction)
-        assert evaluate_params(params, embedder, ds.corpus, val, provider).auc == result.best_val_auc
+        features = FeatureSource(params, ds.corpus, embedder, provider)
+        assert evaluate_params(params, features, val).auc == result.best_val_auc
 
     def test_a_run_without_validation_ends_at_its_last_step(self, monkeypatch):
         ds = quick_dataset()
@@ -727,9 +749,10 @@ class TestTrainLoop:
                        val_impressions=val)
         assert trained_on == ds.impressions
         assert result.best_val_auc is not None
-        assert evaluate_params(params, embedder, ds.corpus, val, provider).auc == result.best_val_auc
+        features = FeatureSource(params, ds.corpus, embedder, provider)
+        assert evaluate_params(params, features, val).auc == result.best_val_auc
         _, holdout = split_by_time(ds.impressions, EARLY_STOP.holdout_fraction)
-        assert evaluate_params(params, embedder, ds.corpus, holdout, provider).auc != result.best_val_auc
+        assert evaluate_params(params, features, holdout).auc != result.best_val_auc
 
     def test_log_csv_format(self, tmp_path):
         ds = quick_dataset()
@@ -760,8 +783,8 @@ class TestEvaluateParams:
         ask = provider.profile_text
         provider.profile_text = lambda user, history: asked.append((user, tuple(history))) or ask(user, history)
         # The reference scores impression by impression, each asking for its own profile when scored.
-        scorer = Scorer(params, embedder, ds.corpus, provider)
-        want = evaluate_rankings([(s.probabilities.tolist() if s else [],
+        scorer = Scorer(params, FeatureSource(params, ds.corpus, embedder, provider))
+        want = evaluate_rankings([(s.probabilities.tolist(),
                                    [y for a, y in imp.candidates if a in ds.corpus])
                                   for s, imp in zip(map(scorer.score, impressions), impressions)])
         want_asked = asked[:]
@@ -778,7 +801,7 @@ class TestEvaluateParams:
             return out
 
         monkeypatch.setattr(FeatureSource, "profile_rows", counting)
-        report = evaluate_params(params, embedder, ds.corpus, impressions, provider)
+        report = evaluate_params(params, FeatureSource(params, ds.corpus, embedder, provider), impressions)
         assert [n for n in added if n] == [len(want_asked)]
         assert asked == want_asked
         assert report.to_json() == want.to_json()
@@ -786,7 +809,7 @@ class TestEvaluateParams:
     def test_report_counts(self):
         ds = quick_dataset()
         params, embedder, provider = quick_model(ds)
-        report = evaluate_params(params, embedder, ds.corpus, ds.impressions, provider)
+        report = evaluate_params(params, FeatureSource(params, ds.corpus, embedder, provider), ds.impressions)
         assert report.n_impressions + report.n_excluded == len(ds.impressions)
         if report.auc is not None:
             assert 0.0 <= report.auc <= 1.0
