@@ -266,23 +266,24 @@ class TestBatchedScorer:
 class TestCandidateScores:
     """A score is three arrays; row ``i`` of ``probabilities`` and ``attention`` is ``article_ids[i]``'s."""
 
-    def test_rows_belong_to_their_article_ids(self):
+    @pytest.mark.parametrize("n_hist", [9, 0])
+    def test_reads_as_the_eager_list(self, n_hist):
+        """The rows, read in ``article_ids`` order, are the list scored one candidate at a time."""
         params = paper_params(seed=2)
         rng = np.random.default_rng(5)
         d = params.config.article_dim
-        for n_hist in (9, 0):
-            ids = [f"c{i}" for i in range(7)]
-            cands, hist = 0.1 * rng.normal(size=(7, d)), 0.1 * rng.normal(size=(n_hist, d))
-            profile = rng.normal(size=params.config.embed_dim)
-            scores = score_candidates(params, ids, cands, hist, profile)
-            assert scores.article_ids == ids
-            assert scores.probabilities.shape == (7,) and scores.attention.shape == (7, n_hist)
-            assert scores.probabilities.dtype == scores.attention.dtype == np.float64
-            probs, alphas = oracle_scores(params, cands, hist, profile)
-            np.testing.assert_allclose(scores.probabilities, probs, rtol=1e-12, atol=0)
-            assert len(set(probs.tolist())) == 7  # a row read from another candidate would differ
-            for row, alpha in zip(scores.attention, alphas):
-                np.testing.assert_allclose(row, alpha, rtol=1e-12, atol=0)
+        ids = [f"c{i}" for i in range(7)]
+        cands, hist = 0.1 * rng.normal(size=(7, d)), 0.1 * rng.normal(size=(n_hist, d))
+        profile = rng.normal(size=params.config.embed_dim)
+        scores = score_candidates(params, ids, cands, hist, profile)
+        assert scores.article_ids == ids
+        assert scores.probabilities.shape == (7,) and scores.attention.shape == (7, n_hist)
+        assert scores.probabilities.dtype == scores.attention.dtype == np.float64
+        probs, alphas = oracle_scores(params, cands, hist, profile)
+        np.testing.assert_allclose(scores.probabilities, probs, rtol=1e-12, atol=0)
+        assert len(set(probs.tolist())) == 7  # a row read from another candidate would differ
+        for row, alpha in zip(scores.attention, alphas):
+            np.testing.assert_allclose(row, alpha, rtol=1e-12, atol=0)
 
     def test_no_known_candidate_gives_empty_arrays_and_asks_no_profile(self, toy_corpus, monkeypatch):
         cfg = ModelConfig(**TOY_CONFIG)
