@@ -287,6 +287,8 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     if args.max_users is not None and args.max_users < 1:
         raise ConfigError(f"--max-users must be at least 1, not {args.max_users}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, not {args.seed}")
     out = _out_dir(args)
     if args.format == "mind":
         if not args.news or not args.behaviors:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import replacing
+from .errors import ConfigError, replacing
 
 
 class DataFormatError(ValueError):
@@ -339,9 +339,11 @@ class SyntheticSpec:
         }
         for name, value in counts.items():
             if value < 1:
-                raise DataFormatError(f"{name} must be >= 1, got {value}")
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.click_rule not in CLICK_RULES:
-            raise DataFormatError(f"click_rule must be one of {CLICK_RULES}, got {self.click_rule!r}")
+            raise ConfigError(f"click_rule must be one of {CLICK_RULES}, got {self.click_rule!r}")
 
 
 @dataclass

@@ -6,9 +6,10 @@ validation AUC.
 The frozen text embedder never receives gradients; its outputs, attribute
 indices and profile embeddings live in the run's
 :class:`~flowrec.encode.FeatureSource` table, which each batch gathers from
-and validation reads. ``train()`` resolves its examples to integers once
-(:class:`ExampleIndex`), their profiles included, and each step builds its
-batch from the example ids it takes with numpy alone (:func:`_gather`):
+and validation reads. ``train()`` reads its impressions once into integers
+(:class:`ExampleIndex`): each in-corpus candidate is an example of its
+impression's user state, profiles included. Each step builds its batch from
+the example ids it takes with numpy alone (:func:`_gather`):
 article rows in order of first appearance, and user states,
 ``(user_id, history)``, padded into one block of candidates ``[S, M, d]``
 and history row indices ``[S, L]`` with a mask. The flow scores in
@@ -22,10 +23,9 @@ and backward live beside each other: the attribute encoder
 (:func:`~flowrec.model.flow_forward` / :func:`~flowrec.model.flow_backward`),
 the same flow arithmetic that evaluation and serving score with. Each
 backward returns its tensors' gradients; the step scatters the candidates'
-rep gradient into the batch's rows and touches no tensor itself. A list of
-:class:`TrainExample` is indexed on the spot and runs the same code.
-A central finite-difference gradient oracle is included so analytic
-gradients can always be cross-checked.
+rep gradient into the batch's rows and touches no tensor itself. A central
+finite-difference gradient oracle is included so analytic gradients can
+always be cross-checked.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         for name, least in (("batch_size", 1), ("max_steps", 0), ("eval_every", 1), ("patience", 1),
-                            ("log_every", 1)):
+                            ("log_every", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
         if not 0.0 <= self.dropout < 1.0:
@@ -92,59 +92,46 @@ class TrainConfig:
             raise ConfigError("holdout_fraction must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class TrainExample:
-    user_id: str
-    history: tuple[str, ...]
-    candidate_id: str
-    label: int
-
-
-def build_examples(impressions: list[Impression], corpus: dict[str, Article]) -> list[TrainExample]:
-    """Flatten impressions into training triples, each impression's positives first.
-
-    History ids and candidates missing from the corpus are dropped (:func:`~flowrec.data.in_corpus`).
-    """
-    examples: list[TrainExample] = []
-    for imp in impressions:
-        history = tuple(in_corpus(corpus, imp.history))
-        for art_id, y in sorted(in_corpus(corpus, imp.candidates, itemgetter(0)), key=lambda c: -c[1]):
-            examples.append(TrainExample(imp.user_id, history, art_id, y))
-    return examples
-
-
 # ---------------------------------------------------------------------------
 # The indexed training set
 # ---------------------------------------------------------------------------
 
 class ExampleIndex:
-    """Training examples resolved to integers once, so a step gathers its
+    """Training impressions resolved to integers once, so a step gathers its
     batch with numpy alone.
 
+    Each impression's candidates in the table (:func:`~flowrec.data.in_corpus`),
+    positives first and otherwise in order, are examples of its user state
+    ``(user_id, in-corpus history)``; an impression with none adds no state.
     Rows are those of the :class:`FeatureSource` the index is built with,
     which every batch of it must be run with. Example ``j`` scores article
-    row ``cand_row[j]`` against user state ``state[j]``, with label
-    ``labels[j]``. User state ``s`` is the key ``state_keys[s]``,
-    ``(user_id, history)``; its history is the rows
-    ``hist_rows[s, :hist_len[s]]``, and its profile is row ``profile_row[s]``
-    of ``FeatureSource.profiles``: every state's profile is asked for in one
-    :meth:`FeatureSource.profile_rows` call, here, in order of first appearance.
+    ``cand_ids[j]``, row ``cand_row[j]``, against user state ``state[j]``, with
+    label ``labels[j]``. User state ``s`` is the key ``state_keys[s]``; its
+    history is the rows ``hist_rows[s, :hist_len[s]]``, and its profile is row
+    ``profile_row[s]`` of ``FeatureSource.profiles``: every state's profile is
+    asked for in one :meth:`FeatureSource.profile_rows` call, here, in order of
+    first appearance.
     """
 
-    def __init__(self, examples: list[TrainExample], feats: FeatureSource):
+    def __init__(self, impressions: list[Impression], feats: FeatureSource):
+        row_of = feats.row_of
         ids: dict[tuple[str, tuple[str, ...]], int] = {}
-        self.examples = examples
-        self.state = np.fromiter((ids.setdefault((ex.user_id, ex.history), len(ids)) for ex in examples),
-                                 dtype=np.int64, count=len(examples))
-        self.labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=len(examples))
+        state: list[int] = []
+        cands: list[tuple[str, int]] = []
+        for imp in impressions:
+            kept = sorted(in_corpus(row_of, imp.candidates, itemgetter(0)), key=itemgetter(1), reverse=True)
+            if kept:
+                state += [ids.setdefault((imp.user_id, tuple(in_corpus(row_of, imp.history))), len(ids))] * len(kept)
+                cands += kept
+        self.cand_ids = [a for a, _ in cands]
+        self.state = np.array(state, dtype=np.int64)
+        self.labels = np.array([y for _, y in cands], dtype=np.float64)
         self.state_keys = list(ids)
-        # The history table is filled state by state; the examples add their candidates.
         self.hist_len = np.array([len(h) for _, h in self.state_keys], dtype=np.int64)
-        rows = feats.rows([a for _, h in self.state_keys for a in h] + [ex.candidate_id for ex in examples])
-        n_hist = int(self.hist_len.sum())
         self.hist_rows = np.zeros((len(self.state_keys), self.hist_len.max(initial=0)), dtype=np.int64)
-        self.hist_rows[np.arange(self.hist_rows.shape[1]) < self.hist_len[:, None]] = rows[:n_hist]
-        self.cand_row = rows[n_hist:]
+        self.hist_rows[np.arange(self.hist_rows.shape[1]) < self.hist_len[:, None]] = \
+            feats.rows([a for _, h in self.state_keys for a in h])
+        self.cand_row = feats.rows(self.cand_ids)
         self.profile_row = feats.profile_rows(self.state_keys)
 
 
@@ -157,15 +144,8 @@ class IndexedBatch:
 
     def triples(self) -> list[tuple[str, str, int]]:
         """``(user_id, candidate_id, label)`` of each example, as a :class:`TrainingError` dump lists them."""
-        examples = self.index.examples
-        return [(examples[j].user_id, examples[j].candidate_id, examples[j].label) for j in self.take]
-
-
-def _indexed(batch: list[TrainExample] | IndexedBatch, feats: FeatureSource) -> IndexedBatch:
-    """``batch`` itself, or a list of examples indexed as a batch of its own."""
-    if isinstance(batch, IndexedBatch):
-        return batch
-    return IndexedBatch(ExampleIndex(batch, feats), np.arange(len(batch)))
+        index = self.index
+        return [(index.state_keys[index.state[j]][0], index.cand_ids[j], int(index.labels[j])) for j in self.take]
 
 
 def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,9 +201,9 @@ def _gather(batch: IndexedBatch) -> dict:
 # Forward / backward over a batch
 # ---------------------------------------------------------------------------
 
-def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
+def _forward(params: ModelParams, batch: IndexedBatch, feats: FeatureSource,
              mode: str, rng: np.random.Generator | None, dropout: float):
-    g = _gather(_indexed(batch, feats))
+    g = _gather(batch)
     rows = g["rows"]
     h_attr, attr_cache = encode_attributes_batch(params, feats.attr_idx[rows], mode=mode, rng=rng,
                                                  dropout=dropout)
@@ -248,7 +228,7 @@ def _forward(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feat
     return loss, probs, cache
 
 
-def loss_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch, feats: FeatureSource,
+def loss_batch(params: ModelParams, batch: IndexedBatch, feats: FeatureSource,
                mode: str = "train", rng: np.random.Generator | None = None,
                dropout: float = 0.0) -> float:
     """Mean clamped binary cross-entropy of the batch."""
@@ -256,21 +236,18 @@ def loss_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch, fe
     return loss
 
 
-def backward_batch(params: ModelParams, batch: list[TrainExample] | IndexedBatch,
+def backward_batch(params: ModelParams, batch: IndexedBatch,
                    feats: FeatureSource, mode: str = "train", rng: np.random.Generator | None = None,
                    dropout: float = 0.0) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus analytic gradients for every trainable tensor.
 
-    ``batch`` is an :class:`IndexedBatch`, as ``train()`` takes each step
-    from its :class:`ExampleIndex`, or a list of :class:`TrainExample`,
-    which is indexed on the spot; both run the same array code. Frozen
-    embeddings receive no gradient; attribute vocabulary rows that a batch
-    never touches come back exactly zero. A non-finite loss or gradient
-    raises :class:`TrainingError` whose dump lists the batch's examples as
-    ``(user_id, candidate_id, label)``; a gradient's dump also names the
-    tensors.
+    ``batch`` is taken from an :class:`ExampleIndex`, as ``train()`` takes
+    each step. Frozen embeddings receive no gradient; attribute vocabulary
+    rows that a batch never touches come back exactly zero. A non-finite loss
+    or gradient raises :class:`TrainingError` whose dump lists the batch's
+    examples as ``(user_id, candidate_id, label)``; a gradient's dump also
+    names the tensors.
     """
-    batch = _indexed(batch, feats)
     loss, probs, cache = _forward(params, batch, feats, mode, rng, dropout)
     if not np.isfinite(loss):
         raise TrainingError("non-finite loss",
@@ -437,12 +414,10 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
         train_impressions = impressions
 
     rng = np.random.default_rng(config.seed)
-    examples = build_examples(train_impressions, corpus)
-    if not examples:
-        raise DataFormatError("training set is empty after filtering")
-
     feats = FeatureSource(params, corpus, embedder, profile_provider)
-    index = ExampleIndex(examples, feats)
+    index = ExampleIndex(train_impressions, feats)
+    if not len(index.labels):
+        raise DataFormatError("training set is empty after filtering")
     if config.max_steps >= config.eval_every and val_impressions:
         feats.profile_rows(_scored(feats.row_of, val_impressions)[1])
     state = adam_init(params)
@@ -451,8 +426,8 @@ def train(params: ModelParams, corpus: dict[str, Article], impressions: list[Imp
     best_tensors = {}
     bad_evals = 0
     params.version_tag = ""  # cleared once: nothing below calls ensure_version_tag to stamp it
-    order = np.arange(len(examples))
-    cursor = len(examples)  # force an initial shuffle
+    order = np.arange(len(index.labels))
+    cursor = len(order)  # force an initial shuffle
     started = time.perf_counter()
 
     step = 0

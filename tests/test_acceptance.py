@@ -41,11 +41,11 @@ from flowrec.summarize import (
 )
 from flowrec.text import word_count
 from flowrec.train import (
+    ExampleIndex,
     FeatureSource,
+    IndexedBatch,
     TrainConfig,
-    TrainExample,
     backward_batch,
-    build_examples,
     evaluate_params,
     finite_difference_grads,
     loss_batch,
@@ -86,8 +86,10 @@ class TestCriterion1Gradients:
             provider = ProfileProvider(corpus, TEMPLATES["user_profile_mind"],
                                        StubCompletionClient())
             feats = FeatureSource(params, corpus, HashedTextEmbedder(cfg.embed_dim), provider)
-            examples = build_examples(ds.impressions, corpus)[:5]
-            examples.append(TrainExample("u0", (), examples[0].candidate_id, 1))
+            # The world's first five examples, then a cold start on the first one's candidate.
+            first = sorted(ds.impressions[0].candidates, key=lambda c: -c[1])[0][0]
+            index = ExampleIndex(ds.impressions + [Impression("cold", "u0", 0, [], [(first, 1)])], feats)
+            examples = IndexedBatch(index, np.array([0, 1, 2, 3, 4, len(index.labels) - 1]))
 
             def loss_fn():
                 return loss_batch(params, examples, feats, mode="train",

@@ -125,6 +125,7 @@ class TestRunConfig:
         ("summarizer.budget_tokens=0", "summarizer.budget_tokens"),
         ("summarizer.lead_sentences=-1", "summarizer.lead_sentences"),
         ("summarizer.profile_top_n=-2", "summarizer.profile_top_n"),
+        ("seed=-4", "seed"),
     ])
     def test_out_of_range_set_exits_one_before_data_is_read(self, tmp_path, capsys, item, key):
         with pytest.raises(ConfigError, match=key):
@@ -196,6 +197,17 @@ class TestIngest:
         assert "--max-users" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fmt", ["mind", "jsonl"])
+    def test_negative_seed_is_a_usage_error(self, mind_dir, tmp_path, capsys, fmt):
+        data_mod.write_jsonl(tmp_path / "d.jsonl", [data_mod.Article("A1", "Title one")],
+                             [data_mod.Impression("I1", "U1", 1, [], [("A1", 1)])])
+        inputs = {"mind": ["--news", mind_dir / "news.tsv", "--behaviors", mind_dir / "behaviors.tsv"],
+                  "jsonl": ["--input", tmp_path / "d.jsonl"]}[fmt]
+        code = run("ingest", "--format", fmt, *inputs, "--max-users", 3, "--seed", -2, "--out", tmp_path / "out")
+        assert code == 1
+        assert "config error: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option", [("--config", "run.json"), ("--set", "train.seed=1")])
     def test_run_config_options_are_rejected(self, mind_dir, tmp_path, option):
         # ingest reads no run config, so a config option given to it is a usage error.
@@ -260,6 +272,14 @@ class TestExitCodes:
         assert "manifest.json" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert (out / "manifest.json").read_text() == text
+
+    @pytest.mark.parametrize("option,value,name", [
+        ("--users", 0, "n_users"), ("--articles", -1, "n_articles"), ("--impressions", 0, "n_impressions"),
+        ("--topics", 0, "topic_count"), ("--seed", -1, "seed"),
+    ])
+    def test_out_of_range_synth_value_exits_one_naming_it(self, tmp_path, capsys, option, value, name):
+        assert run("synth", option, value, "--out", tmp_path / "o") == 1
+        assert f"config error: {name} must be >= " in capsys.readouterr().err
 
     def test_a_bare_key_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def broken(spec):

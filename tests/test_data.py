@@ -21,6 +21,7 @@ from flowrec.data import (
     subsample_users,
     unresolved_ids,
 )
+from flowrec.errors import ConfigError
 
 NEWS_LINE = "N1\tsports\tsoccer\tTitle A\tAbstract A\thttp://x\t[]\t[]"
 BEHAVIOR_LINE = "1\tU1\t11/11/2019 9:05:58 AM\tN10 N11\tN20-1 N21-0"
@@ -302,9 +303,11 @@ class TestSynthetic:
         assert not unresolved_ids(ds.corpus, ds.impressions)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError, match="n_users"):
             SyntheticSpec(n_users=0).validate()
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError, match="seed"):
+            SyntheticSpec(seed=-1).validate()
+        with pytest.raises(ConfigError, match="click_rule"):
             SyntheticSpec(click_rule="nope").validate()
 
     @pytest.mark.parametrize("rule", ["planted-bilinear", "topic-affinity", "flow-mix"])

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,19 +25,43 @@ from flowrec.train import (
     FeatureSource,
     IndexedBatch,
     TrainConfig,
-    TrainExample,
     TrainingError,
     _forward,
     _gather,
     adam_init,
     adam_step,
     backward_batch,
-    build_examples,
     evaluate_params,
     finite_difference_grads,
     loss_batch,
     train,
 )
+
+
+class Example(NamedTuple):
+    user_id: str
+    history: tuple[str, ...]
+    candidate_id: str
+    label: int
+
+
+def reference_examples(impressions, corpus) -> list[Example]:
+    """The Python reference for what impressions contribute to training: each
+    candidate in the corpus, positives first, with the user and the history's
+    ids in the corpus."""
+    return [Example(imp.user_id, tuple(a for a in imp.history if a in corpus), a, y) for imp in impressions
+            for a, y in sorted([c for c in imp.candidates if c[0] in corpus], key=lambda c: -c[1])]
+
+
+def as_impressions(examples) -> list[Impression]:
+    """One impression of one candidate per example, in order."""
+    return [Impression(f"x{j}", ex.user_id, 0, list(ex.history), [(ex.candidate_id, ex.label)])
+            for j, ex in enumerate(examples)]
+
+
+def indexed(examples, feats) -> IndexedBatch:
+    """The examples as one batch, in order, of an index of their own."""
+    return IndexedBatch(ExampleIndex(as_impressions(examples), feats), np.arange(len(examples)))
 
 
 def toy_setup(seed=3, flags=None, batch_norm=False, dropout=0.0):
@@ -51,13 +76,14 @@ def toy_setup(seed=3, flags=None, batch_norm=False, dropout=0.0):
     params = init_model_params(cfg, vocabs, seed=11)
     provider = ProfileProvider(corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
     feats = FeatureSource(params, corpus, HashedTextEmbedder(cfg.embed_dim), provider)
-    examples = build_examples(ds.impressions, corpus)[:5]
-    examples.append(TrainExample("u0", (), examples[0].candidate_id, 1))  # cold start
+    examples = reference_examples(ds.impressions, corpus)[:5]
+    examples.append(Example("u0", (), examples[0].candidate_id, 1))  # cold start
     return ds, params, feats, examples
 
 
 def assert_matches_central_difference(params, feats, batch, dropout, mode="train"):
     """Analytic gradients of every trainable tensor agree with the finite-difference oracle."""
+    batch = indexed(batch, feats)
 
     def loss_fn():
         return loss_batch(params, batch, feats, mode=mode,
@@ -78,7 +104,7 @@ class TestLoss:
         _, params, feats, examples = toy_setup()
         params.tensors["head_w"][...] = 0.0
         params.tensors["head_b"][...] = 0.0
-        loss = loss_batch(params, examples[:1], feats, mode="eval")
+        loss = loss_batch(params, indexed(examples[:1], feats), feats, mode="eval")
         assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
 
     def test_clamp_edge(self):
@@ -87,22 +113,22 @@ class TestLoss:
         positive = [ex for ex in examples if ex.label == 1][:1]
         params.tensors["head_w"][...] = 0.0
         params.tensors["head_b"][...] = 80.0
-        loss = loss_batch(params, positive, feats, mode="eval")
+        loss = loss_batch(params, indexed(positive, feats), feats, mode="eval")
         assert math.isclose(loss, -math.log(1.0 - 1e-7), rel_tol=1e-3)
         assert loss < 2e-7
 
     def test_mean_of_per_example_losses(self):
         _, params, feats, examples = toy_setup()
         batch = examples[:4]
-        total = sum(loss_batch(params, [ex], feats, mode="eval") for ex in batch)
-        batched = loss_batch(params, batch, feats, mode="eval")
+        total = sum(loss_batch(params, indexed([ex], feats), feats, mode="eval") for ex in batch)
+        batched = loss_batch(params, indexed(batch, feats), feats, mode="eval")
         assert math.isclose(batched, total / 4.0, rel_tol=1e-12)
 
     def test_nonfinite_loss_aborts_with_dump(self):
         _, params, feats, examples = toy_setup()
         params.tensors["head_w"][...] = np.nan
         with pytest.raises(TrainingError) as err:
-            backward_batch(params, examples[:2], feats, mode="eval")
+            backward_batch(params, indexed(examples[:2], feats), feats, mode="eval")
         assert "examples" in err.value.dump
 
     def test_nonfinite_gradient_aborts_with_dump(self):
@@ -111,8 +137,9 @@ class TestLoss:
         # so the loss stays finite while inf * 0 reaches the constant-flow head gradient.
         params.tensors["profile_b"][params.config.attr_out_dim] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match="non-finite gradient") as err:
-            assert np.isfinite(loss_batch(params, examples, feats, mode="eval"))
-            backward_batch(params, examples, feats, mode="eval")
+            batch = indexed(examples, feats)
+            assert np.isfinite(loss_batch(params, batch, feats, mode="eval"))
+            backward_batch(params, batch, feats, mode="eval")
         bad = err.value.dump["nonfinite_gradients"]
         assert "head_w" in bad and all(n > 0 for n in bad.values())
         assert "examples" in err.value.dump
@@ -144,7 +171,7 @@ class TestGradients:
 
     def test_untouched_attribute_rows_zero(self):
         ds, params, feats, examples = toy_setup()
-        _, grads = backward_batch(params, examples[:2], feats, mode="eval")
+        _, grads = backward_batch(params, indexed(examples[:2], feats), feats, mode="eval")
         touched = set()
         for ex in examples[:2]:
             for art_id in (*ex.history, ex.candidate_id):
@@ -160,12 +187,12 @@ class TestGradients:
         positive = [ex for ex in examples if ex.label == 1][:1]
         params.tensors["head_w"][...] = 0.0
         params.tensors["head_b"][...] = 80.0  # p clamps to 1 - 1e-7
-        _, grads = backward_batch(params, positive, feats, mode="eval")
+        _, grads = backward_batch(params, indexed(positive, feats), feats, mode="eval")
         assert all(not g.any() for g in grads.values())
 
     def test_frozen_embedder_gets_no_gradient(self):
         _, params, feats, examples = toy_setup()
-        _, grads = backward_batch(params, examples, feats, mode="eval")
+        _, grads = backward_batch(params, indexed(examples, feats), feats, mode="eval")
         assert all(not name.startswith("embed") for name in grads)
         assert set(grads) <= set(params.trainable_names())
 
@@ -185,12 +212,12 @@ class TestGroupedBackward:
         a = [art.article_id for art in ds.articles]
         shared = (a[0], a[1], a[2])
         batch = [
-            TrainExample("u1", shared, a[3], 1),  # three candidates share one user state
-            TrainExample("u1", shared, a[4], 0),
-            TrainExample("u1", shared, a[5], 0),
-            TrainExample("u2", (), a[3], 0),  # empty history
-            TrainExample("u3", (a[6], a[7], a[6]), a[8], 1),  # an article twice in one history
-            TrainExample("u0", (a[9], a[10]), a[9], 1),  # a candidate inside its own history
+            Example("u1", shared, a[3], 1),  # three candidates share one user state
+            Example("u1", shared, a[4], 0),
+            Example("u1", shared, a[5], 0),
+            Example("u2", (), a[3], 0),  # empty history
+            Example("u3", (a[6], a[7], a[6]), a[8], 1),  # an article twice in one history
+            Example("u0", (a[9], a[10]), a[9], 1),  # a candidate inside its own history
         ]
         assert_matches_central_difference(params, feats, batch, dropout)
 
@@ -201,7 +228,7 @@ def padded_state_batch(ds):
     a = [art.article_id for art in ds.articles]
     states = [("u0", (), 2), ("u1", (a[5],), 6), ("u2", (a[1], a[2], a[1]), 1),
               ("u3", tuple(a[:12]), 4)]
-    per_state = [[TrainExample(user, history, a[(3 * k + j) % 12], (k + j) % 2)
+    per_state = [[Example(user, history, a[(3 * k + j) % 12], (k + j) % 2)
                   for j in range(count)] for k, (user, history, count) in enumerate(states)]
     batch = []
     while any(per_state):
@@ -212,7 +239,7 @@ def padded_state_batch(ds):
 def assert_logits_match_per_state_scoring(params, feats, batch):
     """Each user state's probabilities in the batch agree with score_candidates on
     that state alone, and its padded history slots get no attention; returns the cache."""
-    _, probs, cache = _forward(params, batch, feats, "eval", None, 0.0)
+    _, probs, cache = _forward(params, indexed(batch, feats), feats, "eval", None, 0.0)
     reps, alpha = cache["reps"], cache["flow"]["alpha"]
     # Rep rows follow first appearance in the batch; states too.
     row_of = {a: i for i, a in enumerate(dict.fromkeys(
@@ -265,9 +292,9 @@ def test_slot_layout_in_two_groups_matches_central_difference():
     ds, params, feats = sixty_article_setup()
     a = [art.article_id for art in ds.articles]
     histories = [tuple(a[3 * k:3 * k + 3]) for k in range(10)] + [(a[0], a[5], a[0])]  # shared, repeated
-    batch = [TrainExample(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
+    batch = [Example(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
              for k, history in enumerate(histories) for j in range(24)]
-    _, _, cache = _forward(params, batch, feats, "eval", None, 0.0)
+    _, _, cache = _forward(params, indexed(batch, feats), feats, "eval", None, 0.0)
     n_states, width, d = cache["cands"].shape
     assert (len(cache["reps"]), n_states, width) == (60, 11, 24)
     assert slot_groups(len(cache["reps"]), n_states, len(batch), cache["hist_idx"].shape[1], d) == 10  # 2 groups
@@ -280,7 +307,7 @@ def ragged_slot_batch(ds):
     a = [art.article_id for art in ds.articles]
     histories = [tuple(a[5 * k:5 * k + k % 6]) for k in range(10)] + [(a[0], a[5], a[0])]
     widths = [24] + [1 + 5 * k % 23 for k in range(1, 11)]
-    return [TrainExample(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
+    return [Example(f"u{k}", history, a[(7 * k + j) % 60], (k + j) % 2)
             for k, (history, width) in enumerate(zip(histories, widths)) for j in range(width)]
 
 
@@ -301,12 +328,14 @@ def test_ragged_batch_matches_central_difference(make_batch, groups):
 
 
 def index_world(ds):
-    """The toy world's examples plus a user state without history and one whose
-    history holds an article twice (and a candidate from inside it)."""
+    """The toy world's impressions plus one-candidate impressions of a user state
+    without history and of one whose history holds an article twice (and a
+    candidate from inside it); and their examples."""
     a = [art.article_id for art in ds.articles]
-    return (build_examples(ds.impressions, ds.corpus)
-            + [TrainExample("u2", (), a[j], j % 2) for j in (3, 4, 5)]
-            + [TrainExample("u3", (a[6], a[7], a[6]), a[j], (j + 1) % 2) for j in (8, 9, 6)])
+    impressions = ds.impressions + as_impressions(
+        [Example("u2", (), a[j], j % 2) for j in (3, 4, 5)]
+        + [Example("u3", (a[6], a[7], a[6]), a[j], (j + 1) % 2) for j in (8, 9, 6)])
+    return impressions, reference_examples(impressions, ds.corpus)
 
 
 def shuffled_batches(n, count=8, seed=5):
@@ -316,21 +345,52 @@ def shuffled_batches(n, count=8, seed=5):
 
 def first_batch(ds, config):
     """train()'s first batch: the first batch_size examples of its seeded shuffle."""
-    examples = build_examples(split_by_time(ds.impressions, config.holdout_fraction)[0], ds.corpus)
+    examples = reference_examples(split_by_time(ds.impressions, config.holdout_fraction)[0], ds.corpus)
     order = np.arange(len(examples))
     np.random.default_rng(config.seed).shuffle(order)
     return [examples[j] for j in order[:config.batch_size]]
 
 
 class TestExampleIndex:
-    """train() resolves its examples to integers once and gathers each batch from them."""
+    """train() resolves its impressions to integers once and gathers each batch from them."""
+
+    def test_index_matches_the_reference_over_impressions(self):
+        ds, params, feats, _ = toy_setup()
+        a = [art.article_id for art in ds.articles]
+        impressions = ds.impressions + [
+            Impression("out", "u1", 0, [a[0], "gone", a[1]], [("gone", 1), (a[2], 0), ("lost", 0), (a[3], 1)]),
+            Impression("none", "u9", 0, [a[4]], [("gone", 1), ("lost", 0)]),  # no candidate in the table
+            Impression("again", "u1", 0, [a[0], a[1]], [(a[5], 0), (a[6], 1)]),  # the state of "out"
+            Impression("cold", "u2", 0, [], [(a[7], 0), (a[8], 1), (a[9], 1)]),
+        ]
+        asked = []
+        rows = feats.profile_rows
+        feats.profile_rows = lambda keys: asked.append(list(keys)) or rows(keys)
+        index = ExampleIndex(impressions, feats)
+        want = reference_examples(impressions, ds.corpus)
+        assert want[-7:] == [Example("u1", (a[0], a[1]), a[3], 1), Example("u1", (a[0], a[1]), a[2], 0),
+                             Example("u1", (a[0], a[1]), a[6], 1), Example("u1", (a[0], a[1]), a[5], 0),
+                             Example("u2", (), a[8], 1), Example("u2", (), a[9], 1), Example("u2", (), a[7], 0)]
+        states = list(dict.fromkeys((ex.user_id, ex.history) for ex in want))
+        assert asked == [states] and index.state_keys == states
+        assert all(user != "u9" for user, _ in states)
+        assert index.state.tolist() == [states.index((ex.user_id, ex.history)) for ex in want]
+        assert index.cand_ids == [ex.candidate_id for ex in want]
+        assert index.labels.dtype == np.float64 and index.labels.tolist() == [ex.label for ex in want]
+        assert index.cand_row.tolist() == [feats.row_of[ex.candidate_id] for ex in want]
+        assert index.hist_len.tolist() == [len(h) for _, h in states]
+        assert index.hist_rows.shape == (len(states), max(len(h) for _, h in states))
+        for s, (_, history) in enumerate(states):
+            assert index.hist_rows[s].tolist() == [feats.row_of[h] for h in history] + [0] * (
+                index.hist_rows.shape[1] - len(history))
+        assert np.array_equal(index.profile_row, rows(states))
 
     def test_batch_arrays_match_first_appearance(self):
         ds, params, feats, _ = toy_setup()
-        examples = index_world(ds)
+        impressions, examples = index_world(ds)
         assert any(not ex.history for ex in examples)
         assert any(len(set(ex.history)) < len(ex.history) for ex in examples)
-        index = ExampleIndex(examples, feats)
+        index = ExampleIndex(impressions, feats)
         for take in shuffled_batches(len(examples)):
             batch = [examples[j] for j in take]
             g = _gather(IndexedBatch(index, take))
@@ -359,12 +419,12 @@ class TestExampleIndex:
     ])
     def test_index_path_is_bit_identical_to_list_path(self, batch_norm, dropout, flags):
         ds, params, feats, _ = toy_setup(batch_norm=batch_norm, dropout=dropout, flags=flags)
-        examples = index_world(ds)
-        index = ExampleIndex(examples, feats)
+        impressions, examples = index_world(ds)
+        index = ExampleIndex(impressions, feats)
         for step, take in enumerate(shuffled_batches(len(examples))):
             got_loss, got = backward_batch(params, IndexedBatch(index, take), feats,
                                            rng=np.random.default_rng(step), dropout=dropout)
-            want_loss, want = backward_batch(params, [examples[j] for j in take], feats,
+            want_loss, want = backward_batch(params, indexed([examples[j] for j in take], feats), feats,
                                              rng=np.random.default_rng(step), dropout=dropout)
             assert got_loss == want_loss
             assert got.keys() == want.keys()
@@ -382,7 +442,7 @@ class TestExampleIndex:
                             lambda *args, **kwargs: events.append("step") or step(*args, **kwargs))
         config = TrainConfig(learning_rate=0.01, batch_size=16, max_steps=3, seed=3)
         train(params, ds.corpus, ds.impressions, config, embedder, provider)
-        examples = build_examples(split_by_time(ds.impressions, config.holdout_fraction)[0], ds.corpus)
+        examples = reference_examples(split_by_time(ds.impressions, config.holdout_fraction)[0], ds.corpus)
         expected = list(dict.fromkeys((ex.user_id, ex.history) for ex in examples if ex.history))
         assert len(expected) > len({(ex.user_id, ex.history) for ex in first_batch(ds, config)})
         assert events == expected + ["step"] * 3
@@ -412,7 +472,7 @@ class TestExampleIndex:
         ds = quick_dataset()
         params, embedder, provider = quick_model(ds)
         train_part, val = split_by_time(ds.impressions, EARLY_STOP.holdout_fraction)
-        trained = {(ex.user_id, ex.history) for ex in build_examples(train_part, ds.corpus)}
+        trained = {(ex.user_id, ex.history) for ex in reference_examples(train_part, ds.corpus)}
         key = next((imp.user_id, tuple(imp.history)) for imp in val
                    if imp.history and (imp.user_id, tuple(imp.history)) not in trained)
         ask = provider.profile_text
@@ -451,10 +511,11 @@ def test_package_train_is_the_function_and_the_module_stays_importable():
 
 
 # tracemalloc peak, in bytes, of one backward_batch at this shape with the flow scored in
-# candidate space (20,712,243 B; numpy 2.4, 2-vCPU x86-64 VM). A forward that gathered a padded
-# [S, L, d + 1] key block over every user state read 23.68 MB here, and one flow call per user
-# state 20.18 MB.
-PAPER_SHAPE_PEAK = 20.72e6
+# candidate space, its batch indexed before the traced step as train() indexes before its first
+# (20,623,435 B; numpy 2.4, 2-vCPU x86-64 VM). The same step that also indexed its batch read
+# 20,712,243 B; with that indexing inside, a forward that gathered a padded [S, L, d + 1] key
+# block over every user state read 23.68 MB here, and one flow call per user state 20.18 MB.
+PAPER_SHAPE_PEAK = 20.63e6
 
 
 def test_backward_peak_memory_at_paper_shape():
@@ -467,10 +528,11 @@ def test_backward_peak_memory_at_paper_shape():
     params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=1)
     provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
     feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
-    batch = build_examples(ds.impressions, ds.corpus)[:512]
-    assert len({(ex.user_id, ex.history) for ex in batch}) == 86
-    assert {len(ex.history) for ex in batch} == {50}
-    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the profile table
+    examples = reference_examples(ds.impressions, ds.corpus)[:512]
+    assert len({(ex.user_id, ex.history) for ex in examples}) == 86
+    assert {len(ex.history) for ex in examples} == {50}
+    batch = indexed(examples, feats)  # before the traced step, as train() indexes before its first
+    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # an untraced first step
     tracemalloc.start()
     try:
         backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
@@ -482,10 +544,12 @@ def test_backward_peak_memory_at_paper_shape():
 
 
 # tracemalloc peak, in bytes, of one backward_batch at this shape with the flow scored in
-# candidate space, in three groups of states (62,556,123 B; numpy 2.4, 2-vCPU x86-64 VM).
-# A forward that gathered a padded [S, L, d + 1] key block read 65.94 MB here, and one that
-# also summed a row-space key gradient in the backward 70.38 MB.
-STATE_PER_EXAMPLE_PEAK = 62.56e6
+# candidate space, in three groups of states, its batch indexed before the traced step
+# (62,417,635 B; numpy 2.4, 2-vCPU x86-64 VM). The same step that also indexed its batch read
+# 62,556,123 B; with that indexing inside, a forward that gathered a padded [S, L, d + 1] key
+# block read 65.94 MB here, and one that also summed a row-space key gradient in the backward
+# 70.38 MB.
+STATE_PER_EXAMPLE_PEAK = 62.42e6
 
 
 def test_backward_peak_memory_with_a_state_per_example():
@@ -499,9 +563,10 @@ def test_backward_peak_memory_with_a_state_per_example():
     params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=1)
     provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
     feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
-    batch = build_examples(ds.impressions, ds.corpus)
-    assert len({(ex.user_id, ex.history) for ex in batch}) == len(batch) == 160
-    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the profile table
+    examples = reference_examples(ds.impressions, ds.corpus)
+    assert len({(ex.user_id, ex.history) for ex in examples}) == len(examples) == 160
+    batch = indexed(examples, feats)  # before the traced step, as train() indexes before its first
+    backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # an untraced first step
     tracemalloc.start()
     try:
         backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
@@ -512,9 +577,11 @@ def test_backward_peak_memory_with_a_state_per_example():
     assert peak <= STATE_PER_EXAMPLE_PEAK, f"peak {peak / 1e6:.2f} MB"
 
 
-# tracemalloc peaks, in bytes, of the two batches below (numpy 2.4, 2-vCPU x86-64 VM):
-# 19,425,283 B with every history 20 rows long and 23,421,987 B with one of 400. A forward
-# that padded every state's keys to the longest history read 21.37 MB and 179.60 MB.
+# tracemalloc peaks, in bytes, of the two batches below, each indexed before the traced step
+# (numpy 2.4, 2-vCPU x86-64 VM): 19,363,563 B with every history 20 rows long and 22,870,859 B
+# with one of 400. Steps that also indexed their batch read 19,425,283 B and 23,421,987 B; with
+# that indexing inside, a forward that padded every state's keys to the longest history read
+# 21.37 MB and 179.60 MB.
 def test_one_long_history_costs_little_memory():
     """A skewed batch costs at most 25% more memory than a uniform one: one
     backward_batch at paper dims over a 2,000-article world, 160 one-example user
@@ -527,15 +594,16 @@ def test_one_long_history_costs_little_memory():
     params = init_model_params(cfg, build_vocabs(ds.articles, cfg.attr_names), seed=1)
     provider = ProfileProvider(ds.corpus, TEMPLATES["user_profile_mind"], StubCompletionClient())
     feats = FeatureSource(params, ds.corpus, HashedTextEmbedder(cfg.embed_dim), provider)
-    uniform = build_examples(ds.impressions, ds.corpus)
+    uniform = reference_examples(ds.impressions, ds.corpus)
     assert len({(ex.user_id, ex.history) for ex in uniform}) == len(uniform) == 160
     assert {len(ex.history) for ex in uniform} == {20}
     last = uniform[-1]
-    skewed = uniform[:-1] + [TrainExample(last.user_id, tuple(a.article_id for a in ds.articles[:400]),
-                                          last.candidate_id, last.label)]
+    skewed = uniform[:-1] + [Example(last.user_id, tuple(a.article_id for a in ds.articles[:400]),
+                                     last.candidate_id, last.label)]
     peaks = []
-    for batch in (uniform, skewed):
-        backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # fills the profile table
+    for examples in (uniform, skewed):
+        batch = indexed(examples, feats)  # before the traced step, as train() indexes before its first
+        backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)  # an untraced first step
         tracemalloc.start()
         try:
             backward_batch(params, batch, feats, rng=np.random.default_rng(0), dropout=0.1)
@@ -739,11 +807,11 @@ class TestTrainLoop:
         params, embedder, provider = quick_model(ds)
         trained_on = []
 
-        def spy(impressions, corpus):
+        def spy(impressions, feats):
             trained_on.extend(impressions)
-            return build_examples(impressions, corpus)
+            return ExampleIndex(impressions, feats)
 
-        monkeypatch.setattr(sys.modules["flowrec.train"], "build_examples", spy)
+        monkeypatch.setattr(sys.modules["flowrec.train"], "ExampleIndex", spy)
         val = sorted(ds.impressions, key=lambda imp: imp.timestamp)[:20]  # the earliest, not the default holdout
         result = train(params, ds.corpus, ds.impressions, EARLY_STOP, embedder, provider,
                        val_impressions=val)
