@@ -10,6 +10,10 @@ config file; individual values can be overridden with ``--set key.path=value``.
 An article without a summary is encoded from its raw body by every command,
 and each command that encodes articles warns once with their count.
 
+One table, ``COMMANDS``, names the files each command reads and writes: from it
+``main()`` builds the file flags, checks and digests the inputs, hands the output
+paths to the command and writes its one manifest entry.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 runtime failure.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import os
 import signal
@@ -67,6 +72,12 @@ DEFAULT_CONFIG: dict = {
         "max_workers": 1,
     },
     "embedder": {"kind": "hashed", "path": None},
+}
+
+# The key that picks each section's embedder kind or client; the file key each choice reads, if any.
+_KINDS = {
+    "embedder": ("kind", {"hashed": None, "precomputed": "path"}),
+    "summarizer": ("client", {"stub": None, "replay": "replay_path", "remote": None}),
 }
 
 
@@ -125,14 +136,9 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node: dict = {}
-        leaf = node
-        keys = dotted.split(".")
-        for key in keys[:-1]:
-            leaf[key] = {}
-            leaf = leaf[key]
-        leaf[keys[-1]] = value
-        config = _merge_checked(config, node)
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        config = _merge_checked(config, value)
     model_config_from_run(config).validate()
     train_config_from_run(config).validate()
     for key in ("article_template", "profile_template"):
@@ -142,6 +148,12 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
     for key in ("budget_tokens", "lead_sentences", "profile_top_n"):
         if config["summarizer"][key] < 1:
             raise ConfigError(f"summarizer.{key} must be at least 1, got {config['summarizer'][key]}")
+    for section, (key, kinds) in _KINDS.items():
+        kind = config[section][key]
+        if kind not in kinds:
+            raise ConfigError(f"unknown {section}.{key} {kind!r}; known: {', '.join(kinds)}")
+        if kinds[kind] and not config[section][kinds[kind]]:
+            raise ConfigError(f"{section}.{key} {kind!r} needs {section}.{kinds[kind]}")
     return config
 
 
@@ -158,11 +170,7 @@ def make_embedder(config: dict, dim: int):
     emb = config["embedder"]
     if emb["kind"] == "hashed":
         return HashedTextEmbedder(dim)
-    if emb["kind"] == "precomputed":
-        if not emb["path"]:
-            raise ConfigError("precomputed embedder needs embedder.path")
-        return PrecomputedTextEmbedder.from_file(emb["path"])  # its dim is checked by FeatureSource
-    raise ConfigError(f"unknown embedder kind {emb['kind']!r}")
+    return PrecomputedTextEmbedder.from_file(emb["path"])  # its dim is checked by FeatureSource
 
 
 def make_client(config: dict):
@@ -170,12 +178,8 @@ def make_client(config: dict):
     if s["client"] == "stub":
         return StubCompletionClient(s["budget_tokens"], s["lead_sentences"], s["profile_top_n"])
     if s["client"] == "replay":
-        if not s["replay_path"]:
-            raise ConfigError("replay client needs summarizer.replay_path")
         return ReplayCompletionClient(s["replay_path"])
-    if s["client"] == "remote":
-        return RemoteCompletionClient()
-    raise ConfigError(f"unknown summarizer client {s['client']!r}")
+    return RemoteCompletionClient()
 
 
 def make_profile_provider(config: dict, corpus, user_attrs=None) -> ProfileProvider:
@@ -196,8 +200,6 @@ def load_user_attrs(path: str | None) -> dict:
     mention user attributes (position, organization, skill)."""
     if not path:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"user attrs file {path!r} does not exist")
     raw = _read_json_object(path, "user attrs file")
     if not all(isinstance(attrs, dict) and all(isinstance(v, str) for v in attrs.values())
                for attrs in raw.values()):
@@ -213,16 +215,11 @@ def _read_manifest(out_dir: str) -> list[dict]:
     return entries
 
 
-def _out_dir(args) -> str:
-    """``--out``, made if missing, with its manifest checked before anything is written."""
-    os.makedirs(args.out, exist_ok=True)
-    _read_manifest(args.out)
-    return args.out
-
-
 def _write_manifest(out_dir: str, entry: dict) -> None:
-    """Record one entry per command; output paths are stored relative to the
-    out dir so reruns into different directories stay byte-identical."""
+    """Replace the command's entry in ``out_dir``'s manifest: ``command``, ``inputs`` (the SHA-256
+    of each file read, keyed by the flag or run config key naming it), ``config`` (the SHA-256 of
+    the merged run config), ``outputs`` by role and ``stats``. Output paths are stored relative to
+    ``out_dir``, so the same commands run into two directories write byte-identical manifests."""
     if "outputs" in entry:
         entry["outputs"] = {k: os.path.relpath(v, out_dir) for k, v in entry["outputs"].items()}
     path = os.path.join(out_dir, "manifest.json")
@@ -247,8 +244,6 @@ def _frozen_inputs(args, config: dict, corpus, model_config: ModelConfig):
 
 
 def _load_dataset(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file {path!r} does not exist")
     result = data_mod.read_jsonl(path)
     for err in result.errors[:5]:
         print(f"warning: {err}", file=sys.stderr)
@@ -256,46 +251,31 @@ def _load_dataset(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments, the run config (None for a
+# command without one) and its output paths by role, and returns its stats.
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
+def cmd_synth(args, config: dict, paths: dict) -> dict:
     spec = data_mod.SyntheticSpec(
         n_users=args.users, n_articles=args.articles, n_impressions=args.impressions,
         topic_count=args.topics, seed=args.seed if args.seed is not None else config["seed"],
         click_rule=args.rule,
     )
     dataset = data_mod.generate_synthetic(spec)
-    data_path = os.path.join(out, "dataset.jsonl")
-    data_mod.write_jsonl(data_path, dataset.articles, dataset.impressions)
-    truth_path = os.path.join(out, "truth.json")
-    with replacing(truth_path, "w", encoding="utf-8") as fh:
+    data_mod.write_jsonl(paths["dataset"], dataset.articles, dataset.impressions)
+    with replacing(paths["truth"], "w", encoding="utf-8") as fh:
         json.dump(dataset.truth, fh, sort_keys=True)
-    outputs = {"dataset": data_path, "truth": truth_path}
     if "user_attrs" in dataset.truth:
-        attrs_path = os.path.join(out, "user_attrs.json")
-        with replacing(attrs_path, "w", encoding="utf-8") as fh:
+        with replacing(paths["user_attrs"], "w", encoding="utf-8") as fh:
             json.dump(dataset.truth["user_attrs"], fh, sort_keys=True)
-        outputs["user_attrs"] = attrs_path
+    else:
+        del paths["user_attrs"]  # only a world with user attributes writes them
     print(f"users={spec.n_users} articles={spec.n_articles} impressions={spec.n_impressions} rule={spec.click_rule}")
-    _write_manifest(out, {"command": "synth", "outputs": outputs, "spec": spec.__dict__})
-    return 0
+    return spec.__dict__
 
 
-def cmd_ingest(args) -> int:
-    if args.max_users is not None and args.max_users < 1:
-        raise ConfigError(f"--max-users must be at least 1, not {args.max_users}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be at least 0, not {args.seed}")
-    out = _out_dir(args)
+def cmd_ingest(args, config: None, paths: dict) -> dict:
     if args.format == "mind":
-        if not args.news or not args.behaviors:
-            raise ConfigError("mind format needs --news and --behaviors")
-        for path in (args.news, args.behaviors):
-            if not os.path.exists(path):
-                raise ConfigError(f"input file {path!r} does not exist")
         with open(args.news, "rb") as fh:  # each line is decoded on its own, as in read_jsonl
             news = data_mod.parse_mind_news(fh)
         with open(args.behaviors, "rb") as fh:
@@ -303,10 +283,6 @@ def cmd_ingest(args) -> int:
         articles, impressions = news.articles, behaviors.impressions
         errors = news.errors + behaviors.errors
     else:
-        if not args.input:
-            raise ConfigError("jsonl format needs --input")
-        if not os.path.exists(args.input):
-            raise ConfigError(f"input file {args.input!r} does not exist")
         result = data_mod.read_jsonl(args.input)
         articles, impressions, errors = result.articles, result.impressions, result.errors
 
@@ -318,27 +294,19 @@ def cmd_ingest(args) -> int:
     corpus = data_mod.build_corpus(articles)
     users = {imp.user_id for imp in impressions}
     missing = data_mod.unresolved_ids(corpus, impressions)
-    data_path = os.path.join(out, "dataset.jsonl")
-    data_mod.write_jsonl(data_path, articles, impressions)
-    stats = {
-        "articles": len(articles),
-        "impressions": len(impressions),
-        "users": len(users),
-        "rejected_records": len(errors),
-        "unresolved_ids": len(missing),
-    }
+    data_mod.write_jsonl(paths["dataset"], articles, impressions)
+    stats = {"articles": len(articles), "impressions": len(impressions), "users": len(users),
+             "rejected_records": len(errors), "unresolved_ids": len(missing)}
     print(json.dumps(stats, sort_keys=True))
-    _write_manifest(out, {"command": "ingest", "outputs": {"dataset": data_path}, "stats": stats})
-    return 0
+    return stats
 
 
-def cmd_summarize(args) -> int:
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
+def cmd_summarize(args, config: dict, paths: dict) -> dict:
     corpus, impressions = _load_dataset(args.data)
     s = config["summarizer"]
-    cache_path = s["cache_path"] or os.path.join(out, "summary_cache.jsonl")
-    cache = SummaryCache(cache_path)
+    if s["cache_path"]:
+        paths["cache"] = s["cache_path"]
+    cache = SummaryCache(paths["cache"])
     client = make_client(config)
     template = TEMPLATES[s["article_template"]]
     summaries, errors = summarize_corpus(
@@ -348,18 +316,13 @@ def cmd_summarize(args) -> int:
         corpus[art_id].summary = summary
     for err in errors[:10]:
         print(f"warning: article {err.article_id}: {err}", file=sys.stderr)
-    data_path = os.path.join(out, "dataset.jsonl")
-    data_mod.write_jsonl(data_path, list(corpus.values()), impressions)
+    data_mod.write_jsonl(paths["dataset"], list(corpus.values()), impressions)
     stats = {"summarized": len(summaries), "errors": len(errors), "cache_entries": len(cache)}
     print(json.dumps(stats, sort_keys=True))
-    _write_manifest(out, {"command": "summarize", "outputs": {"dataset": data_path, "cache": cache_path},
-                          "stats": stats})
-    return 0
+    return stats
 
 
-def cmd_train(args) -> int:
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
+def cmd_train(args, config: dict, paths: dict) -> dict:
     corpus, impressions = _load_dataset(args.data)
     if not impressions:
         raise data_mod.DataFormatError("dataset has no impressions to train on")
@@ -368,24 +331,16 @@ def cmd_train(args) -> int:
     params = init_model_params(model_config, vocabs, seed=config["seed"])
     embedder, provider = _frozen_inputs(args, config, corpus, model_config)
     result = train(params, corpus, impressions, train_config_from_run(config), embedder, provider)
-    ckpt_path = os.path.join(out, "checkpoint.bin")
-    tag = ckpt.save_checkpoint(ckpt_path, result.params)
-    log_path = os.path.join(out, "train_log.csv")
-    result.write_log(log_path)
-    stats = {
-        "steps_run": result.steps_run,
-        "best_val_auc": result.best_val_auc,
-        "version_tag": tag,
-        "n_parameters": result.params.n_parameters(),
-    }
+    tag = ckpt.save_checkpoint(paths["checkpoint"], result.params)
+    result.write_log(paths["log"])
+    stats = {"steps_run": result.steps_run, "best_val_auc": result.best_val_auc, "version_tag": tag,
+             "n_parameters": result.params.n_parameters()}
     print(json.dumps(stats, sort_keys=True))
-    _write_manifest(out, {"command": "train", "outputs": {"checkpoint": ckpt_path, "log": log_path},
-                          "stats": stats})
-    return 0
+    return stats
 
 
-def cmd_eval(args) -> int:
-    config, out, impressions, params, features = _checkpoint_inputs(args)
+def cmd_eval(args, config: dict, paths: dict) -> dict:
+    impressions, params, features = _checkpoint_inputs(args, config)
     if args.holdout:
         _, impressions = data_mod.split_by_time(impressions, config["train"]["holdout_fraction"])
     report = evaluate_params(params, features, impressions, include_global_auc=args.global_auc)
@@ -393,44 +348,33 @@ def cmd_eval(args) -> int:
         name: getattr(params.config, name)
         for name in ("instant_flow", "constant_flow", "flow_gate", "use_instruct_u", "use_summaries")
     }
-    report_path = os.path.join(out, "eval_report.json")
-    with replacing(report_path, "w", encoding="utf-8") as fh:
+    with replacing(paths["report"], "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     print(report.to_json())
-    _write_manifest(out, {"command": "eval", "outputs": {"report": report_path},
-                          "stats": {"n_impressions": report.n_impressions}})
-    return 0
+    return {"n_impressions": report.n_impressions}
 
 
-def _checkpoint_inputs(args):
-    """What every command that uses a trained model starts from: run config,
-    out dir, impressions, checkpoint and the dataset's frozen-feature table."""
-    config = load_run_config(args.config, args.set)
-    out = _out_dir(args)
+def _checkpoint_inputs(args, config: dict):
+    """What every command that uses a trained model starts from: impressions,
+    checkpoint and the dataset's frozen-feature table."""
     corpus, impressions = _load_dataset(args.data)
     params = ckpt.load_checkpoint(args.checkpoint)
     embedder, provider = _frozen_inputs(args, config, corpus, params.config)
-    return config, out, impressions, params, FeatureSource(params, corpus, embedder, provider)
+    return impressions, params, FeatureSource(params, corpus, embedder, provider)
 
 
-def cmd_precompute(args) -> int:
+def cmd_precompute(args, config: dict, paths: dict) -> dict:
     """``precompute`` and ``encode``: the rep store of the users ``args.users_of``
-    picks from the impressions, written to ``args.store_file``."""
-    _, out, impressions, params, features = _checkpoint_inputs(args)
+    picks from the impressions."""
+    impressions, params, features = _checkpoint_inputs(args, config)
     store = serve_mod.precompute(params, features, args.users_of(impressions))
-    store_path = os.path.join(out, args.store_file)
-    serve_mod.save_store(store_path, store)
-    stats = {
-        "articles": len(store.article_ids),
-        "users": len(store.users),
-        "version_tag": store.version_tag,
-    }
+    serve_mod.save_store(paths["store"], store)
+    stats = {"articles": len(store.article_ids), "users": len(store.users), "version_tag": store.version_tag}
     print(json.dumps(stats, sort_keys=True))
-    _write_manifest(out, {"command": args.command, "outputs": {"store": store_path}, "stats": stats})
-    return 0
+    return stats
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, config: None, paths: dict) -> None:
     params = ckpt.load_checkpoint(args.checkpoint)
     store = serve_mod.load_store(args.store)
     server = serve_mod.create_server(store, params, args.host, args.port)
@@ -443,11 +387,10 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
-    return 0
 
 
-def cmd_diagnose(args) -> int:
-    _, out, impressions, params, features = _checkpoint_inputs(args)
+def cmd_diagnose(args, config: dict, paths: dict) -> dict:
+    impressions, params, features = _checkpoint_inputs(args, config)
     imp = serve_mod.latest_impressions(impressions).get(args.user)
     if imp is None:
         raise UnknownIdError(f"unknown user {args.user!r}")
@@ -463,8 +406,7 @@ def cmd_diagnose(args) -> int:
         nx, ny = np.linalg.norm(x), np.linalg.norm(y)
         return float(x @ y / (nx * ny)) if nx > 0 and ny > 0 else 0.0
 
-    path = os.path.join(out, "diagnostics.csv")
-    with replacing(path, "w", encoding="utf-8") as fh:
+    with replacing(paths["diagnostics"], "w", encoding="utf-8") as fh:
         fh.write("candidate_index,candidate_id,step,history_article_id,alpha,cos_instant,cos_constant\n")
         for rank_idx, (cand_id, attention) in enumerate(zip(scored.article_ids, scored.attention)):
             cand_vec = scorer.rep(cand_id)
@@ -477,10 +419,86 @@ def cmd_diagnose(args) -> int:
                     f"{rank_idx},{cand_id},{step},{hist_id},{alpha},"
                     f"{cosine(hist[step], h_ins)},{cosine(hist[step], h_cons)}\n"
                 )
-    print(f"wrote {path}")
-    _write_manifest(out, {"command": "diagnose", "outputs": {"diagnostics": path},
-                          "stats": {"user": args.user, "candidates": len(scored.article_ids)}})
-    return 0
+    print(f"wrote {paths['diagnostics']}")
+    return {"user": args.user, "candidates": len(scored.article_ids)}
+
+
+# Each flag that names a file a command reads: whether a command that takes it
+# needs it, and its help. ``--config`` also brings ``--set``.
+INPUT_FLAGS = {
+    "--config": (False, "JSON run config file"),
+    "--data": (True, "canonical JSONL dataset"),
+    "--checkpoint": (True, "model checkpoint file"),
+    "--store": (True, "rep store file"),
+    "--user-attrs": (False, "JSON file of {user_id: {attr: value}} for profile prompts"),
+    "--news": (False, "news TSV (mind format)"),
+    "--behaviors": (False, "behaviors TSV (mind format)"),
+    "--input": (False, "JSONL file (jsonl format)"),
+}
+
+# Each command's (inputs, outputs). An input is a flag or a run config key that
+# names a file the command reads; an output is the file of each role in --out.
+# A command without outputs takes no --out and writes no manifest.
+_FEATURE_INPUTS = ("--user-attrs", "embedder.path", "summarizer.replay_path")  # read by _frozen_inputs
+_MODEL_INPUTS = ("--config", "--data", "--checkpoint", *_FEATURE_INPUTS)
+COMMANDS = {
+    "synth": (("--config",), {"dataset": "dataset.jsonl", "truth": "truth.json", "user_attrs": "user_attrs.json"}),
+    "ingest": (("--news", "--behaviors", "--input"), {"dataset": "dataset.jsonl"}),
+    "summarize": (("--config", "--data", "summarizer.replay_path"),
+                  {"dataset": "dataset.jsonl", "cache": "summary_cache.jsonl"}),
+    "train": (("--config", "--data", *_FEATURE_INPUTS), {"checkpoint": "checkpoint.bin", "log": "train_log.csv"}),
+    "eval": (_MODEL_INPUTS, {"report": "eval_report.json"}),
+    "encode": (_MODEL_INPUTS, {"store": "article_reps.bin"}),
+    "precompute": (_MODEL_INPUTS, {"store": "store.bin"}),
+    "diagnose": (_MODEL_INPUTS, {"diagnostics": "diagnostics.csv"}),
+    "serve": (("--checkpoint", "--store"), None),
+}
+
+
+def _run(args) -> None:
+    """The steps every command shares, in order: ingest's own checks, the run
+    config, ``--out`` (made if missing, its manifest checked before anything is
+    written), the input check and digests, the command, and its manifest entry."""
+    inputs, outputs = COMMANDS[args.command]
+    if args.command == "ingest":  # before --out is made; given only its format's inputs, it records no other
+        for flag, value, least in (("--max-users", args.max_users, 1), ("--seed", args.seed, 0)):
+            if value is not None and value < least:
+                raise ConfigError(f"{flag} must be at least {least}, not {value}")
+        for flag in ("news", "behaviors", "input"):
+            wanted = (flag == "input") == (args.format == "jsonl")
+            if (getattr(args, flag) is not None) != wanted:
+                raise ConfigError(f"{args.format} format {'needs' if wanted else 'takes no'} --{flag}")
+    config = load_run_config(args.config, args.set) if "--config" in inputs else None
+    if outputs is not None:
+        os.makedirs(args.out, exist_ok=True)
+        _read_manifest(args.out)
+    digests = {}
+    for name in inputs:
+        if name.startswith("--"):
+            path = getattr(args, name[2:].replace("-", "_"))
+        else:  # a run config key names a file when the chosen embedder kind or client reads it
+            section, key = name.split(".")
+            choice, kinds = _KINDS[section]
+            path = config[section][key] if kinds[config[section][choice]] == key else None
+        if path is not None and not os.path.isfile(path):
+            raise ConfigError(f"{name} {path!r} is not an existing regular file")
+        if path is not None and outputs is not None:  # serve records nothing
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            digests[name] = digest.hexdigest()
+    if outputs is None:
+        return args.func(args, config, {})
+    paths = {role: os.path.join(args.out, name) for role, name in outputs.items()}
+    stats = args.func(args, config, paths)
+    _write_manifest(args.out, {
+        "command": args.command,
+        "inputs": digests,
+        "config": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest() if config else None,
+        "outputs": paths,
+        "stats": stats,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -497,73 +515,52 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="flowrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True, checkpoint=False, user_attrs=False):
-        p.add_argument("--config", help="JSON run config file")
-        p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
-                       help="override one config value (JSON-parsed)")
-        p.add_argument("--out", required=True, help="output directory")
-        if data:
-            p.add_argument("--data", required=True, help="canonical JSONL dataset")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True, help="model checkpoint file")
-        if user_attrs:
-            p.add_argument("--user-attrs", default=None,
-                           help="JSON file of {user_id: {attr: value}} for profile prompts")
+    def command(name, func, help_text, **defaults):
+        """A subparser with the ``--out`` and input flags that ``COMMANDS[name]`` gives it."""
+        inputs, outputs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if outputs is not None:
+            p.add_argument("--out", required=True, help="output directory")
+        for flag in (flag for flag in inputs if flag in INPUT_FLAGS):
+            p.add_argument(flag, required=INPUT_FLAGS[flag][0], help=INPUT_FLAGS[flag][1])
+        if "--config" in inputs:
+            p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
+                           help="override one config value (JSON-parsed)")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with a planted click rule")
-    common(p, data=False)
+    p = command("synth", cmd_synth, "generate a synthetic dataset with a planted click rule")
     p.add_argument("--rule", default="planted-bilinear", choices=data_mod.CLICK_RULES)
     p.add_argument("--users", type=int, default=50)
     p.add_argument("--articles", type=int, default=200)
     p.add_argument("--impressions", type=int, default=2000)
     p.add_argument("--topics", type=int, default=8)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse raw logs into the canonical JSONL format")
-    p.add_argument("--out", required=True)
+    p = command("ingest", cmd_ingest, "parse raw logs into the canonical JSONL format")
     p.add_argument("--format", choices=["mind", "jsonl"], required=True)
-    p.add_argument("--news", help="news TSV (mind format)")
-    p.add_argument("--behaviors", help="behaviors TSV (mind format)")
-    p.add_argument("--input", help="JSONL file (jsonl format)")
     p.add_argument("--max-users", type=int, default=None, help="seeded user subsample")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("summarize",
-                       help="attach summarized bodies to every article (a failed one keeps its raw body)")
-    common(p)
-    p.set_defaults(func=cmd_summarize)
+    command("summarize", cmd_summarize,
+            "attach summarized bodies to every article (a failed one keeps its raw body)")
+    command("train", cmd_train, "train a model, write checkpoint + log")
 
-    p = sub.add_parser("train", help="train a model, write checkpoint + log")
-    common(p, user_attrs=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="ranking metrics for a checkpoint on a dataset")
-    common(p, checkpoint=True, user_attrs=True)
+    p = command("eval", cmd_eval, "ranking metrics for a checkpoint on a dataset")
     p.add_argument("--holdout", action="store_true", help="evaluate only the time-based holdout")
     p.add_argument("--global-auc", action="store_true", help="also report pooled AUC")
-    p.set_defaults(func=cmd_eval)
 
-    for name, users_of, store_file, help_text in (
-            ("encode", lambda impressions: [], "article_reps.bin", "precompute every article's rep only"),
-            ("precompute", serve_mod.users_from_impressions, "store.bin",
-             "build the serving rep store (every article + each user's latest history)")):
-        p = sub.add_parser(name, help=help_text)
-        common(p, checkpoint=True, user_attrs=True)
-        p.set_defaults(func=cmd_precompute, users_of=users_of, store_file=store_file)
+    command("encode", cmd_precompute, "precompute every article's rep only", users_of=lambda impressions: [])
+    command("precompute", cmd_precompute,
+            "build the serving rep store (every article + each user's latest history)",
+            users_of=serve_mod.users_from_impressions)
 
-    p = sub.add_parser("serve", help="run the rerank HTTP service")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--store", required=True)
+    p = command("serve", cmd_serve, "run the rerank HTTP service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("diagnose", help="dump attention weights and rep similarities for one user")
-    common(p, checkpoint=True, user_attrs=True)
+    p = command("diagnose", cmd_diagnose, "dump attention weights and rep similarities for one user")
     p.add_argument("--user", required=True)
-    p.set_defaults(func=cmd_diagnose)
 
     return parser
 
@@ -571,9 +568,9 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (ConfigError, TemplateError, FileNotFoundError) as exc:
+        _run(parser.parse_args(argv))
+        return 0
+    except (ConfigError, TemplateError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (data_mod.DataFormatError, UnknownIdError) as exc:

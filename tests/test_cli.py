@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -24,7 +25,7 @@ from flowrec.encode import FeatureSource, HashedTextEmbedder, write_embedding_fi
 from flowrec.errors import ConfigError
 from flowrec.model import ModelConfig, Scorer, instant_rep
 from flowrec.serve import load_store
-from flowrec.train import TrainConfig
+from flowrec.train import TrainConfig, evaluate_params
 
 NEWS = (
     "N1\tsports\tsoccer\tTitle A\tAbstract A\thttp://x\t[]\t[]\n"
@@ -108,6 +109,7 @@ class TestRunConfig:
         ("train.learning_rate=fast", "'train.learning_rate' must be a number"),
         ("summarizer.cache_path=3", "'summarizer.cache_path' must be a string or null"),
         ("seed.x=1", "'seed' must be an integer"),
+        ("train.max_steps", "--set expects key.path=value, got 'train.max_steps'"),
     ])
     def test_mistyped_set_exits_one_naming_the_key(self, tmp_path, capsys, item, message):
         assert run("train", "--set", item, "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o") == 1
@@ -126,6 +128,10 @@ class TestRunConfig:
         ("summarizer.lead_sentences=-1", "summarizer.lead_sentences"),
         ("summarizer.profile_top_n=-2", "summarizer.profile_top_n"),
         ("seed=-4", "seed"),
+        ('summarizer.client="nope"', "summarizer.client"),
+        ('embedder.kind="nope"', "embedder.kind"),
+        ('summarizer.client="replay"', "summarizer.replay_path"),
+        ('embedder.kind="precomputed"', "embedder.path"),
     ])
     def test_out_of_range_set_exits_one_before_data_is_read(self, tmp_path, capsys, item, key):
         with pytest.raises(ConfigError, match=key):
@@ -196,6 +202,26 @@ class TestIngest:
         assert code == 1
         assert "--max-users" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt,given,message", [
+        ("mind", ["--news"], "mind format needs --behaviors"),
+        ("mind", ["--news", "--behaviors", "--input"], "mind format takes no --input"),
+        ("jsonl", [], "jsonl format needs --input"),
+        ("jsonl", ["--input", "--news"], "jsonl format takes no --news"),
+    ])
+    def test_ingest_takes_the_inputs_of_its_format_only(self, mind_dir, tmp_path, capsys, fmt, given, message):
+        files = {"--news": mind_dir / "news.tsv", "--behaviors": mind_dir / "behaviors.tsv",
+                 "--input": mind_dir / "news.tsv"}
+        argv = [arg for flag in given for arg in (flag, files[flag])]
+        assert run("ingest", "--format", fmt, *argv, "--out", tmp_path / "out") == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_max_users_keeps_that_many_users(self, mind_dir, tmp_path, capsys):
+        assert run("ingest", "--format", "mind", "--news", mind_dir / "news.tsv", "--behaviors",
+                   mind_dir / "behaviors.tsv", "--max-users", 1, "--seed", 0, "--out", tmp_path / "out") == 0
+        stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert stats["users"] == 1 and stats["impressions"] == 1
 
     @pytest.mark.parametrize("fmt", ["mind", "jsonl"])
     def test_negative_seed_is_a_usage_error(self, mind_dir, tmp_path, capsys, fmt):
@@ -280,6 +306,27 @@ class TestExitCodes:
     def test_out_of_range_synth_value_exits_one_naming_it(self, tmp_path, capsys, option, value, name):
         assert run("synth", option, value, "--out", tmp_path / "o") == 1
         assert f"config error: {name} must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,name,given", [
+        (["train", "--data", "{dir}"], "--data", "dir"),
+        (["train", "--data", "{file}", "--user-attrs", "{dir}"], "--user-attrs", "dir"),
+        (["eval", "--data", "{file}", "--checkpoint", "{dir}"], "--checkpoint", "dir"),
+        (["eval", "--data", "{file}", "--checkpoint", "{missing}"], "--checkpoint", "missing"),
+        (["ingest", "--format", "jsonl", "--input", "{dir}"], "--input", "dir"),
+        (["serve", "--checkpoint", "{file}", "--store", "{missing}"], "--store", "missing"),
+        (["train", "--data", "{file}", "--set", 'embedder.kind="precomputed"', "--set", 'embedder.path="{dir}"'],
+         "embedder.path", "dir"),
+        (["summarize", "--data", "{file}", "--set", 'summarizer.client="replay"',
+          "--set", 'summarizer.replay_path="{missing}"'], "summarizer.replay_path", "missing"),
+    ], ids=["train-data-dir", "train-user-attrs-dir", "eval-checkpoint-dir", "eval-checkpoint-missing",
+            "ingest-input-dir", "serve-store-missing", "train-embedder-path-dir", "summarize-replay-path-missing"])
+    def test_an_input_that_is_no_regular_file_exits_one_naming_it(self, tmp_path, capsys, argv, name, given):
+        paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file", "missing": tmp_path / "missing"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("{}\n")  # never read: the inputs are checked before any is read
+        out = [] if argv[0] == "serve" else ["--out", tmp_path / "o"]
+        assert run(*[a.format(**paths) for a in argv], *out) == 1
+        assert f"config error: {name} {str(paths[given])!r} is not an existing regular file" in capsys.readouterr().err
 
     def test_a_bare_key_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def broken(spec):
@@ -367,6 +414,65 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         commands = {entry["command"] for entry in manifest}
         assert {"synth", "summarize", "train", "eval", "encode", "precompute"} <= commands
+
+    def test_each_manifest_entry_names_what_its_command_read_and_wrote(self, tmp_path):
+        # Each entry lists the files its command created or rewrote in --out, and the
+        # SHA-256 of each file it read as it was before the command ran.
+        manifests = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            data, attrs = out / "dataset.jsonl", out / "user_attrs.json"
+            model = ("--data", data, "--checkpoint", out / "checkpoint.bin", "--user-attrs", attrs)
+            steps = [
+                ("synth", "--rule", "flow-mix", "--users", 6, "--articles", 25, "--impressions", 40, "--seed", 9),
+                ("summarize", "--data", data, *sets()),
+                ("train", "--data", data, "--user-attrs", attrs, *sets()),
+                ("eval", *model, *sets()), ("encode", *model, *sets()), ("precompute", *model, *sets()),
+                ("diagnose", *model, "--user", "{user}", *sets()),
+            ]
+            for argv in steps:
+                argv = [a.format(user=_first_user(data)) if a == "{user}" else a for a in argv]
+                before = _files(out)
+                assert run(*argv, "--out", out) == 0, argv[0]
+                after = _files(out)
+                entry = {e["command"]: e for e in json.loads((out / "manifest.json").read_text())}[argv[0]]
+                changed = {name for name in after if after[name] != before.get(name)} - {"manifest.json"}
+                assert sorted(entry["outputs"].values()) == sorted(changed), argv[0]
+                read = {flag: argv[argv.index(flag) + 1] for flag in ("--data", "--checkpoint", "--user-attrs")
+                        if flag in argv}
+                assert entry["inputs"] == {flag: before[path.name][1] for flag, path in read.items()}, argv[0]
+                config = load_run_config(None, SMALL_OVERRIDES if argv[0] != "synth" else [])
+                assert entry["config"] == hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+            summarize = {e["command"]: e for e in json.loads((out / "manifest.json").read_text())}["summarize"]
+            assert summarize["inputs"]["--data"] != _files(out)["dataset.jsonl"][1]  # it rewrote what it read
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
+    def test_a_rejected_dataset_line_is_a_warning(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--out", out) == 0
+        with open(out / "dataset.jsonl", "ab") as fh:
+            fh.write(b"{not json\n")
+        lines = len((out / "dataset.jsonl").read_bytes().splitlines())
+        assert run("summarize", "--data", out / "dataset.jsonl", "--out", out, *sets()) == 0
+        assert f"warning: line {lines}: invalid JSON" in capsys.readouterr().err
+
+    def test_a_failed_article_summary_is_a_warning(self, tmp_path, capsys):
+        world = ("synth", "--users", 3, "--articles", 10, "--impressions", 10, "--seed", 5)
+        assert run(*world, "--out", tmp_path / "stub") == 0
+        assert run("summarize", "--data", tmp_path / "stub" / "dataset.jsonl", "--out", tmp_path / "stub") == 0
+        records = (tmp_path / "stub" / "summary_cache.jsonl").read_text().splitlines()
+        fixture = tmp_path / "replay.jsonl"
+        fixture.write_text("\n".join(records[1:]) + "\n")  # lacks the first article's completion
+        out = tmp_path / "run"
+        assert run(*world, "--out", out) == 0
+        capsys.readouterr()
+        assert run("summarize", "--data", out / "dataset.jsonl", "--out", out, "--set", 'summarizer.client="replay"',
+                   "--set", f"summarizer.replay_path={json.dumps(str(fixture))}") == 0
+        captured = capsys.readouterr()
+        first = json.loads((out / "dataset.jsonl").read_text().splitlines()[0])["id"]
+        assert f"warning: article {first}: no recorded completion" in captured.err
+        assert json.loads(captured.out.strip().splitlines()[-1]) == {
+            "summarized": len(records) - 1, "errors": 1, "cache_entries": len(records) - 1}
 
     def test_eval_dim_mismatch_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -486,6 +592,14 @@ def trained_run(tmp_path_factory):
     assert run("precompute", "--data", out / "dataset.jsonl", "--checkpoint", out / "checkpoint.bin",
                "--out", out, *sets()) == 0
     return out
+
+
+def _files(out):
+    """``{name: (inode and mtime, SHA-256)}`` of each file in ``out``; a rewritten file gets a new inode."""
+    if not out.exists():
+        return {}
+    return {p.name: ((p.stat().st_ino, p.stat().st_mtime_ns), hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in out.iterdir()}
 
 
 def _first_user(data):
@@ -690,6 +804,32 @@ class TestCheckpointCommands:
         assert plain.pop("global_auc") is None
         assert pooled.pop("global_auc") == wins / (len(pos) * len(neg))
         assert pooled == plain
+
+    def test_eval_holdout_scores_the_split_training_held_out(self, trained_run, tmp_path, capsys):
+        data, ckpt = trained_run / "dataset.jsonl", trained_run / "checkpoint.bin"
+        capsys.readouterr()
+        assert run("eval", "--data", data, "--checkpoint", ckpt, "--out", tmp_path, "--holdout", *sets()) == 0
+        printed = json.loads(capsys.readouterr().out)
+        dataset = data_mod.read_jsonl(str(data))
+        corpus = data_mod.build_corpus(dataset.articles)
+        config = load_run_config(None, SMALL_OVERRIDES)
+        _, holdout = data_mod.split_by_time(dataset.impressions, config["train"]["holdout_fraction"])
+        params = load_checkpoint(ckpt)
+        features = FeatureSource(params, corpus, HashedTextEmbedder(32), make_profile_provider(config, corpus))
+        expected = evaluate_params(params, features, holdout).to_dict()
+        assert 0 < printed["n_impressions"] == expected["n_impressions"] < len(dataset.impressions)
+        assert {k: v for k, v in printed.items() if k != "ablation_flags"} == {
+            k: v for k, v in expected.items() if k != "ablation_flags"}
+
+    def test_diagnose_user_without_history_in_the_corpus_exits_two(self, trained_run, tmp_path, capsys):
+        dataset = data_mod.read_jsonl(str(trained_run / "dataset.jsonl"))
+        known = dataset.articles[0].article_id
+        data = tmp_path / "loner.jsonl"
+        data_mod.write_jsonl(data, dataset.articles, dataset.impressions + [
+            data_mod.Impression("loner-1", "loner", 1, ["ghost"], [(known, 1)])])
+        assert run("diagnose", "--data", data, "--checkpoint", trained_run / "checkpoint.bin", "--out", tmp_path,
+                   "--user", "loner", *sets()) == 2
+        assert "data error: user 'loner' has no history in the dataset" in capsys.readouterr().err
 
     @pytest.mark.parametrize("garble,named", GARBLED_CHECKPOINTS.values(), ids=GARBLED_CHECKPOINTS)
     def test_garbled_checkpoint_header_exits_one(self, trained_run, tmp_path, capsys, garble, named):
